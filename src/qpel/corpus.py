@@ -123,15 +123,6 @@ def _base_ty(k: int):
     return [ty_of("I"), ty_of("I + I"), ty_of("I * I")][k % 3]
 
 
-def _base_term(k: int, ty_k: int, var="u"):
-    # a closed term of _base_ty(ty_k), varied by k
-    if ty_k % 3 == 0:
-        return T("unit")
-    if ty_k % 3 == 1:
-        return T("inl unit") if k % 2 == 0 else T("inr unit")
-    return T("unit * unit")
-
-
 # ---------------------------------------------------------------- structural
 
 

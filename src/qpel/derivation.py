@@ -12,6 +12,24 @@ Search over the inequality rules is depth-bounded and deterministic.  The
 transitivity rule is explored against a fixed family of middle candidates
 (double orthosupplements, the top and zero effects, and immediate summands);
 everything a search finds is an ordinary script that re-checks.
+
+The search is tabled (SLG-style, after Chen & Warren, JACM 43(1), 1996).
+Each `auto_search_leq` call owns one `SearchTable`, dropped when it returns:
+
+- a success is stored under (goal, depth) and reused only at that depth,
+  since a deeper search may find an earlier rule's proof first;
+- a failure is stored as the deepest depth at which the goal failed, and
+  answers every request at that depth or less: whatever a shallower search
+  finds, a deeper one finds too;
+- goals are keyed by value (`EffLeq` equality: context entries and the
+  alpha-keys of both effects), never by hash, so colliding hashes cannot
+  merge distinct goals; an alpha-variant of a stored goal gets the stored
+  derivation, which proves it too.
+
+Within one call `_search(goal, depth)` is a pure function (the lemma
+environment changes only between declarations), so the table needs no
+invalidation.  No cycle check is needed either: every recursive call
+lowers the depth by one, so no (goal, depth) key repeats along a path.
 """
 from __future__ import annotations
 
@@ -345,28 +363,42 @@ def _mid_candidates(goal: EffLeq):
         out.append(OSum(goal.low.right, goal.low.left))
     if isinstance(goal.high, Orth):
         out.append(Orth(Orth(goal.high)))
-    seen, dedup = set(), []
+    dedup = []
     for c in out:
-        key = hash(c)
-        if key not in seen and c != goal.low and c != goal.high:
-            seen.add(key)
+        if c not in dedup and c != goal.low and c != goal.high:
             dedup.append(c)
     return dedup
 
 
+class SearchTable:
+    """The answers of one `auto_search_leq` call, keyed by goal value."""
+
+    def __init__(self):
+        self.proved = {}  # (goal, depth) -> Derivation
+        self.failed = {}  # goal -> deepest depth at which the search failed
+
+
 def auto_search_leq(goal: EffLeq, depth: int, env: Env) -> Derivation:
     """Deterministic bounded search; results always re-check."""
-    return _search(goal, depth, env, set())
+    return _search(goal, depth, env, SearchTable())
 
 
-def _search(goal: EffLeq, depth: int, env: Env, seen) -> Derivation:
-    if depth <= 0:
+def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:
+    if depth <= 0 or table.failed.get(goal, 0) >= depth:
         raise SearchFailed()
-    key = (hash((goal.ctx, goal.low, goal.high)), depth)
-    if key in seen:
-        raise SearchFailed()
-    seen = seen | {key}
+    d = table.proved.get((goal, depth))
+    if d is not None:
+        return d
+    try:
+        d = _search_rules(goal, depth, env, table)
+    except SearchFailed:
+        table.failed[goal] = depth
+        raise
+    table.proved[goal, depth] = d
+    return d
 
+
+def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:
     for lemma_name in sorted(env.lemmas):
         for j in env.lemmas[lemma_name]:
             if isinstance(j, EffLeq) and judgement_up_to_exchange(j, goal):
@@ -377,10 +409,10 @@ def _search(goal: EffLeq, depth: int, env: Env, seen) -> Derivation:
 
     for name in SEARCH_RULES:
         if name == "arith":
-            try:
-                return check_arith(goal)
-            except DerivationError:
-                continue
+            lo, hi = literal_value(goal.low), literal_value(goal.high)
+            if lo is not None and hi is not None and lo <= hi:
+                return Derivation("arith", goal)
+            continue
         schema = rules.SCHEMAS[name]
         if schema.pack not in env.packs:
             continue
@@ -389,7 +421,7 @@ def _search(goal: EffLeq, depth: int, env: Env, seen) -> Derivation:
         except RuleMismatch:
             continue
         for instn in candidates:
-            d = _try_instantiation(goal, name, instn, depth, env, seen)
+            d = _try_instantiation(goal, name, instn, depth, env, table)
             if d is not None:
                 return d
 
@@ -402,14 +434,14 @@ def _search(goal: EffLeq, depth: int, env: Env, seen) -> Derivation:
                 continue
             for instn in candidates:
                 d = _try_instantiation(
-                    goal, "leq-trans", instn, depth, env, seen, args={"via": mid}
+                    goal, "leq-trans", instn, depth, env, table, args={"via": mid}
                 )
                 if d is not None:
                     return d
     raise SearchFailed()
 
 
-def _try_instantiation(goal, name, instn, depth, env, seen, args=None):
+def _try_instantiation(goal, name, instn, depth, env, table, args=None):
     try:
         bindings = _split_zones(goal, instn)
     except DerivationError:
@@ -420,8 +452,8 @@ def _try_instantiation(goal, name, instn, depth, env, seen, args=None):
         if p.shape[0] == "equiv":
             base = Context(zone_ctx.entries + tuple(p.ext))
             try:
-                df = _search(EffLeq(base, p.shape[1], p.shape[2]), depth - 1, env, seen)
-                db = _search(EffLeq(base, p.shape[2], p.shape[1]), depth - 1, env, seen)
+                df = _search(EffLeq(base, p.shape[1], p.shape[2]), depth - 1, env, table)
+                db = _search(EffLeq(base, p.shape[2], p.shape[1]), depth - 1, env, table)
             except SearchFailed:
                 return None
             children.append(Derivation("both", EffLeq(base, p.shape[1], p.shape[2]), (df, db)))
@@ -439,7 +471,7 @@ def _try_instantiation(goal, name, instn, depth, env, seen, args=None):
                 return None
         elif isinstance(j, EffLeq):
             try:
-                children.append(_search(j, depth - 1, env, seen))
+                children.append(_search(j, depth - 1, env, table))
             except SearchFailed:
                 return None
         else:  # term equality: only reflexivity

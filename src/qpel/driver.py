@@ -147,13 +147,6 @@ def render_pred(state) -> str:
     return "; ".join(parts)
 
 
-@dataclass
-class CheckedDecl:
-    decl: object
-    judgements: list
-    derivations: list
-
-
 def _verify_lemma(judgements, verify, report: DeclReport):
     for backend_name in verify:
         backend = make_backend(backend_name)

@@ -9,7 +9,6 @@ with a counterexample, not raised.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,12 +140,6 @@ def _kleene_eq(a, b):
     if a is None or b is None:
         return a is None and b is None
     return a == b
-
-
-def _directed(a, b):
-    if a is None:
-        return True
-    return b is not None and a == b
 
 
 def check_effect_algebra_laws(alg: EffectAlgebra, samples=None, rng=None) -> LawReport:
@@ -283,10 +276,6 @@ def check_homomorphism(phi, dom: EffectAlgebra, cod: EffectAlgebra,
     _law(rep, "hom-zero", "equation", [(dom.zero,)],
          lambda z: phi(z) == cod.zero)
     return rep
-
-
-def report_to_json_text(rep: LawReport) -> str:
-    return json.dumps(rep.to_json(), indent=2)
 
 
 # ------------------------------------------------------------------ instances

@@ -44,19 +44,39 @@ class TQbit(Type):
 
 
 class Syntax:
-    """Base for terms and effects: equality and hashing are alpha-insensitive."""
+    """Base for terms and effects: equality and hashing are alpha-insensitive.
+
+    Nodes are immutable, so each computes its nameless key (and the key's
+    hash) at most once and keeps it in an attribute outside the dataclass
+    fields; `free_vars` is kept the same way.  The cached hash depends on
+    the process's string hashing, so a node must not be moved to another
+    process with it.
+    """
+
+    def _key(self):
+        try:
+            return self._nameless
+        except AttributeError:
+            key = nameless(self)
+            object.__setattr__(self, "_nameless", key)
+            return key
 
     def __eq__(self, other):
         if not isinstance(other, Syntax):
             return NotImplemented
-        return nameless(self) == nameless(other)
+        return self is other or self._key() == other._key()
 
     def __ne__(self, other):
         result = self.__eq__(other)
         return result if result is NotImplemented else not result
 
     def __hash__(self):
-        return hash(nameless(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class Term(Syntax):
@@ -442,6 +462,16 @@ def abstraction_eq(binders_a, a, binders_b, b) -> bool:
 
 
 def free_vars(s) -> frozenset[str]:
+    try:
+        return s._free_vars
+    except AttributeError:
+        pass
+    fvs = _free_vars(s)
+    object.__setattr__(s, "_free_vars", fvs)
+    return fvs
+
+
+def _free_vars(s) -> frozenset[str]:
     match s:
         case Var(name=x):
             return frozenset({x})

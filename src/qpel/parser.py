@@ -20,6 +20,7 @@ clauses supply scripts for the orthogonality obligations of ``o+`` and
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +70,38 @@ class QpelSyntaxError(Exception):
         where = f" at {line}:{col}" if line is not None else ""
         hint = f" (expected one of: {', '.join(sorted(self.expected))})" if expected else ""
         super().__init__(f"{msg}{where}{hint}")
+
+
+# Deepest nesting of phrases the parser accepts.  Each term, application,
+# effect, effect product, type or script that begins inside another one counts
+# one level; so `X X plus` as a declaration body is three levels deep, and a
+# `let` or a `bot(...)` adds one or two.  The typechecker, the derivation
+# checker, the interpreter and the printer recurse on the syntax tree too: at
+# this bound every stage stays within Python's default recursion limit with
+# some 300 frames to spare, while the deepest benchmark input (a chain of 85
+# `let`s) is 92 levels deep.
+MAX_NESTING = 128
+
+
+class NestingError(QpelSyntaxError):
+    """Input nested deeper than MAX_NESTING; no alternative parse can help."""
+
+
+def _nested(parse):
+    """Count one level of nesting around a recursive parsing method."""
+
+    @functools.wraps(parse)
+    def parse_nested(self, *args):
+        if self.depth >= MAX_NESTING:
+            t = self.peek()
+            raise NestingError(f"nesting deeper than {MAX_NESTING}", t.line, t.col)
+        self.depth += 1
+        try:
+            return parse(self, *args)
+        finally:
+            self.depth -= 1
+
+    return parse_nested
 
 
 # ------------------------------------------------------------------ reference
@@ -346,6 +379,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing
 
@@ -388,6 +422,20 @@ class Parser:
         if t.kind != "NAME" or t.text in _KEYWORDS:
             self.fail("identifier")
         return self.advance().text
+
+    def integer(self) -> int:
+        t = self.expect("INT")
+        return self.build(t, int, t.text)
+
+    def build(self, tok: Token, ctor, *args):
+        """Apply a constructor that validates its arguments (a scalar literal
+        in [0, 1], distinct context names, ...), reporting a refusal at `tok`."""
+        try:
+            return ctor(*args)
+        except ZeroDivisionError:
+            raise QpelSyntaxError("zero denominator", tok.line, tok.col) from None
+        except ValueError as exc:
+            raise QpelSyntaxError(str(exc), tok.line, tok.col) from None
 
     # -- top level
 
@@ -455,17 +503,18 @@ class Parser:
 
     def parse_context(self) -> Context:
         self.expect("(")
-        entries = []
+        g = Context()
         if not self.at(")"):
             while True:
+                binder = self.peek()
                 name = self.ident()
                 self.expect(":")
-                entries.append((name, self.parse_type()))
+                g = self.build(binder, g.extend, name, self.parse_type())
                 if not self.at(","):
                     break
                 self.advance()
         self.expect(")")
-        return Context(tuple(entries))
+        return g
 
     def parse_goal(self) -> Goal:
         save = self.pos
@@ -480,6 +529,8 @@ class Parser:
                 self.advance()
                 return GTyping(lhs, self.parse_type())
             raise QpelSyntaxError("not a term goal")
+        except NestingError:
+            raise
         except QpelSyntaxError:
             self.pos = save
         lhs = self.parse_effect()
@@ -499,6 +550,7 @@ class Parser:
 
     # -- types
 
+    @_nested
     def parse_type(self) -> Type:
         t = self.parse_tensor_type()
         while self.at("+"):
@@ -529,6 +581,7 @@ class Parser:
 
     # -- terms
 
+    @_nested
     def parse_term(self) -> Term:
         if self.at_word("let"):
             self.advance()
@@ -580,6 +633,7 @@ class Parser:
             t = Pair(t, self.parse_app_term())
         return t
 
+    @_nested
     def parse_app_term(self) -> Term:
         if self.at_word("inl"):
             self.advance()
@@ -618,6 +672,7 @@ class Parser:
 
     # -- effects
 
+    @_nested
     def parse_effect(self) -> Effect:
         if self.at_word("caseE"):
             self.advance()
@@ -638,6 +693,7 @@ class Parser:
             return OSum(e, self.parse_mult_effect())
         return e
 
+    @_nested
     def parse_mult_effect(self) -> Effect:
         e = self.parse_atom_effect()
         if self.at("."):
@@ -646,16 +702,18 @@ class Parser:
         return e
 
     def parse_rational(self) -> Fraction:
-        num = int(self.expect("INT").text)
+        t = self.peek()
+        num = self.integer()
         if self.at("/"):
             self.advance()
-            return Fraction(num, int(self.expect("INT").text))
+            return self.build(t, Fraction, num, self.integer())
         return Fraction(num)
 
     def parse_atom_effect(self) -> Effect:
         if self.at("INT"):
+            t = self.peek()
             q = self.parse_rational()
-            return Zero() if q == 0 else ScalarLit(q)
+            return Zero() if q == 0 else self.build(t, ScalarLit, q)
         if self.at_word("bot"):
             self.advance()
             self.expect("(")
@@ -667,12 +725,10 @@ class Parser:
             self.expect("(")
             m = self.parse_term()
             self.expect(",")
+            t = self.peek()
             q = self.parse_rational()
             self.expect(")")
-            try:
-                return ProjPlus(m, q)
-            except ValueError as exc:
-                self.fail(str(exc))
+            return self.build(t, ProjPlus, m, q)
         if self.at("("):
             self.advance()
             e = self.parse_effect()
@@ -682,6 +738,7 @@ class Parser:
 
     # -- proof scripts
 
+    @_nested
     def parse_script(self) -> Script:
         t = self.peek()
         if t.kind != "NAME":
@@ -692,7 +749,7 @@ class Parser:
             depth = None
             if self.at("(") and self.peek(1).kind == "INT":
                 self.advance()
-                depth = int(self.expect("INT").text)
+                depth = self.integer()
                 self.expect(")")
             return AutoNode(depth)
         if name == "arith":
@@ -748,13 +805,13 @@ class Parser:
         if sort == "name":
             return self.ident()
         if sort == "int":
-            return int(self.expect("INT").text)
+            return self.integer()
         if sort == "intlist":
             self.expect("[")
-            xs = [int(self.expect("INT").text)]
+            xs = [self.integer()]
             while self.at(","):
                 self.advance()
-                xs.append(int(self.expect("INT").text))
+                xs.append(self.integer())
             self.expect("]")
             return tuple(xs)
         raise AssertionError(sort)

@@ -1,7 +1,17 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qpel.cli import main
+from qpel.parser import MAX_NESTING
 
 CLI = [sys.executable, "-m", "qpel.cli"]
 
@@ -131,3 +141,78 @@ def test_sidecar_proofs(tmp_path):
     (tmp_path / "side.qpel.proofs.json").unlink()
     out2 = run("check", src)
     assert out2.returncode == 4
+
+
+# ------------------------------------------------- exit codes on any input
+
+def check_in_process(text, *flags):
+    """`qpel check` on `text` in this process: (exit code, printed report)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.qpel"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", *flags, str(path)])
+    return code, out.getvalue()
+
+
+# Inputs that once ended in a traceback with exit 1, and where they go wrong.
+DEEP_X = "term t () : qbit = " + "X (" * 400 + "plus" + ")" * 400
+DEEP_BOT = "effect e () = " + "bot(" * 400 + "0" + ")" * 400
+CRASHES = {
+    "proj-zero-denominator": ("effect e (x : qbit) = proj(x, 1/0)", "at 1:31"),
+    "measure-zero-denominator": (
+        "term t () : I + I = measure { 1/0 -> inl unit | 1/2 -> inr unit }", "at 1:31"),
+    "measure-scalar-above-1": (
+        "term t () : I + I = measure { 3/2 -> inl unit | 1/2 -> inr unit }", "at 1:31"),
+    "effect-scalar-above-1": ("effect e () = 7/3", "at 1:15"),
+    "duplicate-binder": ("term t (x : qbit, x : I) : qbit = x", "at 1:19"),
+    "proj-angle-2pi": ("effect e (x : qbit) = proj(x, 5/2)", "at 1:31"),
+    "integer-over-4300-digits": ("effect e () = 1/" + "1" * 5000, "at 1:17"),
+    "superscript-digit": ("effect e () = \u00b2", "at 1:15"),
+    "deep-x": (DEEP_X, f"nesting deeper than {MAX_NESTING} at 1:"),
+    "deep-bot": (DEEP_BOT, f"nesting deeper than {MAX_NESTING} at 1:"),
+}
+
+SOUP = [
+    "type", "term", "effect", "lemma", "check", "by", "requires", "let", "in",
+    "case", "caseE", "of", "inl", "inr", "measure", "unit", "plus", "qbit", "I",
+    "X", "Z", "E", "proj", "bot", "eff", "auto", "arith", "both", "use", "x",
+    "y", "t", "ref", "sym", "zero-leq", "leq-trans", "(", ")", "{", "}", "[",
+    "]", ":", ";", ",", "|", "*", "+", ".", "=", "->", "<=", "==", "_|_",
+    "o+", "0", "1", "2", "1/2", "1/0", "7/3", "\n",
+]
+
+
+@pytest.mark.parametrize("text, where", CRASHES.values(), ids=CRASHES)
+def test_constructor_and_nesting_errors_exit_2_with_position(text, where):
+    code, out = check_in_process(text)
+    assert code == 2 and where in out, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(SOUP), max_size=30).map(" ".join))
+@example("lemma l (x : I) : x : I by { var }")
+@example("term t (x : qbit, x : I) : qbit = x")
+@example("effect e (x : qbit) = proj(x, 1/0)")
+@example("term t () : I + I = measure { 1/0 -> inl unit | 1/2 -> inr unit }")
+@example("term t () : I + I = measure { 3/2 -> inl unit | 1/2 -> inr unit }")
+@example("effect e () = 7/3")
+@example("effect e (x : qbit) = proj(x, 5/2)")
+@example(DEEP_X)
+@example(DEEP_BOT)
+def test_check_exits_with_a_documented_code(text):
+    code, _ = check_in_process(text)
+    assert code in (0, 2, 3, 4, 5)
+
+
+def test_nesting_bound_is_exact():
+    def term(levels):
+        return "term t () : qbit = " + "X " * levels + "plus\ncheck t\n"
+
+    # the declaration's body opens two phrases (term, application) before
+    # its first `X`, and every `X` opens one more
+    code, out = check_in_process(term(MAX_NESTING - 2), "--verify", "all")
+    assert code == 0, out
+    code, out = check_in_process(term(MAX_NESTING - 1), "--verify", "all")
+    assert code == 2 and f"nesting deeper than {MAX_NESTING} at 1:" in out, out

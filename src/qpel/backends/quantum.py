@@ -6,23 +6,28 @@ trace-preserving map stored blockwise as 4-index tensors T[(i, j)] with
 
     F(rho)_j[k, l] = sum_i T[(i,j)][k, l, a, b] * rho_i[a, b],
 
-so composition, tensoring and the Heisenberg adjoint are einsum contractions.
-Tensor and coproduct act on block lists (Kronecker / concatenation), which
-makes the associator, the unit isos and the left distributivity literal
-identities on this representation; the symmetry is a per-block conjugation by
-the commutation permutation.  Numeric equality is Frobenius distance within
-1e-9.
+so composition is a matrix product of each pair of blocks reshaped to
+(e*e, m*m) and (m*m, d*d), while tensoring and the Heisenberg adjoint are
+einsum contractions.  Tensor and coproduct act on block lists (Kronecker /
+concatenation), which makes the associator, the unit isos and the left
+distributivity literal identities on this representation; the symmetry is a
+per-block conjugation by the commutation permutation.  The context reshuffles
+(`split_mor`, `drop_mor`) are built in one step, each block a permutation of
+the Kronecker factors' indices followed by a partial trace, instead of as the
+generic composites of those maps (Wood, Biamonte & Cory, arXiv:1111.6950).
+Numeric equality is Frobenius distance within 1e-9.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ..triangle import Backend, BackendError, nfold
+from ..triangle import Backend, BackendError, nfold, tensor_all
 
 TOL = 1e-9
 
@@ -91,9 +96,10 @@ class QuantumBackend(Backend):
             for (j2, k), tg in g.blocks.items():
                 if j2 != j:
                     continue
-                acc = np.einsum("klmn,mnij->klij", tg, tf)
+                e, m, d = tg.shape[0], tf.shape[0], tf.shape[2]
+                acc = (tg.reshape(e * e, m * m) @ tf.reshape(m * m, d * d)).reshape(e, e, d, d)
                 key = (i, k)
-                blocks[key] = blocks.get(key, 0) + acc
+                blocks[key] = acc + blocks[key] if key in blocks else acc
         return QMor(f.dom, g.cod, blocks)
 
     def tensor_mor(self, f, g):
@@ -164,6 +170,34 @@ class QuantumBackend(Backend):
             t[0, 0] = np.eye(d)
             blocks[(i, 0)] = t
         return QMor(a, (1,), blocks)
+
+    def drop_mor(self, obs, keep):
+        n = range(len(obs))
+        return self._reshuffle(obs, [k for k in n if k in keep], [k for k in n if k not in keep])
+
+    def split_mor(self, obs, left):
+        n = range(len(obs))
+        return self._reshuffle(obs, [k for k in n if k in left] + [k for k in n if k not in left], [])
+
+    def _reshuffle(self, obs, kept, dropped):
+        """The channel from the tensor of the factors `obs` to the tensor of
+        the factors at the indices `kept`, in that order, tracing out those
+        at `dropped`.  Each block is an index permutation: V sends the
+        Kronecker basis of the input block to (kept, dropped) multi-indices,
+        and the block is V rho V^T summed over the dropped index."""
+        axes = kept + dropped + [len(obs)]
+        blocks = {}
+        # product() runs over the block multi-indices in the flat block order
+        for i, b in enumerate(itertools.product(*(range(len(a)) for a in obs))):
+            j = 0
+            for k in kept:
+                j = j * len(obs[k]) + b[k]
+            dims = [a[x] for a, x in zip(obs, b)]
+            d = math.prod(dims)
+            e = math.prod(dims[k] for k in kept)
+            v = np.eye(d).reshape(dims + [d]).transpose(axes).reshape(e, d // e, d)
+            blocks[(i, j)] = np.einsum("kja,ljb->klab", v, v)
+        return QMor(tensor_all(self, obs), tensor_all(self, [obs[k] for k in kept]), blocks)
 
     def inj1(self, a, b):
         return QMor(a, self.sum_ob(a, b), {(i, i): _ident_tensor(d) for i, d in enumerate(a)})

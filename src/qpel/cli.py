@@ -21,6 +21,7 @@ from .driver import (
     EXIT_SEMANTIC,
     EXIT_TYPE,
     eval_decl,
+    read_source,
     render_pred,
     render_state,
     run_paths,
@@ -90,8 +91,7 @@ def main(argv=None) -> int:
 
     if args.command == "eval":
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                sf = parse(fh.read())
+            sf = parse(read_source(args.file))
         except (OSError, QpelSyntaxError, ElabError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
@@ -105,8 +105,7 @@ def main(argv=None) -> int:
 
     if args.command == "wp":
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                sf = parse(fh.read())
+            sf = parse(read_source(args.file))
         except (OSError, QpelSyntaxError, ElabError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -147,9 +147,9 @@ def render_pred(state) -> str:
     return "; ".join(parts)
 
 
-def _verify_lemma(judgements, verify, report: DeclReport):
-    for backend_name in verify:
-        backend = make_backend(backend_name)
+def _verify_lemma(judgements, backends, report: DeclReport):
+    for backend in backends:
+        backend_name = backend.name
         applicable = all(backend_applicable(backend, j) for j in judgements)
         if not applicable:
             report.backends[backend_name] = "skipped"
@@ -159,13 +159,14 @@ def _verify_lemma(judgements, verify, report: DeclReport):
         if not ok:
             report.status = "semantic-mismatch"
             report.message = "judgement is false in the %s backend" % backend_name
-    if report.status == "ok" and verify:
+    if report.status == "ok" and backends:
         report.stage = "backend-verified"
 
 
 def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
                  verify=(), sidecar=None) -> FileReport:
     env = Env(packs=packs or Env().packs, depth=depth)
+    backends = [make_backend(name) for name in verify]
     report = FileReport(path)
     terms = {}  # name -> (ctx, ty, erased term)
     sidecar = sidecar or {}
@@ -189,9 +190,9 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, LemmaDecl):
-            rep = _process_lemma(decl, env, sidecar, verify)
+            rep = _process_lemma(decl, env, sidecar, backends)
         elif isinstance(decl, CheckDecl):
-            rep = _process_check(decl, terms, verify)
+            rep = _process_check(decl, terms, backends)
         else:
             raise TypeError(decl)
         rep.elapsed = time.monotonic() - t0
@@ -199,7 +200,7 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
     return report
 
 
-def _process_lemma(decl: LemmaDecl, env: Env, sidecar, verify) -> DeclReport:
+def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
     rep = DeclReport(decl.name, "lemma", "ok", "parsed")
     goals = decl.judgements()
     script = decl.script if decl.script is not None else sidecar.get(decl.name)
@@ -238,11 +239,11 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, verify) -> DeclReport:
     rep.stage = "lemma-checked"
     env.lemmas[decl.name] = checked
 
-    _verify_lemma(goals, verify, rep)
+    _verify_lemma(goals, backends, rep)
     return rep
 
 
-def _process_check(decl: CheckDecl, terms, verify) -> DeclReport:
+def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
     rep = DeclReport(decl.name, "check", "ok", "parsed")
     if decl.name not in terms:
         rep.status, rep.message = "type-error", f"check names unknown declaration {decl.name!r}"
@@ -254,15 +255,14 @@ def _process_check(decl: CheckDecl, terms, verify) -> DeclReport:
     if len(ctx):
         rep.status, rep.message = "type-error", "check expects a closed term"
         return rep
-    for backend_name in verify:
-        backend = make_backend(backend_name)
+    for backend in backends:
         j = Typing(ctx, body, ty)
         if not backend_applicable(backend, j):
-            rep.backends[backend_name] = "skipped"
+            rep.backends[backend.name] = "skipped"
             continue
         f = interp_term(backend, Context(), body, ty)
-        rep.backends[backend_name] = render_state(backend_name, backend.state_of_mor(f))
-    if verify and rep.status == "ok":
+        rep.backends[backend.name] = render_state(backend.name, backend.state_of_mor(f))
+    if backends and rep.status == "ok":
         rep.stage = "evaluated"
     return rep
 
@@ -340,6 +340,16 @@ def wp_decls(sf: SourceFile, term_name: str, effect_name: str, *, depth=6,
     return wp, deviation
 
 
+def read_source(path) -> str:
+    """The text of a source file; one that is not UTF-8 raises an OSError
+    naming it, as one that cannot be read does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False):
     """Process files in order; returns (rendered report, exit code)."""
     import json as _json
@@ -349,21 +359,12 @@ def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False
 
     reports = []
     for p in paths:
-        try:
-            with open(p, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            rep = FileReport(str(p))
-            rep.parse_error = str(exc)
-            reports.append(rep)
-            continue
         sidecar_path = str(p) + ".proofs.json"
-        sidecar = None
-        if os.path.exists(sidecar_path):
-            sidecar = load_sidecar(sidecar_path)
         try:
+            text = read_source(p)
+            sidecar = load_sidecar(sidecar_path) if os.path.exists(sidecar_path) else None
             sf = parse(text)
-        except (QpelSyntaxError, ElabError) as exc:
+        except (OSError, QpelSyntaxError, ElabError) as exc:
             rep = FileReport(str(p))
             rep.parse_error = str(exc)
             reports.append(rep)

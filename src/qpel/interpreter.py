@@ -46,7 +46,7 @@ from .syntax import (
     Zero,
     free_vars,
 )
-from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n
+from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n, tensor_all
 from .typecheck import _freshen_binder, split_context, synth_type
 
 
@@ -68,63 +68,27 @@ def interp_type(backend: Backend, ty):
 
 
 def ctx_ob(backend: Backend, g: Context):
-    out = backend.unit_ob()
-    for _, ty in g:
-        out = backend.tensor_ob(out, interp_type(backend, ty))
-    return out
+    return tensor_all(backend, _factors(backend, g))
+
+
+def _factors(backend: Backend, g: Context):
+    return [interp_type(backend, ty) for _, ty in g]
+
+
+def _positions(g: Context, names):
+    names = set(names)
+    return {i for i, name in enumerate(g.names()) if name in names}
 
 
 def drop_mor(backend: Backend, g: Context, keep):
-    """Discard the context entries outside `keep` with terminal maps."""
-    keep = set(keep)
-    if len(g) == 0:
-        return backend.identity(backend.unit_ob())
-    front = Context(g.entries[:-1])
-    name, ty = g.entries[-1]
-    a = interp_type(backend, ty)
-    rec = drop_mor(backend, front, keep)
-    if name in keep:
-        return backend.tensor_mor(rec, backend.identity(a))
-    discard = compose_all(
-        backend,
-        backend.unit_right(ctx_ob(backend, front)),
-        backend.tensor_mor(backend.identity(ctx_ob(backend, front)), backend.terminal(a)),
-    )
-    return backend.compose(rec, discard)
+    """Discard the context entries outside `keep`."""
+    return backend.drop_mor(_factors(backend, g), _positions(g, keep))
 
 
 def split_mor(backend: Backend, g: Context, left_names):
     """The structural iso from the context object to the tensor of its
     restriction to `left_names` with the rest (both in context order)."""
-    left_names = set(left_names)
-    if len(g) == 0:
-        return backend.unit_left_inv(backend.unit_ob())
-    front = Context(g.entries[:-1])
-    name, ty = g.entries[-1]
-    a = interp_type(backend, ty)
-    rec = split_mor(backend, front, left_names)
-    gl = ctx_ob(backend, front.restrict(left_names))
-    gr = ctx_ob(backend, front.remove(left_names))
-    step = backend.compose(
-        backend.assoc(gl, gr, a),
-        backend.tensor_mor(rec, backend.identity(a)),
-    )
-    if name in left_names:
-        fix = backend.compose(
-            backend.assoc_inv(gl, a, gr),
-            backend.tensor_mor(backend.identity(gl), backend.symmetry(gr, a)),
-        )
-        return backend.compose(fix, step)
-    return step
-
-
-def _split(backend, g: Context, left_need, right_need):
-    """Split against the type checker's policy and return the structural
-    morphism together with the two sub-contexts."""
-    parts = split_context(g, [left_need, right_need])
-    left, right = parts
-    m = split_mor(backend, g, set(left.names()))
-    return m, left, right
+    return backend.split_mor(_factors(backend, g), _positions(g, left_names))
 
 
 def interp_term(backend: Backend, g: Context, m, ty):
@@ -144,10 +108,10 @@ def interp_term(backend: Backend, g: Context, m, ty):
         case Pair(left=l, right=r):
             if not isinstance(ty, TTensor):
                 raise InterpError("pair at non-tensor type")
-            split, gl, gr = _split(backend, g, free_vars(l), free_vars(r))
+            gl, gr = split_context(g, [free_vars(l), free_vars(r)])
             fl = interp_term(backend, gl, l, ty.left)
             fr = interp_term(backend, gr, r, ty.right)
-            return backend.compose(backend.tensor_mor(fl, fr), split)
+            return backend.compose(backend.tensor_mor(fl, fr), split_mor(backend, g, gl.names()))
 
         case LetPair(x=x, y=y, pair=p, body=n):
             tp = synth_type(g, p)
@@ -155,7 +119,7 @@ def interp_term(backend: Backend, g: Context, m, ty):
                 raise InterpError("let scrutinee lacks a tensor type")
             x, n = _freshen_binder(x, n, g.names())
             y, n = _freshen_binder(y, n, set(g.names()) | {x})
-            split, gp, gn = _split(backend, g, free_vars(p), free_vars(n) - {x, y})
+            gp, gn = split_context(g, [free_vars(p), free_vars(n) - {x, y}])
             fp = interp_term(backend, gp, p, tp)
             a = interp_type(backend, tp.left)
             b = interp_type(backend, tp.right)
@@ -169,7 +133,7 @@ def interp_term(backend: Backend, g: Context, m, ty):
                 backend.assoc_inv(dn, a, b),
                 backend.symmetry(ab, dn),
                 backend.tensor_mor(fp, backend.identity(dn)),
-                split,
+                split_mor(backend, g, gp.names()),
             )
 
         case Inl(arg=a):
@@ -195,7 +159,7 @@ def interp_term(backend: Backend, g: Context, m, ty):
             x, n = _freshen_binder(x, n, g.names())
             y, p = _freshen_binder(y, p, set(g.names()) | {x})
             branch_need = (free_vars(n) - {x}) | (free_vars(p) - {y})
-            split, gs, gb = _split(backend, g, free_vars(s), branch_need)
+            gs, gb = split_context(g, [free_vars(s), branch_need])
             fs = interp_term(backend, gs, s, ts)
             a = interp_type(backend, ts.left)
             b = interp_type(backend, ts.right)
@@ -209,13 +173,13 @@ def interp_term(backend: Backend, g: Context, m, ty):
                 backend.cotuple(branch1, branch2),
                 backend.dist_left(a, b, d),
                 backend.tensor_mor(fs, backend.identity(d)),
-                split,
+                split_mor(backend, g, gs.names()),
             )
 
         case Measure(branches=bs):
             eff_need = frozenset().union(*(free_vars(phi) for phi, _ in bs))
             term_need = frozenset().union(*(free_vars(t) for _, t in bs))
-            split, ge, gt = _split(backend, g, eff_need, term_need)
+            ge, gt = split_context(g, [eff_need, term_need])
             preds = [interp_effect(backend, ge, phi) for phi, _ in bs]
             meas = backend.meas(ctx_ob(backend, ge), preds)
             d = ctx_ob(backend, gt)
@@ -226,7 +190,7 @@ def interp_term(backend: Backend, g: Context, m, ty):
                 cotuple_n(backend, arms),
                 dist_n(backend, n, d),
                 backend.tensor_mor(meas, backend.identity(d)),
-                split,
+                split_mor(backend, g, ge.names()),
             )
 
         case NewPlus():
@@ -239,14 +203,14 @@ def interp_term(backend: Backend, g: Context, m, ty):
             return backend.compose(backend.qbit_z(), interp_term(backend, g, a, TQbit()))
 
         case CZ(left=l, right=r):
-            split, gl, gr = _split(backend, g, free_vars(l), free_vars(r))
+            gl, gr = split_context(g, [free_vars(l), free_vars(r)])
             fl = interp_term(backend, gl, l, TQbit())
             fr = interp_term(backend, gr, r, TQbit())
             return compose_all(
                 backend,
                 backend.qbit_cz(),
                 backend.tensor_mor(fl, fr),
-                split,
+                split_mor(backend, g, gl.names()),
             )
 
     raise InterpError(f"not a term: {m!r}")
@@ -287,7 +251,7 @@ def interp_effect(backend: Backend, g: Context, e):
             x, a = _freshen_binder(x, a, g.names())
             y, b = _freshen_binder(y, b, set(g.names()) | {x})
             branch_need = (free_vars(a) - {x}) | (free_vars(b) - {y})
-            split, gb, gm = _split(backend, g, branch_need, free_vars(m))
+            gb, gm = split_context(g, [branch_need, free_vars(m)])
             fm = interp_term(backend, gm, m, ts)
             ta = interp_type(backend, ts.left)
             tb = interp_type(backend, ts.right)
@@ -296,7 +260,7 @@ def interp_effect(backend: Backend, g: Context, e):
                 backend,
                 backend.dist_right(gbo, ta, tb),
                 backend.tensor_mor(backend.identity(gbo), fm),
-                split,
+                split_mor(backend, g, gb.names()),
             )
             pa = interp_effect(backend, gb.extend(x, ts.left), a)
             pb = interp_effect(backend, gb.extend(y, ts.right), b)

@@ -1095,10 +1095,26 @@ def script_to_json(s: Script):
 
 
 def load_sidecar(path) -> dict:
-    """Sidecar proof document: {lemma name: script JSON}."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {name: script_from_json(obj) for name, obj in data.items()}
+    """Sidecar proof document: {lemma name: script JSON}.  A document that is
+    not a UTF-8 JSON object of scripts raises QpelSyntaxError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise QpelSyntaxError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise QpelSyntaxError(f"{path}: not a JSON object of lemma names to scripts")
+    out = {}
+    for name, obj in data.items():
+        try:
+            out[name] = script_from_json(obj)
+        except QpelSyntaxError as exc:
+            raise QpelSyntaxError(f"{path}: script for lemma {name!r}: {exc}") from exc
+        except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+            raise QpelSyntaxError(
+                f"{path}: script for lemma {name!r} is malformed ({exc!r})"
+            ) from exc
+    return out
 
 
 # -------------------------------------------------------------- file printing

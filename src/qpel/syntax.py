@@ -48,9 +48,9 @@ class Syntax:
 
     Nodes are immutable, so each computes its nameless key (and the key's
     hash) at most once and keeps it in an attribute outside the dataclass
-    fields; `free_vars` is kept the same way.  The cached hash depends on
-    the process's string hashing, so a node must not be moved to another
-    process with it.
+    fields; `free_vars` is kept the same way, and `bound_names` on binding
+    nodes.  The cached hash depends on the process's string hashing, so a
+    node must not be moved to another process with it.
     """
 
     def _key(self):
@@ -290,14 +290,6 @@ class Context:
     def extend(self, name: str, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
 
-    def restrict(self, names) -> "Context":
-        keep = set(names)
-        return Context(tuple(e for e in self.entries if e[0] in keep))
-
-    def remove(self, names) -> "Context":
-        drop = set(names)
-        return Context(tuple(e for e in self.entries if e[0] not in drop))
-
     def concat(self, other: "Context") -> "Context":
         return Context(self.entries + other.entries)
 
@@ -503,7 +495,23 @@ def _free_vars(s) -> frozenset[str]:
 
 
 def bound_names(s) -> frozenset[str]:
-    """Every name that occurs in binding position somewhere inside."""
+    """Every name that occurs in binding position somewhere inside.
+
+    Binding nodes keep theirs, as every node keeps its free variables, so
+    that a chain of n `let`s is walked once rather than n times; the nodes
+    between them compute theirs afresh, which keeps the cache to one set per
+    binder."""
+    try:
+        return s._bound_names
+    except AttributeError:
+        pass
+    names = _bound_names(s)
+    if isinstance(s, (LetPair, Case, CaseEff)):
+        object.__setattr__(s, "_bound_names", names)
+    return names
+
+
+def _bound_names(s) -> frozenset[str]:
     match s:
         case Var() | Star() | NewPlus() | Zero() | ScalarLit():
             return frozenset()
@@ -512,7 +520,7 @@ def bound_names(s) -> frozenset[str]:
         ):
             return bound_names(m) | bound_names(n)
         case LetPair(x=x, y=y, pair=m, body=n):
-            return {x, y} | bound_names(m) | bound_names(n)
+            return frozenset({x, y}) | bound_names(m) | bound_names(n)
         case Inl(arg=m) | Inr(arg=m) | PauliX(arg=m) | PauliZ(arg=m) | Orth(arg=m):
             return bound_names(m)
         case Ascribe(term=m):
@@ -520,7 +528,7 @@ def bound_names(s) -> frozenset[str]:
         case Case(scrut=m, x=x, left=n, y=y, right=p) | CaseEff(
             scrut=m, x=x, left=n, y=y, right=p
         ):
-            return {x, y} | bound_names(m) | bound_names(n) | bound_names(p)
+            return frozenset({x, y}) | bound_names(m) | bound_names(n) | bound_names(p)
         case Measure(branches=bs):
             out = frozenset()
             for phi, m in bs:

@@ -9,6 +9,7 @@ from qpel.backends.quantum import QuantumBackend
 from qpel.backends.setb import SetBackend
 from qpel.backends.stochastic import StochasticBackend
 from qpel.triangle import (
+    Backend,
     check_meas_merge,
     check_meas_natural,
     check_meas_permutation,
@@ -23,6 +24,14 @@ from qpel.triangle import (
 SB = SetBackend()
 ST = StochasticBackend()
 QB = QuantumBackend()
+
+
+class CompositionalQuantum(QuantumBackend):
+    """The quantum backend with the context reshuffles of the triangle
+    definition: assoc, symmetry, unit and terminal maps, one factor at a time."""
+
+    drop_mor = Backend.drop_mor
+    split_mor = Backend.split_mor
 
 
 def _set_obj(n):
@@ -248,3 +257,55 @@ def test_registry():
     assert make_backend("quantum").name == "quantum"
     with pytest.raises(ValueError):
         make_backend("nope")
+
+
+# qubit, unit, I+I, qbit+I and nested types: (qbit*qbit)+I, (I+I)+qbit, I+(I+I)
+RESHUFFLE_FACTORS = [(2,), (1,), (1, 1), (2, 1), (4, 1), (1, 1, 2), (1, 1, 1)]
+
+
+def _random_factors(rng, max_dim=16):
+    """A context of up to five factors whose largest block is at most max_dim."""
+    while True:
+        obs = [rng.choice(RESHUFFLE_FACTORS) for _ in range(rng.randint(1, 5))]
+        if np.prod([max(a) for a in obs]) <= max_dim:
+            return obs
+
+
+def _assert_same_map(f, g):
+    assert f.dom == g.dom and f.cod == g.cod
+    assert QB.mor_eq(f, g)
+
+
+def test_quantum_reshuffles_equal_the_triangle_definition():
+    ref = CompositionalQuantum()
+    rng = random.Random(41)
+    cases = [([], set())]
+    for _ in range(60):
+        obs = _random_factors(rng)
+        n = len(obs)
+        cases.append((obs, {i for i in range(n) if rng.random() < 0.5}))
+        cases.append((obs, set(range(n))))  # everything left, or keep everything
+        cases.append((obs, set()))  # everything right, or keep nothing
+    for obs, idx in cases:
+        _assert_same_map(QB.split_mor(obs, idx), ref.split_mor(obs, idx))
+        _assert_same_map(QB.drop_mor(obs, idx), ref.drop_mor(obs, idx))
+        assert QB.is_channel(QB.drop_mor(obs, idx))
+
+
+def test_quantum_compose_is_the_block_contraction():
+    rng = random.Random(42)
+    objects = [(2,), (1, 2), (2, 1, 3), (4,), (1, 1)]
+    for _ in range(20):
+        a, b, c = (rng.choice(objects) for _ in range(3))
+        f = QB.random_channel(a, b, rng)
+        g = QB.random_channel(b, c, rng)
+        want = {}
+        for (i, j), tf in f.blocks.items():
+            for (j2, k), tg in g.blocks.items():
+                if j2 == j:
+                    want[(i, k)] = want.get((i, k), 0) + np.einsum("klmn,mnij->klij", tg, tf)
+        gf = QB.compose(g, f)
+        assert (gf.dom, gf.cod) == (a, c) and set(gf.blocks) == set(want)
+        for key, t in want.items():
+            assert gf.blocks[key].shape == t.shape
+            assert np.abs(gf.blocks[key] - t).max() < 1e-12

@@ -216,3 +216,30 @@ def test_nesting_bound_is_exact():
     assert code == 0, out
     code, out = check_in_process(term(MAX_NESTING - 1), "--verify", "all")
     assert code == 2 and f"nesting deeper than {MAX_NESTING} at 1:" in out, out
+
+
+def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path):
+    path = tmp_path / "latin.qpel"
+    path.write_bytes(b"term t () : I = unit -- \xff\n")
+    for argv in (["check", str(path)], ["eval", "--backend", "set", str(path), "t"],
+                 ["wp", str(path), "t", "e"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(argv)
+        assert code == 2, (argv, out.getvalue())
+        assert f"{path}: not UTF-8 text" in out.getvalue()
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ('{"l": ', "not a JSON document"),
+    ('{"l": {"rule": "sym", "args": {"zz": 1}}}', "rule sym takes no argument named 'zz'"),
+])
+def test_malformed_sidecar_is_a_parse_error_naming_it(tmp_path, sidecar, message):
+    src = write(tmp_path, "side.qpel", "lemma l (x : I) : (measure { bot(0) -> x }) = x : I\n")
+    (tmp_path / "side.qpel.proofs.json").write_text(sidecar)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", src])
+    assert code == 2, out.getvalue()
+    assert f"parse error: {src}.proofs.json: " in out.getvalue()
+    assert message in out.getvalue()

@@ -220,3 +220,33 @@ def test_unknown_rule_name_is_parse_error():
         parse("lemma l (x : I) : x = x : I by { frobnicate }")
     with pytest.raises(QpelSyntaxError):
         script_from_json({"rule": "frobnicate"})
+
+
+def test_let_chain_walks_each_node_once_for_bound_names(monkeypatch):
+    """`let x = M in N` picks its fresh `_u` avoiding the names bound in N;
+    in a chain of lets no body may be walked again for each enclosing let."""
+    from collections import Counter
+
+    from qpel import syntax
+
+    original = syntax.bound_names
+    stack, walks, nodes = [], Counter(), {}
+
+    def traced(s):
+        # a call walks its node when it asks for the bound names of a child
+        if stack:
+            stack[-1][1] = True
+        frame = [s, False]
+        stack.append(frame)
+        try:
+            return original(s)
+        finally:
+            stack.pop()
+            if frame[1]:
+                walks[id(s)] += 1
+                nodes[id(s)] = s  # keeps ids unique
+
+    monkeypatch.setattr(syntax, "bound_names", traced)
+    lets = ["  let q1 = plus in\n"] + [f"  let q{i + 1} = X q{i} in\n" for i in range(1, 120)]
+    parse("term t () : qbit =\n" + "".join(lets) + "  q120\n")
+    assert len(walks) > 120 and max(walks.values()) == 1

@@ -184,8 +184,9 @@ class QuantumBackend(Backend):
         the factors at the indices `kept`, in that order, tracing out those
         at `dropped`.  Each block is an index permutation: V sends the
         Kronecker basis of the input block to (kept, dropped) multi-indices,
-        and the block is V rho V^T summed over the dropped index."""
-        axes = kept + dropped + [len(obs)]
+        and the block is V rho V^T summed over the dropped index.  Factors of
+        dimension 1 in a block carry no index and get no axis, so a context
+        of any number of `I` entries stays within NumPy's limit on axes."""
         blocks = {}
         # product() runs over the block multi-indices in the flat block order
         for i, b in enumerate(itertools.product(*(range(len(a)) for a in obs))):
@@ -195,7 +196,11 @@ class QuantumBackend(Backend):
             dims = [a[x] for a, x in zip(obs, b)]
             d = math.prod(dims)
             e = math.prod(dims[k] for k in kept)
-            v = np.eye(d).reshape(dims + [d]).transpose(axes).reshape(e, d // e, d)
+            indexed = [k for k in range(len(obs)) if dims[k] > 1]
+            axis = {k: n for n, k in enumerate(indexed)}
+            axes = [axis[k] for k in kept + dropped if k in axis] + [len(indexed)]
+            v = np.eye(d).reshape([dims[k] for k in indexed] + [d])
+            v = v.transpose(axes).reshape(e, d // e, d)
             blocks[(i, j)] = np.einsum("kja,ljb->klab", v, v)
         return QMor(tensor_all(self, obs), tensor_all(self, [obs[k] for k in kept]), blocks)
 

@@ -1024,13 +1024,34 @@ def parse_effect_text(text: str) -> Effect:
 # ----------------------------------------------------------- script sidecars
 
 
-def script_from_json(obj) -> Script:
-    """Proof script from its JSON document form."""
-    if not isinstance(obj, dict) or "rule" not in obj:
-        raise QpelSyntaxError("proof script JSON needs a 'rule' field")
+def _json_arg_ok(sort: str, v) -> bool:
+    """Whether `v` is the JSON form of a script argument of this sort."""
+    if sort == "int":
+        return isinstance(v, int) and not isinstance(v, bool)
+    if sort == "intlist":
+        return isinstance(v, list) and all(_json_arg_ok("int", x) for x in v)
+    return isinstance(v, str)
+
+
+def script_from_json(obj, depth=0) -> Script:
+    """Proof script from its JSON document form.  A document of any other
+    shape raises QpelSyntaxError; a name in an argument that resolves to
+    nothing raises ElabError."""
+    if depth >= MAX_NESTING:
+        raise NestingError(f"proof script nested deeper than {MAX_NESTING}")
+    if not isinstance(obj, dict) or not isinstance(obj.get("rule"), str):
+        raise QpelSyntaxError("proof script JSON needs a string 'rule' field")
     rule = obj["rule"]
     prems = obj.get("premises")
     args = obj.get("args", {})
+    if prems is not None and not isinstance(prems, list):
+        raise QpelSyntaxError(f"premises of rule {rule} must be a list of scripts")
+    if not isinstance(args, dict):
+        raise QpelSyntaxError(f"args of rule {rule} must be an object")
+    sorts = {"name": "name"} if rule == "use" else {k: arg_sort(rule, k) for k in args}
+    for k, sort in sorts.items():
+        if not _json_arg_ok(sort, args.get(k)):
+            raise QpelSyntaxError(f"argument {k!r} of rule {rule} must be of sort {sort}")
     if rule == "auto":
         return AutoNode(args.get("depth"))
     if rule == "arith":
@@ -1038,14 +1059,15 @@ def script_from_json(obj) -> Script:
     if rule == "both":
         if not prems or len(prems) != 2:
             raise QpelSyntaxError("'both' takes exactly two premises")
-        return BothNode(script_from_json(prems[0]), script_from_json(prems[1]))
+        fwd, bwd = (script_from_json(p, depth + 1) for p in prems)
+        return BothNode(fwd, bwd)
     if rule == "use":
         return UseNode(args["name"])
     if rule not in rules.ALL_RULE_NAMES:
         raise QpelSyntaxError(f"unknown rule name {rule!r}")
     parsed_args = {}
     for k, v in args.items():
-        sort = arg_sort(rule, k)
+        sort = sorts[k]
         if sort == "term":
             parsed_args[k] = parse_term_text(v)
         elif sort == "effect":
@@ -1055,10 +1077,10 @@ def script_from_json(obj) -> Script:
             parsed_args[k] = p.parse_type()
             p.expect("EOF")
         elif sort == "intlist":
-            parsed_args[k] = tuple(int(x) for x in v)
+            parsed_args[k] = tuple(v)
         else:
             parsed_args[k] = v
-    premises = None if prems is None else tuple(script_from_json(p) for p in prems)
+    premises = None if prems is None else tuple(script_from_json(p, depth + 1) for p in prems)
     return ScriptNode(rule, parsed_args, premises)
 
 
@@ -1108,12 +1130,8 @@ def load_sidecar(path) -> dict:
     for name, obj in data.items():
         try:
             out[name] = script_from_json(obj)
-        except QpelSyntaxError as exc:
+        except (QpelSyntaxError, ElabError) as exc:
             raise QpelSyntaxError(f"{path}: script for lemma {name!r}: {exc}") from exc
-        except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as exc:
-            raise QpelSyntaxError(
-                f"{path}: script for lemma {name!r} is malformed ({exc!r})"
-            ) from exc
     return out
 
 

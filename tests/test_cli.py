@@ -218,6 +218,20 @@ def test_nesting_bound_is_exact():
     assert code == 2 and f"nesting deeper than {MAX_NESTING} at 1:" in out, out
 
 
+def test_quantum_verifies_contexts_of_more_unit_entries_than_numpy_has_axes():
+    # every desugared `let` leaves one `_u : I` in the context of its body
+    lets = ["  let q1 = plus in\n"] + [f"  let q{i + 1} = X q{i} in\n" for i in range(1, 120)]
+    code, out = check_in_process(
+        "term t () : qbit =\n" + "".join(lets) + "  q120\ncheck t\n", "--verify", "quantum"
+    )
+    assert code == 0 and "check t: evaluated" in out, out
+    units = ", ".join(f"u{i} : I" for i in range(70))
+    code, out = check_in_process(
+        f"lemma l ({units}, q : qbit) : q : qbit\n  by {{ var }}\n", "--verify", "quantum"
+    )
+    assert code == 0 and "quantum=true" in out, out
+
+
 def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path):
     path = tmp_path / "latin.qpel"
     path.write_bytes(b"term t () : I = unit -- \xff\n")
@@ -233,6 +247,13 @@ def test_file_that_is_not_utf8_exits_2_naming_it(tmp_path):
 @pytest.mark.parametrize("sidecar, message", [
     ('{"l": ', "not a JSON document"),
     ('{"l": {"rule": "sym", "args": {"zz": 1}}}', "rule sym takes no argument named 'zz'"),
+    ('{"l": {"premises": []}}', "needs a string 'rule' field"),
+    ('{"l": {"rule": "trans", "args": {"via": 3}}}', "argument 'via' of rule trans must be"),
+    ('{"l": {"rule": "auto", "args": {"depth": "2"}}}', "argument 'depth' of rule auto must be"),
+    ('{"l": {"rule": "sym", "args": []}}', "args of rule sym must be an object"),
+    ('{"l": {"rule": "sym", "premises": 7}}', "premises of rule sym must be a list"),
+    ('{"l": ' + '{"rule": "sym", "premises": [' * 200 + "{}" + "]}" * 200 + "}",
+     "nested deeper than"),
 ])
 def test_malformed_sidecar_is_a_parse_error_naming_it(tmp_path, sidecar, message):
     src = write(tmp_path, "side.qpel", "lemma l (x : I) : (measure { bot(0) -> x }) = x : I\n")

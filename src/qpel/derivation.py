@@ -2,8 +2,8 @@
 
 Scripts are checked goal-directed: a rule node's conclusion must instantiate
 its named schema, the context is split deterministically over the premises
-(each variable goes to the premise that needs it, leftovers to the last open
-premise), and child scripts are checked against the resulting premise
+by `typecheck.split_zones` (each variable goes to the premise that needs it,
+leftovers to the last open premise), and child scripts are checked against the resulting premise
 judgements.  A node given without premises has them discharged automatically:
 typing and formation premises by the type checker, inequality premises by
 bounded search, and equality premises only when reflexive.
@@ -38,9 +38,8 @@ from fractions import Fraction
 
 from . import rules
 from .parser import ArithNode, AutoNode, BothNode, ScriptNode, UseNode
-from .rules import Instantiation, Premise, RuleMismatch, Schema
+from .rules import Instantiation, RuleMismatch, Schema
 from .syntax import (
-    Context,
     EffForm,
     EffLeq,
     Judgement,
@@ -51,7 +50,6 @@ from .syntax import (
     TermEq,
     Typing,
     Zero,
-    free_vars,
     judgement_up_to_exchange,
     one,
 )
@@ -63,7 +61,8 @@ from .typecheck import (
     check_effect,
     check_term,
     show_judgement,
-    split_context,
+    split_context,  # not called here; perfbench/tracer.py rebinds it by name
+    split_zones,
     synth_type,
 )
 
@@ -222,63 +221,8 @@ def _check_rule_node(goal, name, args, children, env: Env) -> Derivation:
     raise DerivationError(f"{name}: {errors[0] if errors else 'no reading applies'}")
 
 
-def _premise_need(p: Premise) -> frozenset:
-    ext_names = {n for n, _ in p.ext}
-    fvs = frozenset()
-    for part in p.shape[1:]:
-        if hasattr(part, "__class__") and not isinstance(part, (str, int)):
-            try:
-                fvs |= free_vars(part)
-            except TypeError:
-                pass
-    return fvs - ext_names
-
-
-def _split_zones(goal, instn: Instantiation) -> dict:
-    pool = goal.ctx
-    for entry in instn.fixed:
-        if entry not in pool.entries:
-            raise DerivationError(
-                f"conclusion context must contain {entry[0]} : fixed binding"
-            )
-        pool = Context(tuple(e for e in pool.entries if e != entry))
-
-    zones = list(instn.zones)
-    bindings = {"": Context()}
-    if not zones:
-        if len(pool):
-            raise DerivationError(
-                "this rule concludes in the empty context, but the goal context is not empty"
-            )
-        return bindings
-
-    needs = {z: set() for z in zones}
-    pool_names = set(pool.names())
-    last_open = None
-    for p in instn.premises:
-        if p.zone:
-            needs[p.zone] |= _premise_need(p) & pool_names
-            last_open = p.zone
-        else:
-            stray = _premise_need(p) & pool_names
-            if stray:
-                raise DerivationError(
-                    f"premise must be closed but mentions {sorted(stray)[0]!r}"
-                )
-    if last_open is None:
-        last_open = zones[-1]
-
-    order = [z for z in zones if z != last_open] + [last_open]
-    try:
-        parts = split_context(pool, [needs[z] for z in order])
-    except QpelTypeError as exc:
-        raise DerivationError(str(exc))
-    bindings.update(dict(zip(order, parts)))
-    return bindings
-
-
 def _discharge(goal, name, args, instn: Instantiation, children, env: Env) -> Derivation:
-    bindings = _split_zones(goal, instn)
+    bindings = split_zones(goal.ctx, instn)
     premises = instn.premises
     if children is not None and len(children) != len(premises):
         raise DerivationError(
@@ -287,12 +231,10 @@ def _discharge(goal, name, args, instn: Instantiation, children, env: Env) -> De
 
     child_derivs = []
     for i, p in enumerate(premises):
-        zone_ctx = bindings[p.zone]
+        j = p.to_judgement(bindings[p.zone])
         script = children[i] if children is not None else None
         if p.shape[0] == "equiv":
-            base = Context(zone_ctx.entries + tuple(p.ext))
-            fwd = EffLeq(base, p.shape[1], p.shape[2])
-            bwd = EffLeq(base, p.shape[2], p.shape[1])
+            fwd, bwd = j, EffLeq(j.ctx, j.high, j.low)
             if isinstance(script, BothNode):
                 df = check_script(fwd, script.fwd, env)
                 db = check_script(bwd, script.bwd, env)
@@ -303,9 +245,7 @@ def _discharge(goal, name, args, instn: Instantiation, children, env: Env) -> De
                 df = check_script(fwd, script, env)
                 db = check_script(bwd, script, env)
             child_derivs.append(Derivation("both", fwd, (df, db)))
-            continue
-        j = p.to_judgement(zone_ctx)
-        if script is None:
+        elif script is None:
             child_derivs.append(_auto_premise(j, env))
         else:
             child_derivs.append(check_script(j, script, env))
@@ -443,23 +383,20 @@ def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Der
 
 def _try_instantiation(goal, name, instn, depth, env, table, args=None):
     try:
-        bindings = _split_zones(goal, instn)
-    except DerivationError:
+        bindings = split_zones(goal.ctx, instn)
+    except QpelTypeError:
         return None
     children = []
     for p in instn.premises:
-        zone_ctx = bindings[p.zone]
+        j = p.to_judgement(bindings[p.zone])
         if p.shape[0] == "equiv":
-            base = Context(zone_ctx.entries + tuple(p.ext))
             try:
-                df = _search(EffLeq(base, p.shape[1], p.shape[2]), depth - 1, env, table)
-                db = _search(EffLeq(base, p.shape[2], p.shape[1]), depth - 1, env, table)
+                df = _search(j, depth - 1, env, table)
+                db = _search(EffLeq(j.ctx, j.high, j.low), depth - 1, env, table)
             except SearchFailed:
                 return None
-            children.append(Derivation("both", EffLeq(base, p.shape[1], p.shape[2]), (df, db)))
-            continue
-        j = p.to_judgement(zone_ctx)
-        if isinstance(j, Typing):
+            children.append(Derivation("both", j, (df, db)))
+        elif isinstance(j, Typing):
             try:
                 children.append(check_term(j.ctx, j.term, j.ty, env.resolver()).derivation)
             except QpelTypeError:

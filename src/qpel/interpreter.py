@@ -47,7 +47,8 @@ from .syntax import (
     free_vars,
 )
 from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n, tensor_all
-from .typecheck import _freshen_binder, split_context, synth_type
+from .rules import freshen_binder
+from .typecheck import split_context, synth_type
 
 
 class InterpError(Exception):
@@ -117,8 +118,8 @@ def interp_term(backend: Backend, g: Context, m, ty):
             tp = synth_type(g, p)
             if not isinstance(tp, TTensor):
                 raise InterpError("let scrutinee lacks a tensor type")
-            x, n = _freshen_binder(x, n, g.names())
-            y, n = _freshen_binder(y, n, set(g.names()) | {x})
+            x, n = freshen_binder(x, n, g.names())
+            y, n = freshen_binder(y, n, set(g.names()) | {x})
             gp, gn = split_context(g, [free_vars(p), free_vars(n) - {x, y}])
             fp = interp_term(backend, gp, p, tp)
             a = interp_type(backend, tp.left)
@@ -156,8 +157,8 @@ def interp_term(backend: Backend, g: Context, m, ty):
             ts = synth_type(g, s)
             if not isinstance(ts, TSum):
                 raise InterpError("case scrutinee lacks a sum type")
-            x, n = _freshen_binder(x, n, g.names())
-            y, p = _freshen_binder(y, p, set(g.names()) | {x})
+            x, n = freshen_binder(x, n, g.names())
+            y, p = freshen_binder(y, p, set(g.names()) | {x})
             branch_need = (free_vars(n) - {x}) | (free_vars(p) - {y})
             gs, gb = split_context(g, [free_vars(s), branch_need])
             fs = interp_term(backend, gs, s, ts)
@@ -248,8 +249,8 @@ def interp_effect(backend: Backend, g: Context, e):
             ts = synth_type(g, m)
             if not isinstance(ts, TSum):
                 raise InterpError("caseE scrutinee lacks a sum type")
-            x, a = _freshen_binder(x, a, g.names())
-            y, b = _freshen_binder(y, b, set(g.names()) | {x})
+            x, a = freshen_binder(x, a, g.names())
+            y, b = freshen_binder(y, b, set(g.names()) | {x})
             branch_need = (free_vars(a) - {x}) | (free_vars(b) - {y})
             gb, gm = split_context(g, [branch_need, free_vars(m)])
             fm = interp_term(backend, gm, m, ts)

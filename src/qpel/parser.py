@@ -846,7 +846,7 @@ def resolve_type(t: Type, tables: DeclTables) -> Type:
 
 
 def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
-    rec = lambda t, extra=frozenset(): resolve_term(t, tables, bound | extra)
+    rec = lambda t: resolve_term(t, tables, bound)
     match m:
         case Var(name=x):
             if x not in bound and x in tables.terms:
@@ -855,7 +855,7 @@ def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
         case Pair(left=a, right=b):
             return Pair(rec(a), rec(b))
         case LetPair(x=x, y=y, pair=p, body=n):
-            return LetPair(x, y, rec(p), rec(n, {x, y}))
+            return LetPair(x, y, rec(p), resolve_term(n, tables, bound | {x, y}))
         case Star() | NewPlus():
             return m
         case Inl(arg=a):
@@ -863,7 +863,10 @@ def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
         case Inr(arg=a):
             return Inr(rec(a))
         case Case(scrut=s, x=x, left=n, y=y, right=p):
-            return Case(rec(s), x, rec(n, {x}), y, rec(p, {y}))
+            return Case(
+                rec(s), x, resolve_term(n, tables, bound | {x}),
+                y, resolve_term(p, tables, bound | {y}),
+            )
         case Measure(branches=bs):
             return Measure(
                 tuple(
@@ -882,7 +885,7 @@ def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
 
 
 def resolve_effect(e: Effect, tables: DeclTables, bound=frozenset()) -> Effect:
-    rec = lambda x, extra=frozenset(): resolve_effect(x, tables, bound | extra)
+    rec = lambda x: resolve_effect(x, tables, bound)
     match e:
         case EffRef(name=n):
             if n not in tables.effects:
@@ -897,7 +900,10 @@ def resolve_effect(e: Effect, tables: DeclTables, bound=frozenset()) -> Effect:
         case SMul(scalar=a, body=b):
             return SMul(rec(a), rec(b))
         case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            return CaseEff(resolve_term(m, tables, bound), x, rec(a, {x}), y, rec(b, {y}))
+            return CaseEff(
+                resolve_term(m, tables, bound), x, resolve_effect(a, tables, bound | {x}),
+                y, resolve_effect(b, tables, bound | {y}),
+            )
         case ProjPlus(term=m, angle=q):
             return ProjPlus(resolve_term(m, tables, bound), q)
     raise TypeError(f"not an effect: {e!r}")

@@ -3,8 +3,11 @@
 Each schema matches a candidate conclusion, reads off the rule's metavariables
 (consulting explicit script arguments where the conclusion does not determine
 them), and produces the list of premises together with the context zones the
-conclusion is assembled from.  The checker in `derivation` reconciles those
-zones against child derivations or splits the goal context itself.
+conclusion is assembled from.  `typecheck.split_zones` splits a goal context
+among those zones, for the type checker, the script checker in `derivation`
+and its search alike.  The formation schemas (var through measure, eff-0
+through eff-case, qbit-new through qbit-proj) are the type checker's rules
+too, so their messages are its user-facing ones.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -14,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
+from .printer import print_type
 from .syntax import (
     Case,
     CaseEff,
@@ -57,7 +62,14 @@ from .syntax import (
 
 
 class RuleMismatch(Exception):
-    """Raised when a conclusion does not instantiate the named schema."""
+    """Raised when a conclusion does not instantiate the named schema.
+
+    The message may be a function giving it, so that search, which discards
+    most mismatches, does not format the syntax they name."""
+
+    def __str__(self):
+        msg = self.args[0]
+        return msg() if callable(msg) else msg
 
 
 def need(cond, msg):
@@ -72,29 +84,57 @@ def need_arg(args, key, rule):
 
 
 # premise goal shapes: ("ty", m, a) ("eq", m, n, a) ("eff", e) ("leq", lo, hi)
-# ("equiv", a, b)
-@dataclass(frozen=True)
-class Premise:
+# ("equiv", a, b); the number of terms and effects after the kind tag
+SYNTAX_SLOTS = {"ty": 1, "eq": 2, "eff": 1, "leq": 2, "equiv": 2}
+
+
+# Premise and Instantiation are named tuples because the type checker builds
+# them at every node it checks, and a tuple is the cheapest record to build.
+class Premise(NamedTuple):
     zone: str
     shape: tuple
     ext: tuple = ()
 
     def to_judgement(self, zone_ctx: Context):
-        g = Context(zone_ctx.entries + tuple(self.ext))
-        kind = self.shape[0]
+        """The premise judgement over `zone_ctx`; an "equiv" premise gives its
+        forward inequality.  An `ext` binder that clashes with a zone name is
+        renamed in the shape, so the binder shadows as it does in the
+        conclusion."""
+        shape, g = self.shape, zone_ctx
+        if self.ext:
+            try:
+                g = Context(zone_ctx.entries + self.ext)
+            except ValueError:
+                shape, ext = self._rebind({n for n, _ in zone_ctx.entries})
+                g = Context(zone_ctx.entries + ext)
+        kind = shape[0]
         if kind == "ty":
-            return Typing(g, self.shape[1], self.shape[2])
+            return Typing(g, shape[1], shape[2])
         if kind == "eq":
-            return TermEq(g, self.shape[1], self.shape[2], self.shape[3])
+            return TermEq(g, shape[1], shape[2], shape[3])
         if kind == "eff":
-            return EffForm(g, self.shape[1])
-        if kind == "leq":
-            return EffLeq(g, self.shape[1], self.shape[2])
-        raise AssertionError(self.shape)  # "equiv" is expanded by the checker
+            return EffForm(g, shape[1])
+        return EffLeq(g, shape[1], shape[2])
+
+    def _rebind(self, taken):
+        """The shape and ext with each ext binder in taken renamed, in the
+        terms and effects of the shape, where ext binds."""
+        parts = self.shape[1 : 1 + SYNTAX_SLOTS[self.shape[0]]]
+        avoid = set(taken) | {n for n, _ in self.ext}
+        avoid |= frozenset().union(*(free_vars(s) for s in parts))
+        renames, ext = {}, []
+        for n, t in self.ext:
+            if n in taken:
+                n2 = fresh(n, avoid)
+                avoid.add(n2)
+                renames[n] = Var(n2)
+                n = n2
+            ext.append((n, t))
+        parts = tuple(subst_many(s, renames) for s in parts)
+        return (self.shape[0],) + parts + self.shape[1 + len(parts) :], tuple(ext)
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(NamedTuple):
     premises: tuple
     zones: tuple
     fixed: tuple = ()
@@ -104,8 +144,11 @@ class Instantiation:
 class Schema:
     name: str
     pack: str
-    concludes: frozenset
     match: object = field(compare=False)  # fn(goal, args, synth) -> [Instantiation]
+
+
+# the one instance of a rule without premises: its conclusion in any context
+AXIOM = (Instantiation((), ("G",)),)
 
 
 def p_ty(zone, m, a, ext=()):
@@ -137,17 +180,20 @@ def scrut_type(goal_ctx, m, args, synth, extra=(), key="ty"):
     if key in args:
         return args[key]
     t = synth(m, extra)
-    need(t is not None, f"cannot infer the type of {m!r}; supply the {key!r} argument")
+    if t is None:
+        raise RuleMismatch(lambda: f"cannot infer the type of {m!r}; supply the {key!r} argument")
     return t
 
 
 def as_sum(t, what):
-    need(isinstance(t, TSum), f"{what} must have a sum type, got {t!r}")
+    if not isinstance(t, TSum):
+        raise RuleMismatch(lambda: f"{what} must have a sum type, got {t!r}")
     return t.left, t.right
 
 
 def as_tensor(t, what):
-    need(isinstance(t, TTensor), f"{what} must have a tensor type, got {t!r}")
+    if not isinstance(t, TTensor):
+        raise RuleMismatch(lambda: f"{what} must have a tensor type, got {t!r}")
     return t.left, t.right
 
 
@@ -157,8 +203,15 @@ def fresh_pair(base1, base2, avoid):
     return x, y
 
 
+def need_type(ty, cls, what):
+    """A `what` must have a type of class cls."""
+    if not isinstance(ty, cls):
+        raise RuleMismatch(f"{what} cannot have type {print_type(ty)}")
+
+
 def alpha2(got, want, what):
-    need(got == want, f"{what}: expected {want!r}, found {got!r}")
+    if got != want:
+        raise RuleMismatch(lambda: f"{what}: expected {want!r}, found {got!r}")
 
 
 def both_readings(goal: EffLeq):
@@ -176,12 +229,12 @@ def angle_minus_pi(q: Fraction) -> Fraction:
 # --------------------------------------------------------------------- schemas
 
 
-_SCHEMAS: dict[str, Schema] = {}
+SCHEMAS: dict[str, Schema] = {}
 
 
-def rule(name, pack="core", concludes=()):
+def rule(name, pack="core"):
     def deco(fn):
-        _SCHEMAS[name] = Schema(name, pack, frozenset(concludes), fn)
+        SCHEMAS[name] = Schema(name, pack, fn)
         return fn
 
     return deco
@@ -190,7 +243,7 @@ def rule(name, pack="core", concludes=()):
 # ---- structural
 
 
-@rule("exch", concludes=("ty", "eq", "eff", "leq"))
+@rule("exch")
 def _exch(goal, args, synth):
     if isinstance(goal, Typing):
         shape = ("ty", goal.term, goal.ty)
@@ -206,23 +259,29 @@ def _exch(goal, args, synth):
 # ---- term formation
 
 
-@rule("var", concludes=("ty",))
+@rule("var")
 def _var(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Var), "conclusion is not a variable typing")
-    ty = goal.ctx.lookup(goal.term.name)
-    need(ty is not None, f"variable {goal.term.name} not in context")
-    need(ty == goal.ty, f"variable {goal.term.name} has type {ty!r}, not {goal.ty!r}")
-    return [inst([], ["G"])]
+    x = goal.term.name
+    ty = goal.ctx.lookup(x)
+    if ty is None:
+        raise RuleMismatch(f"unbound variable {x!r}")
+    if ty != goal.ty:
+        raise RuleMismatch(
+            f"variable {x} has type {print_type(ty)}, expected {print_type(goal.ty)}"
+        )
+    return AXIOM
 
 
-@rule("tensor", concludes=("ty",))
+@rule("tensor")
 def _tensor(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Pair), "conclusion is not a pair typing")
-    a, b = as_tensor(goal.ty, "a pair")
+    need_type(goal.ty, TTensor, "a pair")
+    a, b = goal.ty.left, goal.ty.right
     return [inst([p_ty("G", goal.term.left, a), p_ty("D", goal.term.right, b)], ["G", "D"])]
 
 
-@rule("let", concludes=("ty",))
+@rule("let")
 def _let(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, LetPair), "conclusion is not a let typing")
     t = goal.term
@@ -237,37 +296,34 @@ def _let(goal, args, synth):
     ]
 
 
-@rule("unit", concludes=("ty",))
+@rule("unit")
 def _unit(goal, args, synth):
-    need(
-        isinstance(goal, Typing) and isinstance(goal.term, Star) and isinstance(goal.ty, TUnit),
-        "conclusion is not a unit typing",
-    )
-    return [inst([], ["G"])]
+    need(isinstance(goal, Typing) and isinstance(goal.term, Star), "conclusion is not a unit typing")
+    need_type(goal.ty, TUnit, "unit value")
+    return AXIOM
 
 
-@rule("inl", concludes=("ty",))
+@rule("inl")
 def _inl(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Inl), "conclusion is not an inl typing")
-    a, b = as_sum(goal.ty, "inl")
-    return [inst([p_ty("G", goal.term.arg, a)], ["G"])]
+    need_type(goal.ty, TSum, "inl")
+    return [inst([p_ty("G", goal.term.arg, goal.ty.left)], ["G"])]
 
 
-@rule("inr", concludes=("ty",))
+@rule("inr")
 def _inr(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Inr), "conclusion is not an inr typing")
-    a, b = as_sum(goal.ty, "inr")
-    return [inst([p_ty("G", goal.term.arg, b)], ["G"])]
+    need_type(goal.ty, TSum, "inr")
+    return [inst([p_ty("G", goal.term.arg, goal.ty.right)], ["G"])]
 
 
-@rule("case", concludes=("ty",))
+@rule("case")
 def _case(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Case), "conclusion is not a case typing")
     t = goal.term
     ab = scrut_type(goal.ctx, t.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
-    x, left = _freshen1(t.x, t.left, goal.ctx.names())
-    y, right = _freshen1(t.y, t.right, goal.ctx.names())
+    x, left, y, right = _freshen_branches(t, goal.ctx.names())
     return [
         inst(
             [
@@ -280,7 +336,7 @@ def _case(goal, args, synth):
     ]
 
 
-@rule("measure", concludes=("ty",))
+@rule("measure")
 def _measure(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Measure), "conclusion is not a measure typing")
     bs = goal.term.branches
@@ -292,20 +348,20 @@ def _measure(goal, args, synth):
 # ---- equality scaffolding
 
 
-@rule("ref", concludes=("eq",))
+@rule("ref")
 def _ref(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     need(goal.lhs == goal.rhs, "the two sides are not alpha-equal")
     return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
 
 
-@rule("sym", concludes=("eq",))
+@rule("sym")
 def _sym(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     return [inst([p_eq("G", goal.rhs, goal.lhs, goal.ty)], ["G"])]
 
 
-@rule("trans", concludes=("eq",))
+@rule("trans")
 def _trans(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     mid = need_arg(args, "via", "trans")
@@ -320,7 +376,7 @@ def _trans(goal, args, synth):
 # ---- congruences
 
 
-@rule("tensor-eq", concludes=("eq",))
+@rule("tensor-eq")
 def _tensor_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.lhs, Pair) and isinstance(goal.rhs, Pair),
@@ -338,7 +394,8 @@ def _tensor_eq(goal, args, synth):
     ]
 
 
-def _freshen1(x, body, avoid):
+def freshen_binder(x, body, avoid):
+    """Rename binder x of body away from the names in avoid."""
     if x in avoid:
         x2 = fresh(x, set(avoid) | free_vars(body) | bound_names(body))
         return x2, subst(body, x, Var(x2))
@@ -347,9 +404,18 @@ def _freshen1(x, body, avoid):
 
 def _freshen2(x, y, body, avoid):
     avoid = set(avoid)
-    x2, body = _freshen1(x, body, avoid)
-    y2, body = _freshen1(y, body, avoid | {x2})
+    x2, body = freshen_binder(x, body, avoid)
+    y2, body = freshen_binder(y, body, avoid | {x2})
     return x2, y2, body
+
+
+def _freshen_branches(c, avoid):
+    """The binders and branches of a case or caseE, renamed away from avoid
+    and the second binder away from the first."""
+    avoid = set(avoid)
+    x, left = freshen_binder(c.x, c.left, avoid)
+    y, right = freshen_binder(c.y, c.right, avoid | {x})
+    return x, left, y, right
 
 
 def _align_let(l: LetPair, r: LetPair, avoid):
@@ -372,7 +438,7 @@ def _align_case(l, r, avoid):
     return x, y, ll, rl, lr, rr
 
 
-@rule("let-eq", concludes=("eq",))
+@rule("let-eq")
 def _let_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.lhs, LetPair) and isinstance(goal.rhs, LetPair),
@@ -393,7 +459,7 @@ def _let_eq(goal, args, synth):
     ]
 
 
-@rule("inl-eq", concludes=("eq",))
+@rule("inl-eq")
 def _inl_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.lhs, Inl) and isinstance(goal.rhs, Inl),
@@ -403,7 +469,7 @@ def _inl_eq(goal, args, synth):
     return [inst([p_eq("G", goal.lhs.arg, goal.rhs.arg, a)], ["G"])]
 
 
-@rule("inr-eq", concludes=("eq",))
+@rule("inr-eq")
 def _inr_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.lhs, Inr) and isinstance(goal.rhs, Inr),
@@ -413,7 +479,7 @@ def _inr_eq(goal, args, synth):
     return [inst([p_eq("G", goal.lhs.arg, goal.rhs.arg, b)], ["G"])]
 
 
-@rule("case-eq", concludes=("eq",))
+@rule("case-eq")
 def _case_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.lhs, Case) and isinstance(goal.rhs, Case),
@@ -435,7 +501,7 @@ def _case_eq(goal, args, synth):
     ]
 
 
-@rule("measure-eq", concludes=("eq",))
+@rule("measure-eq")
 def _measure_eq(goal, args, synth):
     need(
         isinstance(goal, TermEq)
@@ -454,7 +520,7 @@ def _measure_eq(goal, args, synth):
 # ---- beta conversions
 
 
-@rule("beta-tensor", concludes=("eq",))
+@rule("beta-tensor")
 def _beta_tensor(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -482,7 +548,7 @@ def _beta_tensor(goal, args, synth):
     ]
 
 
-@rule("beta-plus-1", concludes=("eq",))
+@rule("beta-plus-1")
 def _beta_plus_1(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -504,7 +570,7 @@ def _beta_plus_1(goal, args, synth):
     ]
 
 
-@rule("beta-plus-2", concludes=("eq",))
+@rule("beta-plus-2")
 def _beta_plus_2(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -529,7 +595,7 @@ def _beta_plus_2(goal, args, synth):
 # ---- eta conversions
 
 
-@rule("eta-tensor", concludes=("eq",))
+@rule("eta-tensor")
 def _eta_tensor(goal, args, synth):
     need(isinstance(goal, TermEq) and isinstance(goal.ty, TTensor), "needs a tensor-typed equality")
     r = goal.rhs
@@ -539,7 +605,7 @@ def _eta_tensor(goal, args, synth):
     return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
 
 
-@rule("eta-unit", concludes=("eq",))
+@rule("eta-unit")
 def _eta_unit(goal, args, synth):
     need(
         isinstance(goal, TermEq) and isinstance(goal.ty, TUnit) and isinstance(goal.rhs, Star),
@@ -548,7 +614,7 @@ def _eta_unit(goal, args, synth):
     return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
 
 
-@rule("eta-plus", concludes=("eq",))
+@rule("eta-plus")
 def _eta_plus(goal, args, synth):
     need(isinstance(goal, TermEq) and isinstance(goal.ty, TSum), "needs a sum-typed equality")
     r = goal.rhs
@@ -564,7 +630,7 @@ def _eta_plus(goal, args, synth):
 # ---- commuting conversions
 
 
-@rule("let-commute", concludes=("eq",))
+@rule("let-commute")
 def _let_commute(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -615,7 +681,7 @@ def _mk_case(scrut, x, left, y, right):
     return Case(scrut, x, left, y, right)
 
 
-@rule("let-case", concludes=("eq",))
+@rule("let-case")
 def _let_case(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -646,7 +712,7 @@ def _let_case(goal, args, synth):
     ]
 
 
-@rule("let-tensor", concludes=("eq",))
+@rule("let-tensor")
 def _let_tensor(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -672,7 +738,7 @@ def _let_tensor(goal, args, synth):
     ]
 
 
-@rule("case-commute", concludes=("eq",))
+@rule("case-commute")
 def _case_commute(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -709,7 +775,7 @@ def _case_commute(goal, args, synth):
     ]
 
 
-@rule("case-tensor", concludes=("eq",))
+@rule("case-tensor")
 def _case_tensor(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -739,7 +805,7 @@ def _case_tensor(goal, args, synth):
 # ---- measurement equations
 
 
-@rule("measure-perm", concludes=("eq",))
+@rule("measure-perm")
 def _measure_perm(goal, args, synth):
     need(
         isinstance(goal, TermEq)
@@ -760,7 +826,7 @@ def _measure_perm(goal, args, synth):
     return [inst(prem, ["G", "D"])]
 
 
-@rule("measure-0", concludes=("eq",))
+@rule("measure-0")
 def _measure_0(goal, args, synth):
     need(
         isinstance(goal, TermEq)
@@ -778,7 +844,7 @@ def _measure_0(goal, args, synth):
     return [inst(prem, ["G", "D"])]
 
 
-@rule("measure-1", concludes=("eq",))
+@rule("measure-1")
 def _measure_1(goal, args, synth):
     need(isinstance(goal, TermEq) and isinstance(goal.lhs, Measure), "left side must be a measure")
     bs = goal.lhs.branches
@@ -788,7 +854,7 @@ def _measure_1(goal, args, synth):
     return [inst([p_ty("G", goal.rhs, goal.ty)], ["G"])]
 
 
-@rule("measure-plus", concludes=("eq",))
+@rule("measure-plus")
 def _measure_plus(goal, args, synth):
     need(
         isinstance(goal, TermEq)
@@ -812,7 +878,7 @@ def _measure_plus(goal, args, synth):
     return [inst(prem, ["G"])]
 
 
-@rule("measure-case", concludes=("eq",))
+@rule("measure-case")
 def _measure_case(goal, args, synth):
     need(isinstance(goal, TermEq) and isinstance(goal.lhs, Measure), "left side must be a measure")
     bs = goal.lhs.branches
@@ -859,41 +925,42 @@ def _measure_case(goal, args, synth):
 # ---- effect formation
 
 
-@rule("eff-0", concludes=("eff",))
+@rule("eff-0")
 def _eff_0(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, Zero), "conclusion is not `0 eff`")
-    return [inst([], ["G"])]
+    return AXIOM
 
 
-@rule("eff-bot", concludes=("eff",))
+@rule("eff-bot")
 def _eff_bot(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, Orth), "conclusion is not `bot(phi) eff`")
     return [inst([p_eff("G", goal.eff.arg)], ["G"])]
 
 
-@rule("eff-ovee", concludes=("eff",))
+@rule("eff-ovee")
 def _eff_ovee(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, OSum), "conclusion is not a sum formation")
     return [inst([p_leq("G", goal.eff.left, Orth(goal.eff.right))], ["G"])]
 
 
-@rule("eff-mult", concludes=("eff",))
+@rule("eff-mult")
 def _eff_mult(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, SMul), "conclusion is not a product formation")
     return [inst([p_eff("", goal.eff.scalar), p_eff("G", goal.eff.body)], ["G"])]
 
 
-@rule("eff-case", concludes=("eff",))
+@rule("eff-case")
 def _eff_case(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, CaseEff), "conclusion is not a case formation")
     e = goal.eff
     ab = scrut_type(goal.ctx, e.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
+    x, left, y, right = _freshen_branches(e, goal.ctx.names())
     return [
         inst(
             [
-                p_eff("G", e.left, ext=((e.x, a),)),
-                p_eff("G", e.right, ext=((e.y, b),)),
+                p_eff("G", left, ext=((x, a),)),
+                p_eff("G", right, ext=((y, b),)),
                 p_ty("D", e.scrut, ab),
             ],
             ["G", "D"],
@@ -904,27 +971,27 @@ def _eff_case(goal, args, synth):
 # ---- derivability
 
 
-@rule("leq-ref", concludes=("leq",))
+@rule("leq-ref")
 def _leq_ref(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     need(goal.low == goal.high, "the two sides are not alpha-equal")
     return [inst([p_eff("G", goal.low)], ["G"])]
 
 
-@rule("leq-trans", concludes=("leq",))
+@rule("leq-trans")
 def _leq_trans(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     mid = need_arg(args, "via", "leq-trans")
     return [inst([p_leq("G", goal.low, mid), p_leq("G", mid, goal.high)], ["G"])]
 
 
-@rule("zero-leq", concludes=("leq",))
+@rule("zero-leq")
 def _zero_leq(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, Zero), "left side must be 0")
     return [inst([p_eff("G", goal.high)], ["G"])]
 
 
-@rule("bot-antitone", concludes=("leq",))
+@rule("bot-antitone")
 def _bot_antitone(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, Orth) and isinstance(goal.high, Orth),
@@ -933,7 +1000,7 @@ def _bot_antitone(goal, args, synth):
     return [inst([p_leq("G", goal.high.arg, goal.low.arg)], ["G"])]
 
 
-@rule("bot-bot", concludes=("leq",))
+@rule("bot-bot")
 def _bot_bot(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     h = goal.high
@@ -942,14 +1009,14 @@ def _bot_bot(goal, args, synth):
     return [inst([p_eff("G", goal.low)], ["G"])]
 
 
-@rule("leq-ovee", concludes=("leq",))
+@rule("leq-ovee")
 def _leq_ovee(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.high, OSum), "right side must be a sum")
     alpha2(goal.high.left, goal.low, "sum left component")
     return [inst([p_leq("G", goal.low, Orth(goal.high.right))], ["G"])]
 
 
-@rule("ovee-mono", concludes=("leq",))
+@rule("ovee-mono")
 def _ovee_mono(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
@@ -961,7 +1028,7 @@ def _ovee_mono(goal, args, synth):
     return [inst([p_leq("G", phi, psi), p_leq("G", psi, Orth(chi))], ["G"])]
 
 
-@rule("ovee-comm", concludes=("leq",))
+@rule("ovee-comm")
 def _ovee_comm(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
@@ -974,7 +1041,7 @@ def _ovee_comm(goal, args, synth):
     return [inst([p_leq("G", goal.low.left, Orth(goal.low.right))], ["G"])]
 
 
-@rule("perp-rotate", concludes=("leq",))
+@rule("perp-rotate")
 def _perp_rotate(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, Orth),
@@ -985,7 +1052,7 @@ def _perp_rotate(goal, args, synth):
     return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
 
 
-@rule("ovee-assoc", concludes=("leq",))
+@rule("ovee-assoc")
 def _ovee_assoc(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     l, h = goal.low, goal.high
@@ -1001,7 +1068,7 @@ def _ovee_assoc(goal, args, synth):
     return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
 
 
-@rule("ovee-0", concludes=("leq",))
+@rule("ovee-0")
 def _ovee_0(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.low.right, Zero),
@@ -1011,14 +1078,14 @@ def _ovee_0(goal, args, synth):
     return [inst([p_eff("G", goal.high)], ["G"])]
 
 
-@rule("ortho-1", concludes=("leq",))
+@rule("ortho-1")
 def _ortho_1(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, Orth), "left side must be an orthosupplement")
     psi, phi = goal.low.arg, goal.high
     return [inst([p_leq("G", one(), OSum(phi, psi))], ["G"])]
 
 
-@rule("ortho-2", concludes=("leq",))
+@rule("ortho-2")
 def _ortho_2(goal, args, synth):
     need(isinstance(goal, EffLeq) and is_one(goal.low), "left side must be bot(0)")
     h = goal.high
@@ -1027,7 +1094,7 @@ def _ortho_2(goal, args, synth):
     return [inst([p_eff("G", h.left)], ["G"])]
 
 
-@rule("dist-l", concludes=("leq",))
+@rule("dist-l")
 def _dist_l(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1057,7 +1124,7 @@ def _dist_l(goal, args, synth):
     return out
 
 
-@rule("dist-r", concludes=("leq",))
+@rule("dist-r")
 def _dist_r(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1085,7 +1152,7 @@ def _dist_r(goal, args, synth):
     return out
 
 
-@rule("unit-l", concludes=("leq",))
+@rule("unit-l")
 def _unit_l(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1096,7 +1163,7 @@ def _unit_l(goal, args, synth):
     return out
 
 
-@rule("unit-r", concludes=("leq",))
+@rule("unit-r")
 def _unit_r(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1107,7 +1174,7 @@ def _unit_r(goal, args, synth):
     return out
 
 
-@rule("assoc", concludes=("leq",))
+@rule("assoc")
 def _assoc(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1127,7 +1194,7 @@ def _assoc(goal, args, synth):
     return out
 
 
-@rule("comm", concludes=("leq",))
+@rule("comm")
 def _comm(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     lo, hi = goal.low, goal.high
@@ -1138,7 +1205,7 @@ def _comm(goal, args, synth):
     return [inst([p_eff("", lo.scalar), p_eff("", lo.body)], [])]
 
 
-@rule("case-cong", concludes=("leq",))
+@rule("case-cong")
 def _case_cong(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1166,7 +1233,7 @@ def _case_cong(goal, args, synth):
     return out
 
 
-@rule("case-mono", concludes=("leq",))
+@rule("case-mono")
 def _case_mono(goal, args, synth):
     need(
         isinstance(goal, EffLeq)
@@ -1193,7 +1260,7 @@ def _case_mono(goal, args, synth):
     ]
 
 
-@rule("beta-plus-1-eff", concludes=("leq",))
+@rule("beta-plus-1-eff")
 def _beta_plus_1_eff(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1220,7 +1287,7 @@ def _beta_plus_1_eff(goal, args, synth):
     return out
 
 
-@rule("beta-plus-2-eff", concludes=("leq",))
+@rule("beta-plus-2-eff")
 def _beta_plus_2_eff(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1247,7 +1314,7 @@ def _beta_plus_2_eff(goal, args, synth):
     return out
 
 
-@rule("eta-plus-eff", concludes=("leq",))
+@rule("eta-plus-eff")
 def _eta_plus_eff(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1273,7 +1340,7 @@ def _eta_plus_eff(goal, args, synth):
     return out
 
 
-@rule("case-ovee", concludes=("leq",))
+@rule("case-ovee")
 def _case_ovee(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1313,7 +1380,7 @@ def _case_ovee(goal, args, synth):
     return out
 
 
-@rule("case-bot", concludes=("leq",))
+@rule("case-bot")
 def _case_bot(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1349,14 +1416,14 @@ def _case_bot(goal, args, synth):
     return out
 
 
-@rule("case-leq", concludes=("leq",))
+@rule("case-leq")
 def _case_leq(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, CaseEff), "left side must be a case effect")
     l, chi = goal.low, goal.high
     ab = scrut_type(goal.ctx, l.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
-    x, left = _freshen1(l.x, l.left, set(goal.ctx.names()) | free_vars(chi))
-    y, right = _freshen1(l.y, l.right, set(goal.ctx.names()) | free_vars(chi) | {x})
+    x, left = freshen_binder(l.x, l.left, set(goal.ctx.names()) | free_vars(chi))
+    y, right = freshen_binder(l.y, l.right, set(goal.ctx.names()) | free_vars(chi) | {x})
     return [
         inst(
             [
@@ -1369,7 +1436,7 @@ def _case_leq(goal, args, synth):
     ]
 
 
-@rule("case-times", concludes=("leq",))
+@rule("case-times")
 def _case_times(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1412,41 +1479,31 @@ def _case_times(goal, args, synth):
 # ---- qubit pack
 
 
-@rule("qbit-new", pack="qubit", concludes=("ty",))
+@rule("qbit-new", pack="qubit")
 def _qbit_new(goal, args, synth):
-    need(
-        isinstance(goal, Typing) and isinstance(goal.term, NewPlus) and isinstance(goal.ty, TQbit),
-        "conclusion is not a plus-state typing",
-    )
-    return [inst([], ["G"])]
+    need(isinstance(goal, Typing) and isinstance(goal.term, NewPlus), "conclusion is not a plus-state typing")
+    need(isinstance(goal.ty, TQbit), "plus is a qubit")
+    return AXIOM
 
 
-@rule("qbit-x", pack="qubit", concludes=("ty",))
+@rule("qbit-x", pack="qubit")
 def _qbit_x(goal, args, synth):
-    need(
-        isinstance(goal, Typing) and isinstance(goal.term, PauliX) and isinstance(goal.ty, TQbit),
-        "conclusion is not an X typing",
-    )
+    need(isinstance(goal, Typing) and isinstance(goal.term, PauliX), "conclusion is not an X typing")
+    need(isinstance(goal.ty, TQbit), "X produces a qubit")
     return [inst([p_ty("G", goal.term.arg, TQbit())], ["G"])]
 
 
-@rule("qbit-z", pack="qubit", concludes=("ty",))
+@rule("qbit-z", pack="qubit")
 def _qbit_z(goal, args, synth):
-    need(
-        isinstance(goal, Typing) and isinstance(goal.term, PauliZ) and isinstance(goal.ty, TQbit),
-        "conclusion is not a Z typing",
-    )
+    need(isinstance(goal, Typing) and isinstance(goal.term, PauliZ), "conclusion is not a Z typing")
+    need(isinstance(goal.ty, TQbit), "Z produces a qubit")
     return [inst([p_ty("G", goal.term.arg, TQbit())], ["G"])]
 
 
-@rule("qbit-cz", pack="qubit", concludes=("ty",))
+@rule("qbit-cz", pack="qubit")
 def _qbit_cz(goal, args, synth):
-    need(
-        isinstance(goal, Typing)
-        and isinstance(goal.term, CZ)
-        and goal.ty == TTensor(TQbit(), TQbit()),
-        "conclusion is not a controlled-Z typing",
-    )
+    need(isinstance(goal, Typing) and isinstance(goal.term, CZ), "conclusion is not a controlled-Z typing")
+    need(goal.ty == TTensor(TQbit(), TQbit()), "E produces a pair of qubits")
     return [
         inst(
             [p_ty("G", goal.term.left, TQbit()), p_ty("D", goal.term.right, TQbit())],
@@ -1455,7 +1512,7 @@ def _qbit_cz(goal, args, synth):
     ]
 
 
-@rule("qbit-proj", pack="qubit", concludes=("eff",))
+@rule("qbit-proj", pack="qubit")
 def _qbit_proj(goal, args, synth):
     need(
         isinstance(goal, EffForm) and isinstance(goal.eff, ProjPlus),
@@ -1464,7 +1521,7 @@ def _qbit_proj(goal, args, synth):
     return [inst([p_ty("G", goal.eff.term, TQbit())], ["G"])]
 
 
-@rule("qbit-cz-x", pack="qubit", concludes=("eq",))
+@rule("qbit-cz-x", pack="qubit")
 def _qbit_cz_x(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -1482,7 +1539,7 @@ def _qbit_cz_x(goal, args, synth):
     ]
 
 
-@rule("qbit-cz-z", pack="qubit", concludes=("eq",))
+@rule("qbit-cz-z", pack="qubit")
 def _qbit_cz_z(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -1500,7 +1557,7 @@ def _qbit_cz_z(goal, args, synth):
     ]
 
 
-@rule("qbit-x-proj", pack="qubit", concludes=("leq",))
+@rule("qbit-x-proj", pack="qubit")
 def _qbit_x_proj(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1514,7 +1571,7 @@ def _qbit_x_proj(goal, args, synth):
     return out
 
 
-@rule("qbit-z-proj", pack="qubit", concludes=("leq",))
+@rule("qbit-z-proj", pack="qubit")
 def _qbit_z_proj(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1528,7 +1585,7 @@ def _qbit_z_proj(goal, args, synth):
     return out
 
 
-@rule("qbit-xx", pack="qubit", concludes=("eq",))
+@rule("qbit-xx", pack="qubit")
 def _qbit_xx(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -1537,7 +1594,7 @@ def _qbit_xx(goal, args, synth):
     return [inst([p_ty("G", goal.rhs, TQbit())], ["G"])]
 
 
-@rule("qbit-zz", pack="qubit", concludes=("eq",))
+@rule("qbit-zz", pack="qubit")
 def _qbit_zz(goal, args, synth):
     need(isinstance(goal, TermEq), "conclusion is not a term equality")
     l = goal.lhs
@@ -1546,7 +1603,7 @@ def _qbit_zz(goal, args, synth):
     return [inst([p_ty("G", goal.rhs, TQbit())], ["G"])]
 
 
-@rule("qbit-xz-zx", pack="qubit", concludes=("leq",))
+@rule("qbit-xz-zx", pack="qubit")
 def _qbit_xz_zx(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1638,7 +1695,7 @@ def _extract_at_var(body, x, filled):
     return first
 
 
-@rule("beta-iso", pack="beta-iso", concludes=("leq",))
+@rule("beta-iso", pack="beta-iso")
 def _beta_iso(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     x = need_arg(args, "x", "beta-iso")
@@ -1688,28 +1745,7 @@ def _beta_iso(goal, args, synth):
 # ------------------------------------------------------------------ inventory
 
 
-ALL_RULE_NAMES = (
-    "exch", "var", "tensor", "let", "unit", "inl", "inr", "case", "measure",
-    "ref", "sym", "trans", "tensor-eq", "let-eq", "inl-eq", "inr-eq",
-    "case-eq", "measure-eq", "beta-tensor", "beta-plus-1", "beta-plus-2",
-    "eta-tensor", "eta-unit", "eta-plus", "let-commute", "let-case",
-    "let-tensor", "case-commute", "case-tensor", "measure-perm", "measure-0",
-    "measure-1", "measure-plus", "measure-case", "eff-0", "eff-bot",
-    "eff-ovee", "eff-mult", "eff-case", "leq-ref", "leq-trans", "zero-leq",
-    "bot-antitone", "bot-bot", "leq-ovee", "ovee-mono", "ovee-comm",
-    "perp-rotate", "ovee-assoc", "ovee-0", "ortho-1", "ortho-2", "dist-l",
-    "dist-r", "unit-l", "unit-r", "assoc", "comm", "case-cong", "case-mono",
-    "beta-plus-1-eff", "beta-plus-2-eff", "eta-plus-eff", "case-ovee",
-    "case-bot", "case-leq", "case-times", "qbit-new", "qbit-x", "qbit-z",
-    "qbit-cz", "qbit-proj", "qbit-cz-x", "qbit-cz-z", "qbit-x-proj",
-    "qbit-z-proj", "qbit-xx", "qbit-zz", "qbit-xz-zx", "beta-iso",
-)
-
-SCHEMAS = {name: _SCHEMAS[name] for name in ALL_RULE_NAMES}
-
-assert set(_SCHEMAS) == set(ALL_RULE_NAMES), sorted(
-    set(_SCHEMAS) ^ set(ALL_RULE_NAMES)
-)
+ALL_RULE_NAMES = tuple(SCHEMAS)
 
 PACKS = ("core", "qubit", "beta-iso")
 DEFAULT_PACKS = frozenset({"core", "qubit"})

@@ -274,9 +274,8 @@ class Context:
     entries: tuple[tuple[str, Type], ...] = ()
 
     def __post_init__(self):
-        names = [n for n, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable in context: {names}")
+        if len(self.entries) > 1 and len(dict(self.entries)) != len(self.entries):
+            raise ValueError(f"duplicate variable in context: {self.names()}")
 
     def names(self):
         return [n for n, _ in self.entries]

@@ -2,19 +2,32 @@
 
 Checking is directed: a term is checked against a given type, with synthesis
 as a convenience for scrutinee positions (sum injections cannot be inferred;
-write a ``(M : A)`` ascription there).  Each variable may be consumed at most
-once across the multiplicative positions of a rule; unused variables are
-allowed everywhere and are routed to the last premise when contexts split.
+write a ``(M : A)`` ascription there).
 
-Accepted judgements come with a reconstructible derivation whose nodes are
-instances of the deduction rule schemas, so the derivation checker can
-re-validate anything this module emits.
+The formation rules are stated once, as schemas in `rules`.  Each term and
+effect constructor names its rule (`TERM_RULES`, `EFFECT_RULES`); `_derive`
+instantiates that schema at the goal, splits the goal context among the
+schema's zones with `split_zones`, the split the derivation checker and the
+search use too, and discharges the premises in order: typing and formation
+premises by recursion, inequality premises through the `Resolver`.  Each
+variable may be consumed at most once across the zones; unused variables
+are allowed everywhere and go to the zone of the last premise.
+
+What this module adds to the schemas: ascriptions, the unbound-variable
+check, synthesis of the scrutinee type of let, case and caseE (passed to the
+schema as its `ty` argument), the rule `lit` of scalar literals, the check
+that a scalar factor is closed, and forming the summands of o+ and the
+branch effects of measure before their inequality premise, so that attached
+scripts meet the obligations in source order.  Accepted judgements come with
+a derivation whose nodes are instances of the schemas, which the derivation
+checker re-validates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .printer import print_effect, print_term, print_type
+from .rules import SCHEMAS, SYNTAX_SLOTS, Instantiation, Premise, RuleMismatch
 from .syntax import (
     Ascribe,
     Case,
@@ -49,13 +62,8 @@ from .syntax import (
     Typing,
     Var,
     Zero,
-    bound_names,
     erase_ascriptions,
     free_vars,
-    fresh,
-    one,
-    ovee_all,
-    subst,
 )
 
 
@@ -130,20 +138,78 @@ def split_context(g: Context, parts: list) -> list[Context]:
     needs = [frozenset(p) for p in parts]
     for i, a in enumerate(needs):
         for b in needs[i + 1 :]:
-            overlap = (a & b) & set(g.names())
+            overlap = a & b
+            if overlap:
+                overlap &= set(g.names())
             if overlap:
                 raise QpelTypeError(
                     f"variable {sorted(overlap)[0]!r} is consumed in two places (no cloning)"
                 )
     out = [[] for _ in parts]
-    for name, ty in g:
+    for entry in g.entries:
         for i, ns in enumerate(needs):
-            if name in ns:
-                out[i].append((name, ty))
+            if entry[0] in ns:
+                out[i].append(entry)
                 break
         else:
-            out[-1].append((name, ty))
+            out[-1].append(entry)
     return [Context(tuple(entries)) for entries in out]
+
+
+_EMPTY = Context()
+
+
+def _premise_need(p: Premise) -> frozenset:
+    """The variables a premise takes from its zone."""
+    fvs = free_vars(p.shape[1])
+    if SYNTAX_SLOTS[p.shape[0]] == 2:
+        fvs = fvs | free_vars(p.shape[2])
+    return fvs - {n for n, _ in p.ext} if p.ext else fvs
+
+
+def split_zones(g: Context, instn: Instantiation) -> dict:
+    """The context of each zone of a rule instance whose conclusion context
+    is g: zone name -> Context, with "" the empty context.
+
+    Fixed entries are taken out first.  A premise in zone "" must not need
+    anything from the pool that is left; the pool is split by
+    `split_context` among the other zones by what their premises need, and
+    the variables no premise needs go to the zone of the last premise that
+    has one.
+    """
+    pool = g
+    for entry in instn.fixed:
+        if entry not in pool.entries:
+            raise QpelTypeError(f"conclusion context must contain {entry[0]} : fixed binding")
+        pool = Context(tuple(e for e in pool.entries if e != entry))
+    zones = instn.zones
+    if not zones and pool.entries:
+        raise QpelTypeError(
+            "this rule concludes in the empty context, but the goal context is not empty"
+        )
+    several = len(zones) > 1
+    needs = {}
+    last_open = zones[-1] if zones else ""
+    for p in instn.premises:
+        if not p.zone:
+            stray = _premise_need(p)
+            if stray:
+                stray &= set(pool.names())
+            if stray:
+                raise QpelTypeError(f"premise must be closed but mentions {sorted(stray)[0]!r}")
+        elif several:
+            need = _premise_need(p)
+            needs[p.zone] = needs[p.zone] | need if p.zone in needs else need
+            last_open = p.zone
+    if not several:
+        # the one zone takes the whole pool; with no zone, the pool is empty
+        return {"": _EMPTY, last_open: pool}
+    order = zones
+    if last_open != zones[-1]:
+        order = [z for z in zones if z != last_open] + [last_open]
+    bindings = dict(zip(order, split_context(pool, [needs.get(z, ()) for z in order])))
+    bindings[""] = _EMPTY
+    return bindings
 
 
 # ------------------------------------------------------------------ synthesis
@@ -151,13 +217,11 @@ def split_context(g: Context, parts: list) -> list[Context]:
 
 def synth_type(g: Context, m: Term, extra=()) -> Type | None:
     """Usage-blind type synthesis; None where the shape is ambiguous."""
-    env = dict(g.entries)
-    env.update(dict(extra))
 
-    def go(t, env):
+    def go(t, env):  # env: the extra entries and binders, which shadow g
         match t:
             case Var(name=x):
-                return env.get(x)
+                return env[x] if x in env else g.lookup(x)
             case Star():
                 return TUnit()
             case Ascribe(ty=ty):
@@ -192,184 +256,45 @@ def synth_type(g: Context, m: Term, extra=()) -> Type | None:
                 return TTensor(TQbit(), TQbit())
         return None
 
-    return go(m, env)
+    return go(m, dict(extra))
 
 
 # ------------------------------------------------------------------- checking
 
+# The formation rule of each term and effect constructor; `lit`, the rule of
+# scalar literals, is this checker's own extension and has no schema.
+TERM_RULES = {
+    Var: "var", Star: "unit", Pair: "tensor", LetPair: "let", Inl: "inl",
+    Inr: "inr", Case: "case", Measure: "measure", NewPlus: "qbit-new",
+    PauliX: "qbit-x", PauliZ: "qbit-z", CZ: "qbit-cz",
+}
+EFFECT_RULES = {
+    Zero: "eff-0", Orth: "eff-bot", OSum: "eff-ovee", SMul: "eff-mult",
+    CaseEff: "eff-case", ProjPlus: "qbit-proj",
+}
 
-def _freshen_binder(x: str, body, avoid):
-    if x in avoid:
-        x2 = fresh(x, set(avoid) | free_vars(body) | bound_names(body))
-        return x2, subst(body, x, Var(x2))
-    return x, body
+# the synthesised scrutinee type of let, case and caseE: the type class it
+# must have and how the message names it
+_SCRUTINEES = {
+    LetPair: (TTensor, "a tensor type for the let"),
+    Case: (TSum, "a sum type for the case"),
+    CaseEff: (TSum, "a sum type for the caseE"),
+}
+
+
+def _unbound(g: Context, s) -> frozenset:
+    """The free variables of s, all of which g must bind."""
+    fvs = free_vars(s)
+    missing = fvs - set(g.names())
+    if missing:
+        raise QpelTypeError(f"unbound variable {sorted(missing)[0]!r}")
+    return fvs
 
 
 def check_term(g: Context, m: Term, ty: Type, resolver: Resolver) -> TypingResult:
     """Decide the typing judgement; returns the usage set and a derivation."""
-    missing = free_vars(m) - set(g.names())
-    if missing:
-        raise QpelTypeError(f"unbound variable {sorted(missing)[0]!r}")
-    return _check(g, m, ty, resolver)
-
-
-def _check(g: Context, m: Term, ty: Type, resolver: Resolver) -> TypingResult:
-    match m:
-        case Ascribe(term=t, ty=asc):
-            if asc != ty:
-                raise QpelTypeError(
-                    f"ascription {print_type(asc)} does not match expected {print_type(ty)}"
-                )
-            return _check(g, t, ty, resolver)
-
-        case Var(name=x):
-            actual = g.lookup(x)
-            if actual is None:
-                raise QpelTypeError(f"unbound variable {x!r}")
-            if actual != ty:
-                raise QpelTypeError(
-                    f"variable {x} has type {print_type(actual)}, expected {print_type(ty)}"
-                )
-            return TypingResult(ty, frozenset({x}), Derivation("var", Typing(g, m, ty)))
-
-        case Star():
-            if not isinstance(ty, TUnit):
-                raise QpelTypeError(f"unit value cannot have type {print_type(ty)}")
-            return TypingResult(ty, frozenset(), Derivation("unit", Typing(g, m, ty)))
-
-        case Pair(left=a, right=b):
-            if not isinstance(ty, TTensor):
-                raise QpelTypeError(f"a pair cannot have type {print_type(ty)}")
-            ga, gb = split_context(g, [free_vars(a), free_vars(b)])
-            ra = _check(ga, a, ty.left, resolver)
-            rb = _check(gb, b, ty.right, resolver)
-            return TypingResult(
-                ty,
-                ra.used | rb.used,
-                Derivation("tensor", Typing(g, m, ty), (ra.derivation, rb.derivation)),
-            )
-
-        case LetPair(x=x, y=y, pair=p, body=n):
-            tp = synth_type(g, p)
-            if not isinstance(tp, TTensor):
-                raise QpelTypeError(
-                    f"cannot infer a tensor type for the let scrutinee {print_term(p)};"
-                    " ascribe it"
-                )
-            x, n = _freshen_binder(x, n, g.names())
-            y, n = _freshen_binder(y, n, set(g.names()) | {x})
-            gp, gn = split_context(g, [free_vars(p), free_vars(n) - {x, y}])
-            rp = _check(gp, p, tp, resolver)
-            rn = _check(gn.extend(x, tp.left).extend(y, tp.right), n, ty, resolver)
-            term = LetPair(x, y, p, n)
-            return TypingResult(
-                ty,
-                rp.used | (rn.used - {x, y}),
-                Derivation(
-                    "let", Typing(g, term, ty), (rp.derivation, rn.derivation), {"ty": tp}
-                ),
-            )
-
-        case Inl(arg=a):
-            if not isinstance(ty, TSum):
-                raise QpelTypeError(f"inl cannot have type {print_type(ty)}")
-            ra = _check(g, a, ty.left, resolver)
-            return TypingResult(
-                ty, ra.used, Derivation("inl", Typing(g, m, ty), (ra.derivation,))
-            )
-
-        case Inr(arg=a):
-            if not isinstance(ty, TSum):
-                raise QpelTypeError(f"inr cannot have type {print_type(ty)}")
-            ra = _check(g, a, ty.right, resolver)
-            return TypingResult(
-                ty, ra.used, Derivation("inr", Typing(g, m, ty), (ra.derivation,))
-            )
-
-        case Case(scrut=s, x=x, left=n, y=y, right=p):
-            ts = synth_type(g, s)
-            if not isinstance(ts, TSum):
-                raise QpelTypeError(
-                    f"cannot infer a sum type for the case scrutinee {print_term(s)};"
-                    " ascribe it"
-                )
-            x, n = _freshen_binder(x, n, g.names())
-            y, p = _freshen_binder(y, p, set(g.names()) | {x})
-            branch_need = (free_vars(n) - {x}) | (free_vars(p) - {y})
-            gs, gb = split_context(g, [free_vars(s), branch_need])
-            rs = _check(gs, s, ts, resolver)
-            rn = _check(gb.extend(x, ts.left), n, ty, resolver)
-            rp = _check(gb.extend(y, ts.right), p, ty, resolver)
-            term = Case(s, x, n, y, p)
-            return TypingResult(
-                ty,
-                rs.used | (rn.used - {x}) | (rp.used - {y}),
-                Derivation(
-                    "case",
-                    Typing(g, term, ty),
-                    (rs.derivation, rn.derivation, rp.derivation),
-                    {"ty": ts},
-                ),
-            )
-
-        case Measure(branches=bs):
-            eff_need = frozenset().union(*(free_vars(phi) for phi, _ in bs))
-            term_need = frozenset().union(*(free_vars(t) for _, t in bs))
-            ge, gt = split_context(g, [eff_need, term_need])
-            for phi, _ in bs:
-                check_effect(ge, phi, resolver)
-            obligation = EffLeq(ge, one(), ovee_all([phi for phi, _ in bs]))
-            ob_deriv = resolver.resolve(obligation)
-            term_results = [_check(gt, t, ty, resolver) for _, t in bs]
-            term = m
-            return TypingResult(
-                ty,
-                eff_need | frozenset().union(*(r.used for r in term_results)),
-                Derivation(
-                    "measure",
-                    Typing(g, term, ty),
-                    (ob_deriv, *(r.derivation for r in term_results)),
-                ),
-            )
-
-        case NewPlus():
-            if not isinstance(ty, TQbit):
-                raise QpelTypeError("plus is a qubit")
-            return TypingResult(ty, frozenset(), Derivation("qbit-new", Typing(g, m, ty)))
-
-        case PauliX(arg=a):
-            if not isinstance(ty, TQbit):
-                raise QpelTypeError("X produces a qubit")
-            ra = _check(g, a, TQbit(), resolver)
-            return TypingResult(
-                ty, ra.used, Derivation("qbit-x", Typing(g, m, ty), (ra.derivation,))
-            )
-
-        case PauliZ(arg=a):
-            if not isinstance(ty, TQbit):
-                raise QpelTypeError("Z produces a qubit")
-            ra = _check(g, a, TQbit(), resolver)
-            return TypingResult(
-                ty, ra.used, Derivation("qbit-z", Typing(g, m, ty), (ra.derivation,))
-            )
-
-        case CZ(left=a, right=b):
-            if ty != TTensor(TQbit(), TQbit()):
-                raise QpelTypeError("E produces a pair of qubits")
-            ga, gb = split_context(g, [free_vars(a), free_vars(b)])
-            ra = _check(ga, a, TQbit(), resolver)
-            rb = _check(gb, b, TQbit(), resolver)
-            return TypingResult(
-                ty,
-                ra.used | rb.used,
-                Derivation(
-                    "qbit-cz",
-                    Typing(g, m, ty),
-                    (ra.derivation, rb.derivation),
-                ),
-            )
-
-    raise QpelTypeError(f"not a term: {m!r}")
+    used = _unbound(g, m)
+    return TypingResult(ty, used, _derive(Typing(g, m, ty), resolver))
 
 
 @dataclass(frozen=True)
@@ -380,79 +305,69 @@ class EffectResult:
 
 
 def check_effect(g: Context, e: Effect, resolver: Resolver) -> EffectResult:
-    missing = free_vars(e) - set(g.names())
-    if missing:
-        raise QpelTypeError(f"unbound variable {sorted(missing)[0]!r}")
-    return _check_eff(g, e, resolver)
+    used = _unbound(g, e)
+    return EffectResult(e, used, _derive(EffForm(g, e), resolver))
 
 
-def _check_eff(g: Context, e: Effect, resolver: Resolver) -> EffectResult:
-    used = free_vars(e) & set(g.names())
-    match e:
-        case Zero():
-            return EffectResult(e, used, Derivation("eff-0", EffForm(g, e)))
-
-        case ScalarLit():
-            # artifact extension: probability literals form like 0
-            return EffectResult(e, used, Derivation("lit", EffForm(g, e)))
-
-        case Orth(arg=a):
-            ra = _check_eff(g, a, resolver)
-            return EffectResult(
-                e, used, Derivation("eff-bot", EffForm(g, e), (ra.derivation,))
-            )
-
-        case OSum(left=a, right=b):
-            _check_eff(g, a, resolver)
-            _check_eff(g, b, resolver)
-            obligation = EffLeq(g, a, Orth(b))
-            ob = resolver.resolve(obligation)
-            return EffectResult(e, used, Derivation("eff-ovee", EffForm(g, e), (ob,)))
-
-        case SMul(scalar=s, body=b):
-            if free_vars(s):
+def _derive(goal, resolver: Resolver) -> Derivation:
+    """A derivation of a typing or effect-formation goal whose free variables
+    are all bound: the formation rule of the head constructor, its premises
+    discharged in order (typing and formation by recursion, inequalities by
+    the resolver)."""
+    if type(goal) is Typing:
+        node = goal.term
+        while type(node) is Ascribe:
+            if node.ty != goal.ty:
                 raise QpelTypeError(
-                    f"scalar factor {print_effect(s)} must be closed"
+                    f"ascription {print_type(node.ty)} does not match expected {print_type(goal.ty)}"
                 )
-            rs = _check_eff(Context(), s, resolver)
-            rb = _check_eff(g, b, resolver)
-            return EffectResult(
-                e, used, Derivation("eff-mult", EffForm(g, e), (rs.derivation, rb.derivation))
-            )
+            node = node.term
+            goal = Typing(goal.ctx, node, goal.ty)
+        name = TERM_RULES.get(type(node))
+        if name is None:
+            raise QpelTypeError(f"not a term: {node!r}")
+    else:
+        node = goal.eff
+        name = EFFECT_RULES.get(type(node))
+        if name is None:
+            if type(node) is ScalarLit:
+                return Derivation("lit", goal)
+            raise QpelTypeError(f"not an effect: {node!r}")
+        if name == "eff-mult" and free_vars(node.scalar):
+            raise QpelTypeError(f"scalar factor {print_effect(node.scalar)} must be closed")
 
-        case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            ts = synth_type(g, m)
-            if not isinstance(ts, TSum):
-                raise QpelTypeError(
-                    f"cannot infer a sum type for the caseE scrutinee {print_term(m)};"
-                    " ascribe it"
-                )
-            x, a = _freshen_binder(x, a, g.names())
-            y, b = _freshen_binder(y, b, set(g.names()) | {x})
-            branch_need = (free_vars(a) - {x}) | (free_vars(b) - {y})
-            gb, gm = split_context(g, [branch_need, free_vars(m)])
-            ra = _check_eff(gb.extend(x, ts.left), a, resolver)
-            rb = _check_eff(gb.extend(y, ts.right), b, resolver)
-            rm = _check(gm, m, ts, resolver)
-            out = CaseEff(m, x, a, y, b)
-            return EffectResult(
-                out,
-                used,
-                Derivation(
-                    "eff-case",
-                    EffForm(g, out),
-                    (ra.derivation, rb.derivation, rm.derivation),
-                    {"ty": ts},
-                ),
+    args = {}
+    scrutinee = _SCRUTINEES.get(type(node))
+    if scrutinee is not None:
+        s = node.pair if type(node) is LetPair else node.scrut
+        ts = synth_type(goal.ctx, s)
+        if not isinstance(ts, scrutinee[0]):
+            raise QpelTypeError(
+                f"cannot infer {scrutinee[1]} scrutinee {print_term(s)}; ascribe it"
             )
+        args = {"ty": ts}
+    try:
+        # with `ty` given, no formation schema synthesises a type
+        (instn,) = SCHEMAS[name].match(goal, args, None)
+    except RuleMismatch as exc:
+        raise QpelTypeError(str(exc)) from None
+    zones = split_zones(goal.ctx, instn)
 
-        case ProjPlus(term=m, angle=q):
-            rm = _check(g, m, TQbit(), resolver)
-            return EffectResult(
-                e, used, Derivation("qbit-proj", EffForm(g, e), (rm.derivation,))
-            )
+    # the summands of a sum and the branch effects of a measurement form
+    # before their inequality premise is resolved, so that attached scripts
+    # meet the obligations in source order
+    if name == "eff-ovee":
+        _derive(EffForm(zones["G"], node.left), resolver)
+        _derive(EffForm(zones["G"], node.right), resolver)
+    elif name == "measure":
+        for phi, _ in node.branches:
+            _derive(EffForm(zones["G"], phi), resolver)
 
-    raise QpelTypeError(f"not an effect: {e!r}")
+    children = []
+    for p in instn.premises:
+        j = p.to_judgement(zones[p.zone])
+        children.append(resolver.resolve(j) if p.shape[0] == "leq" else _derive(j, resolver))
+    return Derivation(name, goal, tuple(children), args)
 
 
 # -------------------------------------------------- judgement-level checking

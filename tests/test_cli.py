@@ -264,3 +264,24 @@ def test_malformed_sidecar_is_a_parse_error_naming_it(tmp_path, sidecar, message
     assert code == 2, out.getvalue()
     assert f"parse error: {src}.proofs.json: " in out.getvalue()
     assert message in out.getvalue()
+
+
+# A premise binder named like an entry of its zone's context once ended in
+# "duplicate variable in context" with exit 1: by the schema of the formation
+# rule, by a schema that extends a zone with a raw binder, and by search.
+CLASHING_BINDER = (
+    "lemma p (b : qbit, s : I + I) : "
+    "(caseE s of inl a -> proj(b, 0) | inr b -> 0) o+ (caseE s of inl a -> 0 | inr b -> 0)"
+    " <= caseE s of inl a -> proj(b, 0) o+ 0 | inr b -> 0 o+ 0 by { %s }\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    "lemma p (b : qbit, s : I + I) : caseE s of inl a -> proj(b, 0) | inr b -> 0 eff"
+    " by { eff-case }\n",
+    CLASHING_BINDER % "case-ovee",
+    CLASHING_BINDER % "auto(4)",
+], ids=["eff-case", "case-ovee", "auto"])
+def test_premise_binder_clashing_with_its_zone(text):
+    code, out = check_in_process(text, "--verify", "all")
+    assert code == 0 and "quantum=true" in out, out

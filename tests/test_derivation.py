@@ -17,7 +17,7 @@ from qpel.derivation import (
 from qpel.parser import ScriptNode, UseNode
 from qpel.parser import parse_effect_text as E
 from qpel.parser import parse_term_text as T
-from qpel.rules import ALL_RULE_NAMES, SCHEMAS
+from qpel.rules import ALL_RULE_NAMES, SCHEMAS, p_equiv, p_leq
 from qpel.syntax import (
     Context,
     EffLeq,
@@ -28,6 +28,7 @@ from qpel.syntax import (
     Star,
     TermEq,
     TQbit,
+    TSum,
     TTensor,
     TUnit,
     Var,
@@ -231,3 +232,16 @@ def test_corpus_rules_used_match_roots():
         j = check_judgement(it.judgement, e.resolver(it.requires))
         d = check_script(j, it.script, e)
         assert d.rule in set(ALL_RULE_NAMES) | {"use", "both", "arith"}
+
+
+def test_premise_binder_is_renamed_away_from_its_zone():
+    zone = Context((("b", TQbit()), ("c", TUnit())))
+    low, high = E("proj(b, 0)"), E("caseE c1 of inl b -> 0 | inr d -> bot(proj(b, 0))")
+    ext = (("b", TUnit()), ("c1", TSum(TUnit(), TUnit())))
+    j = p_leq("G", low, high, ext=ext).to_judgement(zone)
+    # every free b is the binder's and is renamed with it
+    assert j.ctx.names() == ["b", "c", "b1", "c1"]
+    assert j.low == E("proj(b1, 0)")
+    assert j.high == E("caseE c1 of inl b -> 0 | inr d -> bot(proj(b1, 0))")
+    fwd = p_equiv("G", low, Zero(), ext=ext[:1]).to_judgement(zone)
+    assert fwd == EffLeq(Context(zone.entries + (("b1", TUnit()),)), E("proj(b1, 0)"), Zero())

@@ -19,6 +19,7 @@ from .interpreter import (
     backend_applicable,
     interp_effect,
     interp_term,
+    interp_type,
     judgement_true,
     weakest_precondition,
 )
@@ -36,7 +37,7 @@ from .parser import (
     parse,
 )
 from .printer import rational
-from .syntax import Context, TermEq, Typing
+from .syntax import Ascribe, TermEq, subst
 from .typecheck import (
     ObligationError,
     QpelTypeError,
@@ -128,16 +129,12 @@ def render_state(backend_name: str, state) -> str:
     if backend_name == "stochastic":
         items = sorted(state.items(), key=lambda kv: repr(kv[0]))
         return ", ".join(f"{show_point(p)} : {rational(w)}" for p, w in items)
-    parts = []
-    for i, blk in enumerate(state):
-        rows = []
-        for row in np.asarray(blk):
-            rows.append("[" + ", ".join(f"{v.real:.6g}{v.imag:+.6g}j" if abs(v.imag) > 1e-9 else f"{v.real:.6g}" for v in row) + "]")
-        parts.append(f"block {i}: [" + ", ".join(rows) + "]")
-    return "; ".join(parts)
+    return render_pred(state)
 
 
 def render_pred(state) -> str:
+    """Density-matrix blocks, a quantum state or predicate, to six
+    significant digits."""
     parts = []
     for i, blk in enumerate(state):
         rows = []
@@ -147,14 +144,15 @@ def render_pred(state) -> str:
     return "; ".join(parts)
 
 
-def _verify_lemma(judgements, backends, report: DeclReport):
+def _verify_lemma(checked, backends, report: DeclReport):
+    """Verify each (judgement, component derivations) pair in each backend."""
     for backend in backends:
         backend_name = backend.name
-        applicable = all(backend_applicable(backend, j) for j in judgements)
+        applicable = all(backend_applicable(backend, j) for j, _ in checked)
         if not applicable:
             report.backends[backend_name] = "skipped"
             continue
-        ok = all(judgement_true(backend, j) for j in judgements)
+        ok = all(judgement_true(backend, j, ds) for j, ds in checked)
         report.backends[backend_name] = "true" if ok else "false"
         if not ok:
             report.status = "semantic-mismatch"
@@ -168,7 +166,7 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
     env = Env(packs=packs or Env().packs, depth=depth)
     backends = [make_backend(name) for name in verify]
     report = FileReport(path)
-    terms = {}  # name -> (ctx, ty, erased term)
+    terms = {}  # name -> (ctx, type or None for an effect, body, derivation)
     sidecar = sidecar or {}
 
     for decl in sf.decls:
@@ -178,15 +176,15 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
         elif isinstance(decl, TermDecl):
             rep = DeclReport(decl.name, "term", "ok", "typechecked")
             try:
-                check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-                terms[decl.name] = (decl.ctx, decl.ty, decl.term)
+                res = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
+                terms[decl.name] = (decl.ctx, decl.ty, decl.term, res.derivation)
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, EffectDecl):
             rep = DeclReport(decl.name, "effect", "ok", "typechecked")
             try:
-                check_effect(decl.ctx, decl.eff, env.resolver(decl.requires))
-                terms[decl.name] = (decl.ctx, None, decl.eff)
+                res = check_effect(decl.ctx, decl.eff, env.resolver(decl.requires))
+                terms[decl.name] = (decl.ctx, None, decl.eff, res.derivation)
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, LemmaDecl):
@@ -220,7 +218,7 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
         scripts = [script.fwd, script.bwd]
 
     try:
-        for j, s in zip(checked, scripts):
+        for (j, _), s in zip(checked, scripts):
             if s is None:
                 if isinstance(j, TermEq):
                     raise DerivationError(
@@ -237,9 +235,9 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
         rep.status, rep.message = "type-error", str(exc)
         return rep
     rep.stage = "lemma-checked"
-    env.lemmas[decl.name] = checked
+    env.lemmas[decl.name] = [j for j, _ in checked]
 
-    _verify_lemma(goals, backends, rep)
+    _verify_lemma(checked, backends, rep)
     return rep
 
 
@@ -248,7 +246,7 @@ def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
     if decl.name not in terms:
         rep.status, rep.message = "type-error", f"check names unknown declaration {decl.name!r}"
         return rep
-    ctx, ty, body = terms[decl.name]
+    ctx, ty, body, derivation = terms[decl.name]
     if ty is None:
         rep.status, rep.message = "type-error", "check expects a term declaration"
         return rep
@@ -256,11 +254,10 @@ def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
         rep.status, rep.message = "type-error", "check expects a closed term"
         return rep
     for backend in backends:
-        j = Typing(ctx, body, ty)
-        if not backend_applicable(backend, j):
+        if not backend_applicable(backend, derivation.judgement):
             rep.backends[backend.name] = "skipped"
             continue
-        f = interp_term(backend, Context(), body, ty)
+        f = interp_term(backend, ctx, body, ty, derivation)
         rep.backends[backend.name] = render_state(backend.name, backend.state_of_mor(f))
     if backends and rep.status == "ok":
         rep.stage = "evaluated"
@@ -271,15 +268,19 @@ def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
 
 
 def eval_decl(sf: SourceFile, name: str, backend_name: str, *, depth=6):
-    """Evaluate a closed term declaration to a backend state."""
+    """Evaluate a closed term declaration to a backend state.  A declaration
+    that is open, missing, ill-typed or uses syntax the backend cannot
+    interpret raises QpelTypeError."""
     env = Env(depth=depth)
     backend = make_backend(backend_name)
     for decl in sf.decls:
         if isinstance(decl, TermDecl) and decl.name == name:
             if len(decl.ctx):
                 raise QpelTypeError(f"declaration {name} is not closed")
-            check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-            f = interp_term(backend, Context(), decl.term, decl.ty)
+            d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires)).derivation
+            if not backend_applicable(backend, d.judgement):
+                raise QpelTypeError(f"the {backend_name} backend cannot interpret {name}")
+            f = interp_term(backend, decl.ctx, decl.term, decl.ty, d)
             return backend.state_of_mor(f), decl.ty
     raise QpelTypeError(f"no term declaration named {name!r}")
 
@@ -313,25 +314,22 @@ def wp_decls(sf: SourceFile, term_name: str, effect_name: str, *, depth=6,
             % (term_decl.ty, var_ty)
         )
 
-    check_term(term_decl.ctx, term_decl.term, term_decl.ty, env.resolver(term_decl.requires))
-    body = term_decl.term
-    eres = check_effect(effect_decl.ctx, effect_decl.eff, env.resolver(effect_decl.requires))
-    eff = effect_decl.eff
+    body, eff = term_decl.term, effect_decl.eff
+    dt = check_term(term_decl.ctx, body, term_decl.ty, env.resolver(term_decl.requires))
+    de = check_effect(effect_decl.ctx, eff, env.resolver(effect_decl.requires))
 
-    f = interp_term(backend, term_decl.ctx, body, term_decl.ty)
+    f = interp_term(backend, term_decl.ctx, body, term_decl.ty, dt.derivation)
     # P((x : A)) sits at I (x) A; strip the unit factor to get P(A)
-    from .interpreter import interp_type
-
     a_ob = interp_type(backend, term_decl.ty)
-    p_ctx = interp_effect(backend, effect_decl.ctx, eff)
+    p_ctx = interp_effect(backend, effect_decl.ctx, eff, de.derivation)
     p_a = backend.apply_pred(backend.unit_left_inv(a_ob), p_ctx)
     wp = weakest_precondition(backend, f, p_a)
 
     deviation = None
     if cross_check:
-        from .syntax import subst
-
-        substituted = subst(eff, var_name, body)
+        # the ascription keeps the type of a substituted scrutinee known;
+        # the substituted effect is a bare judgement, derived first
+        substituted = subst(eff, var_name, Ascribe(body, term_decl.ty))
         direct = interp_effect(backend, term_decl.ctx, substituted)
         deviation = max(
             float(np.abs(np.asarray(x) - np.asarray(y)).max()) if np.asarray(x).size else 0.0

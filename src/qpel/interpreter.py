@@ -1,11 +1,21 @@
-"""Interpretation of checked judgements in a triangle backend.
+"""Interpretation of checked judgements in a triangle backend: the soundness
+proof read as code.
 
-A context denotes the left-nested tensor of its entry types over the unit
-object, a typing judgement denotes a computation from the context object to
-the type object, and an effect judgement denotes a predicate on the context
-object.  Context bookkeeping (which variables feed which subterm) follows the
-same deterministic splitting policy as the type checker, so every accepted
-judgement interprets without further information.
+The paper proves soundness by giving every formation rule an interpretation
+in an arbitrary state-and-effect triangle.  `interpret` has one case per
+rule, mapping the denotations of the premises to the rule's construction,
+and folds a type checker derivation with them.  A context denotes the
+left-nested tensor of its entry types over the unit object, a typing
+judgement a computation from the context object to the type object, and an
+effect judgement a predicate on the context object.  Nothing is decided
+twice: the scrutinee type of let, case and caseE is the derivation's `ty`
+argument, and each zone is the context of its premise without the variables
+the premise binds.
+
+`interp_term`, `interp_effect` and `judgement_true` take the derivations the
+type checker built.  Given a bare judgement instead, they derive it first
+(`assume_checked`), admitting its inequality obligations unproved: the fold
+reads no inequality premise, so the judgement is assumed checked.
 
 Truth of an equation is denotational equality; truth of an inequality is the
 order of the predicate module.  Both are delegated to the backend, which owns
@@ -14,41 +24,30 @@ its notion of equality (exact or within tolerance).
 from __future__ import annotations
 
 from .syntax import (
-    Ascribe,
-    Case,
-    CaseEff,
-    Context,
     CZ,
     EffForm,
     EffLeq,
-    Inl,
-    Inr,
     Judgement,
-    LetPair,
-    Measure,
     NewPlus,
-    Orth,
-    OSum,
-    Pair,
     PauliX,
     PauliZ,
     ProjPlus,
     ScalarLit,
-    SMul,
-    Star,
     TermEq,
     TQbit,
     TSum,
     TTensor,
     TUnit,
     Typing,
-    Var,
-    Zero,
-    free_vars,
 )
 from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n, tensor_all
-from .rules import freshen_binder
-from .typecheck import split_context, synth_type
+from .typecheck import (
+    Derivation,
+    Resolver,
+    check_judgement,
+    split_context,  # not called here; perfbench/tracer.py rebinds it by name
+    synth_type,  # not called here; perfbench/tracer.py rebinds it by name
+)
 
 
 class InterpError(Exception):
@@ -68,237 +67,205 @@ def interp_type(backend: Backend, ty):
     raise InterpError(f"not a type: {ty!r}")
 
 
-def ctx_ob(backend: Backend, g: Context):
+# A context is given as a Context or as its tuple of (name, type) entries.
+
+
+def ctx_ob(backend: Backend, g):
     return tensor_all(backend, _factors(backend, g))
 
 
-def _factors(backend: Backend, g: Context):
+def _factors(backend: Backend, g):
     return [interp_type(backend, ty) for _, ty in g]
 
 
-def _positions(g: Context, names):
+def _positions(g, names):
     names = set(names)
-    return {i for i, name in enumerate(g.names()) if name in names}
+    return {i for i, (name, _) in enumerate(g) if name in names}
 
 
-def drop_mor(backend: Backend, g: Context, keep):
+def drop_mor(backend: Backend, g, keep):
     """Discard the context entries outside `keep`."""
     return backend.drop_mor(_factors(backend, g), _positions(g, keep))
 
 
-def split_mor(backend: Backend, g: Context, left_names):
+def split_mor(backend: Backend, g, left_names):
     """The structural iso from the context object to the tensor of its
     restriction to `left_names` with the rest (both in context order)."""
     return backend.split_mor(_factors(backend, g), _positions(g, left_names))
 
 
-def interp_term(backend: Backend, g: Context, m, ty):
-    """The computation denoted by g |- m : ty (assumed checked)."""
-    match m:
-        case Ascribe(term=t):
-            return interp_term(backend, g, t, ty)
+# ----------------------------------------------------------------- the fold
 
-        case Var(name=x):
-            a = interp_type(backend, ty)
-            keep = drop_mor(backend, g, {x})
-            return backend.compose(backend.unit_left(a), keep)
 
-        case Star():
-            return backend.terminal(ctx_ob(backend, g))
+def _zone(d: Derivation, binders=0):
+    """The context entries of premise d without the `binders` variables the
+    premise binds, which come last."""
+    entries = d.judgement.ctx.entries
+    return entries[: len(entries) - binders]
 
-        case Pair(left=l, right=r):
-            if not isinstance(ty, TTensor):
-                raise InterpError("pair at non-tensor type")
-            gl, gr = split_context(g, [free_vars(l), free_vars(r)])
-            fl = interp_term(backend, gl, l, ty.left)
-            fr = interp_term(backend, gr, r, ty.right)
-            return backend.compose(backend.tensor_mor(fl, fr), split_mor(backend, g, gl.names()))
 
-        case LetPair(x=x, y=y, pair=p, body=n):
-            tp = synth_type(g, p)
-            if not isinstance(tp, TTensor):
-                raise InterpError("let scrutinee lacks a tensor type")
-            x, n = freshen_binder(x, n, g.names())
-            y, n = freshen_binder(y, n, set(g.names()) | {x})
-            gp, gn = split_context(g, [free_vars(p), free_vars(n) - {x, y}])
-            fp = interp_term(backend, gp, p, tp)
-            a = interp_type(backend, tp.left)
-            b = interp_type(backend, tp.right)
-            dn = ctx_ob(backend, gn)
-            body_ctx = gn.extend(x, tp.left).extend(y, tp.right)
-            fn = interp_term(backend, body_ctx, n, ty)
-            ab = backend.tensor_ob(a, b)
+def interpret(backend: Backend, d: Derivation):
+    """The denotation of the conclusion of a formation derivation: a
+    computation for a typing, a predicate for an effect formation.  One case
+    per formation rule."""
+    j, ps = d.judgement, d.children
+
+    def rec(p):
+        return interpret(backend, p)
+
+    def split(first):
+        # the iso from the context object to the zone of the first premise
+        # tensored with the rest
+        return split_mor(backend, j.ctx, [name for name, _ in _zone(first)])
+
+    def summands(ty):
+        return interp_type(backend, ty.left), interp_type(backend, ty.right)
+
+    match d.rule:
+        case "var":
+            keep = drop_mor(backend, j.ctx, {j.term.name})
+            return backend.compose(backend.unit_left(interp_type(backend, j.ty)), keep)
+        case "unit":
+            return backend.terminal(ctx_ob(backend, j.ctx))
+        case "tensor":
+            l, r = ps
+            return backend.compose(backend.tensor_mor(rec(l), rec(r)), split(l))
+        case "let":
+            p, n = ps
+            a, b = summands(d.args["ty"])
+            dn = ctx_ob(backend, _zone(n, 2))
             return compose_all(
                 backend,
-                fn,
+                rec(n),
                 backend.assoc_inv(dn, a, b),
-                backend.symmetry(ab, dn),
-                backend.tensor_mor(fp, backend.identity(dn)),
-                split_mor(backend, g, gp.names()),
+                backend.symmetry(backend.tensor_ob(a, b), dn),
+                backend.tensor_mor(rec(p), backend.identity(dn)),
+                split(p),
             )
-
-        case Inl(arg=a):
-            if not isinstance(ty, TSum):
-                raise InterpError("inl at non-sum type")
-            f = interp_term(backend, g, a, ty.left)
-            return backend.compose(
-                backend.inj1(interp_type(backend, ty.left), interp_type(backend, ty.right)), f
-            )
-
-        case Inr(arg=a):
-            if not isinstance(ty, TSum):
-                raise InterpError("inr at non-sum type")
-            f = interp_term(backend, g, a, ty.right)
-            return backend.compose(
-                backend.inj2(interp_type(backend, ty.left), interp_type(backend, ty.right)), f
-            )
-
-        case Case(scrut=s, x=x, left=n, y=y, right=p):
-            ts = synth_type(g, s)
-            if not isinstance(ts, TSum):
-                raise InterpError("case scrutinee lacks a sum type")
-            x, n = freshen_binder(x, n, g.names())
-            y, p = freshen_binder(y, p, set(g.names()) | {x})
-            branch_need = (free_vars(n) - {x}) | (free_vars(p) - {y})
-            gs, gb = split_context(g, [free_vars(s), branch_need])
-            fs = interp_term(backend, gs, s, ts)
-            a = interp_type(backend, ts.left)
-            b = interp_type(backend, ts.right)
-            d = ctx_ob(backend, gb)
-            fn = interp_term(backend, gb.extend(x, ts.left), n, ty)
-            fp = interp_term(backend, gb.extend(y, ts.right), p, ty)
-            branch1 = backend.compose(fn, backend.symmetry(a, d))
-            branch2 = backend.compose(fp, backend.symmetry(b, d))
+        case "inl":
+            return backend.compose(backend.inj1(*summands(j.ty)), rec(ps[0]))
+        case "inr":
+            return backend.compose(backend.inj2(*summands(j.ty)), rec(ps[0]))
+        case "case":
+            s, l, r = ps
+            a, b = summands(d.args["ty"])
+            dd = ctx_ob(backend, _zone(l, 1))
+            branch1 = backend.compose(rec(l), backend.symmetry(a, dd))
+            branch2 = backend.compose(rec(r), backend.symmetry(b, dd))
             return compose_all(
                 backend,
                 backend.cotuple(branch1, branch2),
-                backend.dist_left(a, b, d),
-                backend.tensor_mor(fs, backend.identity(d)),
-                split_mor(backend, g, gs.names()),
+                backend.dist_left(a, b, dd),
+                backend.tensor_mor(rec(s), backend.identity(dd)),
+                split(s),
             )
-
-        case Measure(branches=bs):
-            eff_need = frozenset().union(*(free_vars(phi) for phi, _ in bs))
-            term_need = frozenset().union(*(free_vars(t) for _, t in bs))
-            ge, gt = split_context(g, [eff_need, term_need])
-            preds = [interp_effect(backend, ge, phi) for phi, _ in bs]
-            meas = backend.meas(ctx_ob(backend, ge), preds)
-            d = ctx_ob(backend, gt)
-            arms = [interp_term(backend, gt, t, ty) for _, t in bs]
-            n = len(bs)
+        case "measure":
+            # ps[0] proves that the branch effects, the formations, cover
+            # the top effect; the arms follow
+            arms, first = ps[1:], d.formations[0]
+            meas = backend.meas(ctx_ob(backend, _zone(first)), [rec(f) for f in d.formations])
+            dd = ctx_ob(backend, _zone(arms[0]))
             return compose_all(
                 backend,
-                cotuple_n(backend, arms),
-                dist_n(backend, n, d),
-                backend.tensor_mor(meas, backend.identity(d)),
-                split_mor(backend, g, ge.names()),
+                cotuple_n(backend, [rec(arm) for arm in arms]),
+                dist_n(backend, len(arms), dd),
+                backend.tensor_mor(meas, backend.identity(dd)),
+                split(first),
             )
-
-        case NewPlus():
-            return backend.compose(backend.qbit_plus_prep(), backend.terminal(ctx_ob(backend, g)))
-
-        case PauliX(arg=a):
-            return backend.compose(backend.qbit_x(), interp_term(backend, g, a, TQbit()))
-
-        case PauliZ(arg=a):
-            return backend.compose(backend.qbit_z(), interp_term(backend, g, a, TQbit()))
-
-        case CZ(left=l, right=r):
-            gl, gr = split_context(g, [free_vars(l), free_vars(r)])
-            fl = interp_term(backend, gl, l, TQbit())
-            fr = interp_term(backend, gr, r, TQbit())
-            return compose_all(
-                backend,
-                backend.qbit_cz(),
-                backend.tensor_mor(fl, fr),
-                split_mor(backend, g, gl.names()),
-            )
-
-    raise InterpError(f"not a term: {m!r}")
-
-
-def interp_effect(backend: Backend, g: Context, e):
-    """The predicate on the context object denoted by g |- e eff."""
-    obj = ctx_ob(backend, g)
-    match e:
-        case Zero():
-            return backend.pred_zero(obj)
-
-        case ScalarLit(value=v):
-            return backend.pred_of_scalar(obj, backend.scalar_of_fraction(v))
-
-        case Orth(arg=a):
-            return backend.pred_orth(obj, interp_effect(backend, g, a))
-
-        case OSum(left=a, right=b):
-            s = backend.pred_ovee(
-                interp_effect(backend, g, a), interp_effect(backend, g, b)
-            )
+        case "qbit-new":
+            discard = backend.terminal(ctx_ob(backend, j.ctx))
+            return backend.compose(backend.qbit_plus_prep(), discard)
+        case "qbit-x":
+            return backend.compose(backend.qbit_x(), rec(ps[0]))
+        case "qbit-z":
+            return backend.compose(backend.qbit_z(), rec(ps[0]))
+        case "qbit-cz":
+            l, r = ps
+            pair = backend.tensor_mor(rec(l), rec(r))
+            return compose_all(backend, backend.qbit_cz(), pair, split(l))
+        case "eff-0":
+            return backend.pred_zero(ctx_ob(backend, j.ctx))
+        case "lit":
+            scalar = backend.scalar_of_fraction(j.eff.value)
+            return backend.pred_of_scalar(ctx_ob(backend, j.ctx), scalar)
+        case "eff-bot":
+            return backend.pred_orth(ctx_ob(backend, j.ctx), rec(ps[0]))
+        case "eff-ovee":
+            # ps[0] proves the summands, the formations, orthogonal
+            s = backend.pred_ovee(*(rec(f) for f in d.formations))
             if s is None:
                 raise InterpError(
                     "the denotations of an accepted effect sum are not summable;"
                     " this would contradict soundness"
                 )
             return s
-
-        case SMul(scalar=a, body=b):
-            r = backend.scalar_of_pred(interp_effect(backend, Context(), a))
-            return backend.pred_smul(r, interp_effect(backend, g, b))
-
-        case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            ts = synth_type(g, m)
-            if not isinstance(ts, TSum):
-                raise InterpError("caseE scrutinee lacks a sum type")
-            x, a = freshen_binder(x, a, g.names())
-            y, b = freshen_binder(y, b, set(g.names()) | {x})
-            branch_need = (free_vars(a) - {x}) | (free_vars(b) - {y})
-            gb, gm = split_context(g, [branch_need, free_vars(m)])
-            fm = interp_term(backend, gm, m, ts)
-            ta = interp_type(backend, ts.left)
-            tb = interp_type(backend, ts.right)
-            gbo = ctx_ob(backend, gb)
+        case "eff-mult":
+            scalar, body = ps
+            return backend.pred_smul(backend.scalar_of_pred(rec(scalar)), rec(body))
+        case "eff-case":
+            l, r, m = ps
+            ta, tb = summands(d.args["ty"])
+            gbo = ctx_ob(backend, _zone(l, 1))
             h = compose_all(
                 backend,
                 backend.dist_right(gbo, ta, tb),
-                backend.tensor_mor(backend.identity(gbo), fm),
-                split_mor(backend, g, gb.names()),
+                backend.tensor_mor(backend.identity(gbo), rec(m)),
+                split(l),
             )
-            pa = interp_effect(backend, gb.extend(x, ts.left), a)
-            pb = interp_effect(backend, gb.extend(y, ts.right), b)
             paired = backend.pred_pair(
-                backend.tensor_ob(gbo, ta), backend.tensor_ob(gbo, tb), pa, pb
+                backend.tensor_ob(gbo, ta), backend.tensor_ob(gbo, tb), rec(l), rec(r)
             )
             return backend.apply_pred(h, paired)
-
-        case ProjPlus(term=m, angle=q):
-            fm = interp_term(backend, g, m, TQbit())
-            return backend.apply_pred(fm, backend.qbit_proj(q))
-
-    raise InterpError(f"not an effect: {e!r}")
+        case "qbit-proj":
+            return backend.apply_pred(rec(ps[0]), backend.qbit_proj(j.eff.angle))
+    raise InterpError(f"{d.rule} is not a formation rule")
 
 
 # ----------------------------------------------------------------- judgements
 
 
-def judgement_true(backend: Backend, j: Judgement) -> bool:
-    """Truth per the denotational semantics (assumes the judgement checked)."""
+class _Admitted(Resolver):
+    """Admits every inequality obligation unproved."""
+
+    def resolve(self, goal: EffLeq) -> Derivation:
+        return Derivation("admitted", goal)
+
+
+def assume_checked(j: Judgement) -> tuple:
+    """The derivations of the components of a judgement that is assumed
+    checked: derived by the type checker with every inequality obligation
+    admitted, which the fold never reads."""
+    return check_judgement(j, _Admitted())[1]
+
+
+def interp_term(backend: Backend, g, m, ty, derivation=None):
+    """The computation denoted by g |- m : ty, read off its derivation, which
+    is derived first when not given."""
+    if derivation is None:
+        (derivation,) = assume_checked(Typing(g, m, ty))
+    return interpret(backend, derivation)
+
+
+def interp_effect(backend: Backend, g, e, derivation=None):
+    """The predicate on the context object denoted by g |- e eff, read off
+    its derivation, which is derived first when not given."""
+    if derivation is None:
+        (derivation,) = assume_checked(EffForm(g, e))
+    return interpret(backend, derivation)
+
+
+def judgement_true(backend: Backend, j: Judgement, derivations=None) -> bool:
+    """Truth per the denotational semantics.  `derivations` are those of j's
+    components, as `check_judgement` returns them; they are derived first
+    when not given."""
+    if derivations is None:
+        derivations = assume_checked(j)
+    dens = [interpret(backend, d) for d in derivations]
     if isinstance(j, TermEq):
-        return backend.mor_eq(
-            interp_term(backend, j.ctx, j.lhs, j.ty),
-            interp_term(backend, j.ctx, j.rhs, j.ty),
-        )
+        return backend.mor_eq(*dens)
     if isinstance(j, EffLeq):
-        return backend.pred_leq(
-            interp_effect(backend, j.ctx, j.low),
-            interp_effect(backend, j.ctx, j.high),
-        )
-    if isinstance(j, Typing):
-        interp_term(backend, j.ctx, j.term, j.ty)
-        return True
-    if isinstance(j, EffForm):
-        interp_effect(backend, j.ctx, j.eff)
-        return True
-    raise TypeError(j)
+        return backend.pred_leq(*dens)
+    return True
 
 
 def weakest_precondition(backend: Backend, f, q):

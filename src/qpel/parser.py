@@ -61,6 +61,7 @@ from .syntax import (
     Var,
     Zero,
     desugar_let,
+    rebuilt,
 )
 
 
@@ -831,16 +832,21 @@ class DeclTables:
     effects: dict
 
 
+def _shadow(bound, tables: DeclTables, *names):
+    """`bound` with the binders among names that shadow a declared term,
+    the only names it is consulted for."""
+    hidden = [n for n in names if n in tables.terms and n not in bound]
+    return bound | frozenset(hidden) if hidden else bound
+
+
 def resolve_type(t: Type, tables: DeclTables) -> Type:
     match t:
         case TRef(name=n):
             if n not in tables.types:
                 raise ElabError(f"unknown type name {n!r}")
             return tables.types[n]
-        case TTensor(left=a, right=b):
-            return TTensor(resolve_type(a, tables), resolve_type(b, tables))
-        case TSum(left=a, right=b):
-            return TSum(resolve_type(a, tables), resolve_type(b, tables))
+        case TTensor(left=a, right=b) | TSum(left=a, right=b):
+            return rebuilt(t, left=resolve_type(a, tables), right=resolve_type(b, tables))
         case _:
             return t
 
@@ -852,35 +858,25 @@ def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
             if x not in bound and x in tables.terms:
                 return tables.terms[x]
             return m
-        case Pair(left=a, right=b):
-            return Pair(rec(a), rec(b))
+        case Pair(left=a, right=b) | CZ(left=a, right=b):
+            return rebuilt(m, left=rec(a), right=rec(b))
         case LetPair(x=x, y=y, pair=p, body=n):
-            return LetPair(x, y, rec(p), resolve_term(n, tables, bound | {x, y}))
+            body = resolve_term(n, tables, _shadow(bound, tables, x, y))
+            return rebuilt(m, pair=rec(p), body=body)
         case Star() | NewPlus():
             return m
-        case Inl(arg=a):
-            return Inl(rec(a))
-        case Inr(arg=a):
-            return Inr(rec(a))
+        case Inl(arg=a) | Inr(arg=a) | PauliX(arg=a) | PauliZ(arg=a):
+            return rebuilt(m, arg=rec(a))
         case Case(scrut=s, x=x, left=n, y=y, right=p):
-            return Case(
-                rec(s), x, resolve_term(n, tables, bound | {x}),
-                y, resolve_term(p, tables, bound | {y}),
+            return rebuilt(
+                m, scrut=rec(s), left=resolve_term(n, tables, _shadow(bound, tables, x)),
+                right=resolve_term(p, tables, _shadow(bound, tables, y)),
             )
         case Measure(branches=bs):
-            return Measure(
-                tuple(
-                    (resolve_effect(phi, tables, bound), rec(t)) for phi, t in bs
-                )
-            )
-        case PauliX(arg=a):
-            return PauliX(rec(a))
-        case PauliZ(arg=a):
-            return PauliZ(rec(a))
-        case CZ(left=a, right=b):
-            return CZ(rec(a), rec(b))
+            out = tuple((resolve_effect(phi, tables, bound), rec(t)) for phi, t in bs)
+            return rebuilt(m, branches=out)
         case Ascribe(term=t, ty=ty):
-            return Ascribe(rec(t), resolve_type(ty, tables))
+            return rebuilt(m, term=rec(t), ty=resolve_type(ty, tables))
     raise TypeError(f"not a term: {m!r}")
 
 
@@ -894,18 +890,19 @@ def resolve_effect(e: Effect, tables: DeclTables, bound=frozenset()) -> Effect:
         case Zero() | ScalarLit():
             return e
         case OSum(left=a, right=b):
-            return OSum(rec(a), rec(b))
+            return rebuilt(e, left=rec(a), right=rec(b))
         case Orth(arg=a):
-            return Orth(rec(a))
+            return rebuilt(e, arg=rec(a))
         case SMul(scalar=a, body=b):
-            return SMul(rec(a), rec(b))
+            return rebuilt(e, scalar=rec(a), body=rec(b))
         case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            return CaseEff(
-                resolve_term(m, tables, bound), x, resolve_effect(a, tables, bound | {x}),
-                y, resolve_effect(b, tables, bound | {y}),
+            return rebuilt(
+                e, scrut=resolve_term(m, tables, bound),
+                left=resolve_effect(a, tables, _shadow(bound, tables, x)),
+                right=resolve_effect(b, tables, _shadow(bound, tables, y)),
             )
-        case ProjPlus(term=m, angle=q):
-            return ProjPlus(resolve_term(m, tables, bound), q)
+        case ProjPlus(term=m):
+            return rebuilt(e, term=resolve_term(m, tables, bound))
     raise TypeError(f"not an effect: {e!r}")
 
 

@@ -7,7 +7,7 @@ survive wherever no capture threatens.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
@@ -637,39 +637,40 @@ def desugar_let(x: str, bound: Term, body: Term) -> LetPair:
     return LetPair(x, y, Pair(bound, Star()), body)
 
 
+def _same(a, b):
+    """a is b, or both are tuples of the same objects (measure branches)."""
+    return a is b or (type(a) is tuple and len(a) == len(b) and all(map(_same, a, b)))
+
+
+def rebuilt(node, **parts):
+    """node with the given fields, or node itself when it already has them,
+    so that a rewrite that changes nothing shares the whole tree."""
+    if all(_same(getattr(node, k), v) for k, v in parts.items()):
+        return node
+    return replace(node, **parts)
+
+
 def erase_ascriptions(s):
-    """Drop every surface type ascription from a term or effect."""
+    """Drop every surface type ascription from a term or effect; a tree
+    without one is returned itself."""
+    e = erase_ascriptions
     match s:
         case Ascribe(term=m):
-            return erase_ascriptions(m)
+            return e(m)
         case Var() | Star() | NewPlus() | Zero() | ScalarLit():
             return s
-        case Pair(left=m, right=n):
-            return Pair(erase_ascriptions(m), erase_ascriptions(n))
-        case LetPair(x=x, y=y, pair=m, body=n):
-            return LetPair(x, y, erase_ascriptions(m), erase_ascriptions(n))
-        case Inl(arg=m):
-            return Inl(erase_ascriptions(m))
-        case Inr(arg=m):
-            return Inr(erase_ascriptions(m))
-        case Case(scrut=m, x=x, left=n, y=y, right=p):
-            return Case(erase_ascriptions(m), x, erase_ascriptions(n), y, erase_ascriptions(p))
+        case Pair(left=m, right=n) | CZ(left=m, right=n) | OSum(left=m, right=n):
+            return rebuilt(s, left=e(m), right=e(n))
+        case LetPair(pair=m, body=n):
+            return rebuilt(s, pair=e(m), body=e(n))
+        case Inl(arg=m) | Inr(arg=m) | PauliX(arg=m) | PauliZ(arg=m) | Orth(arg=m):
+            return rebuilt(s, arg=e(m))
+        case Case(scrut=m, left=n, right=p) | CaseEff(scrut=m, left=n, right=p):
+            return rebuilt(s, scrut=e(m), left=e(n), right=e(p))
         case Measure(branches=bs):
-            return Measure(tuple((erase_ascriptions(e), erase_ascriptions(t)) for e, t in bs))
-        case PauliX(arg=m):
-            return PauliX(erase_ascriptions(m))
-        case PauliZ(arg=m):
-            return PauliZ(erase_ascriptions(m))
-        case CZ(left=m, right=n):
-            return CZ(erase_ascriptions(m), erase_ascriptions(n))
-        case OSum(left=a, right=b):
-            return OSum(erase_ascriptions(a), erase_ascriptions(b))
-        case Orth(arg=a):
-            return Orth(erase_ascriptions(a))
+            return rebuilt(s, branches=tuple((e(phi), e(t)) for phi, t in bs))
         case SMul(scalar=a, body=b):
-            return SMul(erase_ascriptions(a), erase_ascriptions(b))
-        case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            return CaseEff(erase_ascriptions(m), x, erase_ascriptions(a), y, erase_ascriptions(b))
-        case ProjPlus(term=m, angle=q):
-            return ProjPlus(erase_ascriptions(m), q)
+            return rebuilt(s, scalar=e(a), body=e(b))
+        case ProjPlus(term=m):
+            return rebuilt(s, term=e(m))
     raise TypeError(f"not syntax: {s!r}")

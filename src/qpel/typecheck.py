@@ -18,9 +18,11 @@ check, synthesis of the scrutinee type of let, case and caseE (passed to the
 schema as its `ty` argument), the rule `lit` of scalar literals, the check
 that a scalar factor is closed, and forming the summands of o+ and the
 branch effects of measure before their inequality premise, so that attached
-scripts meet the obligations in source order.  Accepted judgements come with
-a derivation whose nodes are instances of the schemas, which the derivation
-checker re-validates.
+scripts meet the obligations in source order; those formation derivations
+stay on the node for the interpreter.  Accepted judgements come with a
+derivation whose nodes are instances of the schemas, with every ascription
+erased from their judgements, which the derivation checker re-validates and
+the interpreter folds into a denotation.
 """
 from __future__ import annotations
 
@@ -79,11 +81,11 @@ class ObligationError(QpelTypeError):
         extra = f": {detail}" if detail else ""
         super().__init__(
             "undischarged obligation "
-            f"{_show_judgement(judgement)}{extra}"
+            f"{show_judgement(judgement)}{extra}"
         )
 
 
-def _show_judgement(j: Judgement) -> str:
+def show_judgement(j: Judgement) -> str:
     names = ", ".join(f"{n} : {print_type(t)}" for n, t in j.ctx)
     pre = f"{names} |- " if names else "|- "
     if isinstance(j, Typing):
@@ -97,19 +99,19 @@ def _show_judgement(j: Judgement) -> str:
 
 @dataclass(frozen=True)
 class Derivation:
+    """An instance of rule `rule` concluding `judgement` from the derivations
+    of its premises, `children`.  `formations` are the formation derivations
+    of the effects an o+ or measure obligation is about: the type checker
+    builds them, the interpreter reads them, and as they are not premises of
+    the schema, scripts and rechecking ignore them.  The derivations of
+    declared terms live as long as their file's report is built, hence the
+    slots."""
+
     rule: str
     judgement: Judgement
     children: tuple = ()
     args: dict = field(default_factory=dict, compare=False)
-
-    def rules_used(self) -> frozenset:
-        out = {self.rule}
-        for c in self.children:
-            out |= c.rules_used()
-        return frozenset(out)
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+    formations: tuple = field(default=(), compare=False, repr=False)
 
 
 class Resolver:
@@ -356,42 +358,54 @@ def _derive(goal, resolver: Resolver) -> Derivation:
     # the summands of a sum and the branch effects of a measurement form
     # before their inequality premise is resolved, so that attached scripts
     # meet the obligations in source order
+    effects = ()
     if name == "eff-ovee":
-        _derive(EffForm(zones["G"], node.left), resolver)
-        _derive(EffForm(zones["G"], node.right), resolver)
+        effects = (node.left, node.right)
     elif name == "measure":
-        for phi, _ in node.branches:
-            _derive(EffForm(zones["G"], phi), resolver)
+        effects = tuple(phi for phi, _ in node.branches)
+    formations = tuple(_derive(EffForm(zones["G"], phi), resolver) for phi in effects)
 
+    # A derivation's judgement holds no ascription, and _derive returns its
+    # own goal when that has none; so the goal here holds one below its head
+    # exactly when a derived premise or formation comes back with another.
+    ascribed = any(f.judgement.eff is not phi for f, phi in zip(formations, effects))
     children = []
     for p in instn.premises:
         j = p.to_judgement(zones[p.zone])
-        children.append(resolver.resolve(j) if p.shape[0] == "leq" else _derive(j, resolver))
-    return Derivation(name, goal, tuple(children), args)
+        if p.shape[0] == "leq":
+            children.append(resolver.resolve(j))
+            continue
+        d = _derive(j, resolver)
+        ascribed = ascribed or d.judgement is not j
+        children.append(d)
+    if ascribed:
+        if type(goal) is Typing:
+            goal = Typing(goal.ctx, erase_ascriptions(node), goal.ty)
+        else:
+            goal = EffForm(goal.ctx, erase_ascriptions(node))
+    return Derivation(name, goal, tuple(children), args, formations)
 
 
 # -------------------------------------------------- judgement-level checking
 
 
-def check_judgement(j: Judgement, resolver: Resolver) -> Judgement:
-    """Check every component of a judgement; returns the ascription-erased
-    judgement ready for derivation checking."""
+def check_judgement(j: Judgement, resolver: Resolver):
+    """Check every component of a judgement.  Returns the ascription-erased
+    judgement, ready for derivation checking, with the derivations of its
+    components (one for a typing or a formation, two for an equation or an
+    inequality)."""
     if isinstance(j, Typing):
-        check_term(j.ctx, j.term, j.ty, resolver)
-        return Typing(j.ctx, erase_ascriptions(j.term), j.ty)
+        d = check_term(j.ctx, j.term, j.ty, resolver).derivation
+        return d.judgement, (d,)
     if isinstance(j, TermEq):
-        check_term(j.ctx, j.lhs, j.ty, resolver)
-        check_term(j.ctx, j.rhs, j.ty, resolver)
-        return TermEq(j.ctx, erase_ascriptions(j.lhs), erase_ascriptions(j.rhs), j.ty)
+        dl = check_term(j.ctx, j.lhs, j.ty, resolver).derivation
+        dr = check_term(j.ctx, j.rhs, j.ty, resolver).derivation
+        return TermEq(j.ctx, dl.judgement.term, dr.judgement.term, j.ty), (dl, dr)
     if isinstance(j, EffForm):
-        check_effect(j.ctx, j.eff, resolver)
-        return EffForm(j.ctx, erase_ascriptions(j.eff))
+        d = check_effect(j.ctx, j.eff, resolver).derivation
+        return d.judgement, (d,)
     if isinstance(j, EffLeq):
-        check_effect(j.ctx, j.low, resolver)
-        check_effect(j.ctx, j.high, resolver)
-        return EffLeq(j.ctx, erase_ascriptions(j.low), erase_ascriptions(j.high))
+        dl = check_effect(j.ctx, j.low, resolver).derivation
+        dh = check_effect(j.ctx, j.high, resolver).derivation
+        return EffLeq(j.ctx, dl.judgement.eff, dh.judgement.eff), (dl, dh)
     raise TypeError(j)
-
-
-def show_judgement(j: Judgement) -> str:
-    return _show_judgement(j)

@@ -123,7 +123,7 @@ def _checked_corpus():
     out = []
     for it in all_items():
         env = Env(packs=frozenset({"core", "qubit", "beta-iso"}))
-        j = check_judgement(it.judgement, env.resolver(it.requires))
+        j, _ = check_judgement(it.judgement, env.resolver(it.requires))
         check_script(j, it.script, env)
         out.append((it, j))
     return out
@@ -169,7 +169,7 @@ def test_criterion_3_rule_coverage():
     for it in items:
         env = Env(packs=frozenset({"core", "qubit", "beta-iso"}))
         try:
-            jm = check_judgement(it.mutant, env.resolver(it.requires))
+            jm, _ = check_judgement(it.mutant, env.resolver(it.requires))
             check_script(jm, it.script, env)
             raise AssertionError(f"mutant accepted: {it.name}")
         except (DerivationError, ObligationError, QpelTypeError):
@@ -334,7 +334,7 @@ def test_criterion_7_qubit_identities():
     for rule in equational:
         it = build_item(rule, 0)
         env = Env()
-        j = check_judgement(it.judgement, env.resolver(it.requires))
+        j, _ = check_judgement(it.judgement, env.resolver(it.requires))
         d = check_script(j, it.script, env)
         assert d.rule == rule
         # depth 1: every child discharges a typing premise, no nested equations
@@ -445,7 +445,7 @@ def test_criterion_9_beta_iso_pack():
     for k in range(3):
         it = build_item("beta-iso", k)
         off = Env(packs=frozenset({"core", "qubit"}))
-        j = check_judgement(it.judgement, off.resolver(it.requires))
+        j, _ = check_judgement(it.judgement, off.resolver(it.requires))
         with pytest.raises(DerivationError):
             check_script(j, it.script, off)
         on = Env(packs=frozenset({"core", "qubit", "beta-iso"}))

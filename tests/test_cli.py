@@ -97,6 +97,24 @@ def test_eval_open_term_rejected():
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("backend,decl", [("set", "coin"), ("stochastic", "flip")])
+def test_eval_in_a_backend_that_cannot_interpret_exits_3(backend, decl):
+    # coin draws a probability literal, flip makes a qubit
+    out = run("eval", "--backend", backend, "corpus/intro.qpel", decl)
+    assert out.returncode == 3
+    assert out.stderr == f"error: the {backend} backend cannot interpret {decl}\n"
+
+
+def test_wp_cross_check_substitutes_into_a_case_scrutinee(tmp_path):
+    # the substituted scrutinee `inl unit` has no synthesisable type unless
+    # it keeps the term's ascription
+    p = write(tmp_path, "w.qpel", "term m () : I + I = inl unit\n"
+              "effect e (x : I + I) = caseE x of inl a -> bot(0) | inr b -> 0\n")
+    out = run("wp", "--cross-check", p, "m", "e")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "block 0: [[1]]\ncross-check max deviation: 0.000e+00\n"
+
+
 def test_wp_cross_check_zero_deviation():
     out = run("wp", "--cross-check", "corpus/intro.qpel", "zgate", "prjhalf")
     assert out.returncode == 0

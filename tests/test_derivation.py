@@ -107,7 +107,7 @@ def test_beta_iso_needs_its_pack():
 
     it = build_item("beta-iso", 0)
     e_off = Env(packs=frozenset({"core", "qubit"}))
-    j = check_judgement(it.judgement, e_off.resolver(it.requires))
+    j, _ = check_judgement(it.judgement, e_off.resolver(it.requires))
     with pytest.raises(DerivationError, match="pack"):
         check_script(j, it.script, e_off)
     e_on = Env(packs=frozenset({"core", "qubit", "beta-iso"}))
@@ -229,7 +229,7 @@ def test_qubit_involutions_at_depth_one():
 def test_corpus_rules_used_match_roots():
     for it in all_items():
         e = Env(packs=frozenset({"core", "qubit", "beta-iso"}))
-        j = check_judgement(it.judgement, e.resolver(it.requires))
+        j, _ = check_judgement(it.judgement, e.resolver(it.requires))
         d = check_script(j, it.script, e)
         assert d.rule in set(ALL_RULE_NAMES) | {"use", "both", "arith"}
 

@@ -44,7 +44,7 @@ BACKENDS = [make_backend(n) for n in ("set", "stochastic", "quantum")]
 
 def _verify(it_judgement, script, requires=()):
     env = Env(packs=frozenset({"core", "qubit", "beta-iso"}))
-    j = check_judgement(it_judgement, env.resolver(requires))
+    j, _ = check_judgement(it_judgement, env.resolver(requires))
     check_script(j, script, env)
     for b in BACKENDS:
         if backend_applicable(b, it_judgement):

@@ -17,6 +17,7 @@ from .backends.points import show_point
 from .derivation import DerivationError, Env, check_script
 from .interpreter import (
     backend_applicable,
+    evaluate,
     interp_effect,
     interp_term,
     interp_type,
@@ -166,7 +167,9 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
     env = Env(packs=packs or Env().packs, depth=depth)
     backends = [make_backend(name) for name in verify]
     report = FileReport(path)
-    terms = {}  # name -> (ctx, type or None for an effect, body, derivation)
+    # name -> the derivation of a closed term declaration, which `check`
+    # evaluates, or why `check` cannot evaluate the declaration
+    terms = {}
     sidecar = sidecar or {}
 
     for decl in sf.decls:
@@ -177,14 +180,14 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
             rep = DeclReport(decl.name, "term", "ok", "typechecked")
             try:
                 res = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-                terms[decl.name] = (decl.ctx, decl.ty, decl.term, res.derivation)
+                terms[decl.name] = "check expects a closed term" if len(decl.ctx) else res.derivation
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, EffectDecl):
             rep = DeclReport(decl.name, "effect", "ok", "typechecked")
             try:
-                res = check_effect(decl.ctx, decl.eff, env.resolver(decl.requires))
-                terms[decl.name] = (decl.ctx, None, decl.eff, res.derivation)
+                check_effect(decl.ctx, decl.eff, env.resolver(decl.requires))
+                terms[decl.name] = "check expects a term declaration"
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, LemmaDecl):
@@ -246,19 +249,15 @@ def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
     if decl.name not in terms:
         rep.status, rep.message = "type-error", f"check names unknown declaration {decl.name!r}"
         return rep
-    ctx, ty, body, derivation = terms[decl.name]
-    if ty is None:
-        rep.status, rep.message = "type-error", "check expects a term declaration"
-        return rep
-    if len(ctx):
-        rep.status, rep.message = "type-error", "check expects a closed term"
+    derivation = terms[decl.name]
+    if isinstance(derivation, str):
+        rep.status, rep.message = "type-error", derivation
         return rep
     for backend in backends:
         if not backend_applicable(backend, derivation.judgement):
             rep.backends[backend.name] = "skipped"
             continue
-        f = interp_term(backend, ctx, body, ty, derivation)
-        rep.backends[backend.name] = render_state(backend.name, backend.state_of_mor(f))
+        rep.backends[backend.name] = render_state(backend.name, evaluate(backend, derivation))
     if backends and rep.status == "ok":
         rep.stage = "evaluated"
     return rep
@@ -280,8 +279,7 @@ def eval_decl(sf: SourceFile, name: str, backend_name: str, *, depth=6):
             d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires)).derivation
             if not backend_applicable(backend, d.judgement):
                 raise QpelTypeError(f"the {backend_name} backend cannot interpret {name}")
-            f = interp_term(backend, decl.ctx, decl.term, decl.ty, d)
-            return backend.state_of_mor(f), decl.ty
+            return evaluate(backend, d), decl.ty
     raise QpelTypeError(f"no term declaration named {name!r}")
 
 

@@ -12,6 +12,10 @@ twice: the scrutinee type of let, case and caseE is the derivation's `ty`
 argument, and each zone is the context of its premise without the variables
 the premise binds.
 
+`evaluate` gives the state a closed term denotes.  In the quantum backend it
+is a second fold over the derivation whose carrier is a state over the live
+context factors, not a map on the whole context.
+
 `interp_term`, `interp_effect` and `judgement_true` take the derivations the
 type checker built.  Given a bare judgement instead, they derive it first
 (`assume_checked`), admitting its inequality obligations unproved: the fold
@@ -23,6 +27,9 @@ its notion of equality (exact or within tolerance).
 """
 from __future__ import annotations
 
+import numpy as np
+
+from .backends.quantum import QuantumBackend
 from .syntax import (
     CZ,
     EffForm,
@@ -219,6 +226,120 @@ def interpret(backend: Backend, d: Derivation):
         case "qbit-proj":
             return backend.apply_pred(rec(ps[0]), backend.qbit_proj(j.eff.angle))
     raise InterpError(f"{d.rule} is not a formation rule")
+
+
+# ------------------------------------------------ closed terms, state-forward
+
+
+def evaluate(backend: Backend, d: Derivation):
+    """The state denoted by a closed term, given its derivation of |- M : A.
+
+    In the quantum backend it is the second fold below, whose carrier is a
+    state, so no map on a whole context is built; in the others it is the
+    state of the map `interpret` gives."""
+    if not isinstance(backend, QuantumBackend):
+        return backend.state_of_mor(interpret(backend, d))
+    return _forward(backend, d, backend.unit_state(), backend.unit_ob())
+
+
+def _forward(backend: QuantumBackend, d: Derivation, s, rest):
+    """(f (x) id)(s), a state on A (x) rest, where f interprets the typing
+    derivation d of G |- M : A and s is a state on the factors of G followed
+    by the spectator factor `rest`.  One case per term formation rule: a
+    premise runs with its zone's factors leading and the others added to the
+    spectators; a dropped variable is traced out; case and measure run each
+    arm on the blocks of its summand or outcome, and add up the results."""
+    j, ps = d.judgement, d.children
+    g = j.ctx.entries
+    obs = _factors(backend, g) + [rest]
+    here = len(g)  # the index of `rest` in obs
+
+    def rec(p, s, rest):
+        return _forward(backend, p, s, rest)
+
+    def lead(p):
+        # s with the zone of premise p first, the other entries next (the
+        # zone of the other premises) and rest last; the two zones' objects
+        zone = {name for name, _ in _zone(p)}
+        front = [i for i, (name, _) in enumerate(g) if name in zone]
+        back = [i for i, (name, _) in enumerate(g) if name not in zone]
+        moved = backend.reshuffle_state(s, obs, front + back + [here])
+        return (moved, tensor_all(backend, [obs[i] for i in front]),
+                tensor_all(backend, [obs[i] for i in back]))
+
+    def swap(s, a, b):
+        # a state on a (x) b (x) rest to one on b (x) a (x) rest
+        return backend.reshuffle_state(s, [a, b, rest], [1, 0, 2])
+
+    def pair(l, r):
+        # r first, with l's zone among the spectators, then l
+        s_r, _, gl = lead(r)
+        b = interp_type(backend, r.judgement.ty)
+        s_b = rec(r, s_r, backend.tensor_ob(gl, rest))
+        return rec(l, swap(s_b, b, gl), backend.tensor_ob(b, rest))
+
+    def arms(s, sizes, zone):
+        # s on (a sum of summands with `sizes` blocks) (x) zone (x) rest cut
+        # into the summands' blocks: the sum's block index is the most
+        # significant in flat order
+        m = len(backend.tensor_ob(zone, rest))
+        starts = [0]
+        for n in sizes:
+            starts.append(starts[-1] + n * m)
+        return [s[a:b] for a, b in zip(starts, starts[1:])]
+
+    def total(states):
+        return tuple(sum(blocks) for blocks in zip(*states))
+
+    def zeros(a):
+        return tuple(np.zeros((e, e), dtype=complex) for e in backend.tensor_ob(a, rest))
+
+    def summands(ty):
+        return interp_type(backend, ty.left), interp_type(backend, ty.right)
+
+    match d.rule:
+        case "var":
+            names = [name for name, _ in g]
+            return backend.reshuffle_state(s, obs, [names.index(j.term.name), here])
+        case "unit":
+            return backend.reshuffle_state(s, obs, [here])
+        case "tensor":
+            return pair(*ps)
+        case "let":
+            p, n = ps
+            s, _, dn = lead(p)
+            s = rec(p, s, backend.tensor_ob(dn, rest))
+            # the body's context is the zone dn, then the pair's two binders
+            return rec(n, swap(s, interp_type(backend, d.args["ty"]), dn), rest)
+        case "inl":
+            return rec(ps[0], s, rest) + zeros(summands(j.ty)[1])
+        case "inr":
+            return zeros(summands(j.ty)[0]) + rec(ps[0], s, rest)
+        case "case":
+            sc, l, r = ps
+            s, _, dd = lead(sc)
+            a, b = summands(d.args["ty"])
+            left, right = arms(rec(sc, s, backend.tensor_ob(dd, rest)), (len(a), len(b)), dd)
+            # each arm's context is the zone dd, then its binder
+            return total([rec(l, swap(left, a, dd), rest), rec(r, swap(right, b, dd), rest)])
+        case "measure":
+            # the branch effects, the formations, are predicates on the zone
+            # of the first; the arms share the rest
+            s, gm, dd = lead(d.formations[0])
+            meas = backend.meas(gm, [interpret(backend, f) for f in d.formations])
+            s = backend.apply_leading(meas, s, backend.tensor_ob(dd, rest))
+            outcomes = arms(s, [1] * len(d.formations), dd)
+            return total([rec(arm, o, rest) for arm, o in zip(ps[1:], outcomes)])
+        case "qbit-new":
+            s = backend.reshuffle_state(s, obs, [here])
+            return backend.apply_leading(backend.qbit_plus_prep(), s, rest)
+        case "qbit-x":
+            return backend.apply_leading(backend.qbit_x(), rec(ps[0], s, rest), rest)
+        case "qbit-z":
+            return backend.apply_leading(backend.qbit_z(), rec(ps[0], s, rest), rest)
+        case "qbit-cz":
+            return backend.apply_leading(backend.qbit_cz(), pair(*ps), rest)
+    raise InterpError(f"{d.rule} is not a term formation rule")
 
 
 # ----------------------------------------------------------------- judgements

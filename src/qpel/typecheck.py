@@ -104,8 +104,8 @@ class Derivation:
     of the effects an o+ or measure obligation is about: the type checker
     builds them, the interpreter reads them, and as they are not premises of
     the schema, scripts and rechecking ignore them.  The derivations of
-    declared terms live as long as their file's report is built, hence the
-    slots."""
+    closed term declarations live as long as their file's report is built,
+    for `check` to evaluate."""
 
     rule: str
     judgement: Judgement

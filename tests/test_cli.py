@@ -86,6 +86,37 @@ def test_eval_plus_under_quantum():
     assert "[[0.5, 0.5], [0.5, 0.5]]" in out.stdout
 
 
+def test_eval_prints_a_closed_cluster_state_evaluated_forward(tmp_path, monkeypatch):
+    import numpy as np
+
+    from qpel import driver
+    from qpel.driver import render_pred
+
+    n = 6
+    lines = [f"term c6 () : {' * '.join(['qbit'] * n)} ="]
+    lines += [f"  let q{i} = plus in" for i in range(n)]
+    cur = [f"q{i}" for i in range(n)]
+    for i in range(n - 1):
+        lines.append(f"  let e{i}l * e{i}r = E {cur[i]} {cur[i + 1]} in")
+        cur[i], cur[i + 1] = f"e{i}l", f"e{i}r"
+    lines.append("  " + " * ".join(cur))
+    p = write(tmp_path, "c6.qpel", "\n".join(lines) + "\n")
+    # |C_6> = prod CZ(i, i+1) |+>^6, qubit 1 the most significant bit
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    psi = (-1.0) ** (bits[:, :-1] * bits[:, 1:]).sum(axis=1) / 2 ** (n / 2)
+
+    evaluated = []
+    evaluate = driver.evaluate
+    monkeypatch.setattr(driver, "evaluate",
+                        lambda backend, d: evaluated.append(d) or evaluate(backend, d))
+    monkeypatch.setattr(driver, "interp_term", None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--backend", "quantum", p, "c6"])
+    assert code == 0 and len(evaluated) == 1
+    assert out.getvalue() == render_pred((np.outer(psi, psi),)) + "\n"
+
+
 def test_eval_unit_under_set(tmp_path):
     p = write(tmp_path, "u.qpel", "term u () : I = unit\n")
     out = run("eval", "--backend", "set", p, "u")

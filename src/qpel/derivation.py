@@ -176,11 +176,9 @@ def check_script(goal: Judgement, script, env: Env) -> Derivation:
 
 def _auto(goal: Judgement, depth: int, env: Env) -> Derivation:
     if isinstance(goal, Typing):
-        res = check_term(goal.ctx, goal.term, goal.ty, env.resolver())
-        return res.derivation
+        return check_term(goal.ctx, goal.term, goal.ty, env.resolver())
     if isinstance(goal, EffForm):
-        res = check_effect(goal.ctx, goal.eff, env.resolver())
-        return res.derivation
+        return check_effect(goal.ctx, goal.eff, env.resolver())
     if isinstance(goal, EffLeq):
         try:
             return auto_search_leq(goal, depth, env)
@@ -254,9 +252,9 @@ def _discharge(goal, name, args, instn: Instantiation, children, env: Env) -> De
 
 def _auto_premise(j: Judgement, env: Env) -> Derivation:
     if isinstance(j, Typing):
-        return check_term(j.ctx, j.term, j.ty, env.resolver()).derivation
+        return check_term(j.ctx, j.term, j.ty, env.resolver())
     if isinstance(j, EffForm):
-        return check_effect(j.ctx, j.eff, env.resolver()).derivation
+        return check_effect(j.ctx, j.eff, env.resolver())
     if isinstance(j, EffLeq):
         try:
             return auto_search_leq(j, env.depth, env)
@@ -398,12 +396,12 @@ def _try_instantiation(goal, name, instn, depth, env, table, args=None):
             children.append(Derivation("both", j, (df, db)))
         elif isinstance(j, Typing):
             try:
-                children.append(check_term(j.ctx, j.term, j.ty, env.resolver()).derivation)
+                children.append(check_term(j.ctx, j.term, j.ty, env.resolver()))
             except QpelTypeError:
                 return None
         elif isinstance(j, EffForm):
             try:
-                children.append(check_effect(j.ctx, j.eff, env.resolver()).derivation)
+                children.append(check_effect(j.ctx, j.eff, env.resolver()))
             except QpelTypeError:
                 return None
         elif isinstance(j, EffLeq):
@@ -416,7 +414,7 @@ def _try_instantiation(goal, name, instn, depth, env, table, args=None):
                 try:
                     children.append(
                         Derivation(
-                            "ref", j, (check_term(j.ctx, j.lhs, j.ty, env.resolver()).derivation,)
+                            "ref", j, (check_term(j.ctx, j.lhs, j.ty, env.resolver()),)
                         )
                     )
                 except QpelTypeError:

@@ -179,8 +179,8 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
         elif isinstance(decl, TermDecl):
             rep = DeclReport(decl.name, "term", "ok", "typechecked")
             try:
-                res = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-                terms[decl.name] = "check expects a closed term" if len(decl.ctx) else res.derivation
+                d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
+                terms[decl.name] = "check expects a closed term" if len(decl.ctx) else d
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
         elif isinstance(decl, EffectDecl):
@@ -276,7 +276,7 @@ def eval_decl(sf: SourceFile, name: str, backend_name: str, *, depth=6):
         if isinstance(decl, TermDecl) and decl.name == name:
             if len(decl.ctx):
                 raise QpelTypeError(f"declaration {name} is not closed")
-            d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires)).derivation
+            d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
             if not backend_applicable(backend, d.judgement):
                 raise QpelTypeError(f"the {backend_name} backend cannot interpret {name}")
             return evaluate(backend, d), decl.ty
@@ -316,10 +316,10 @@ def wp_decls(sf: SourceFile, term_name: str, effect_name: str, *, depth=6,
     dt = check_term(term_decl.ctx, body, term_decl.ty, env.resolver(term_decl.requires))
     de = check_effect(effect_decl.ctx, eff, env.resolver(effect_decl.requires))
 
-    f = interp_term(backend, term_decl.ctx, body, term_decl.ty, dt.derivation)
+    f = interp_term(backend, term_decl.ctx, body, term_decl.ty, dt)
     # P((x : A)) sits at I (x) A; strip the unit factor to get P(A)
     a_ob = interp_type(backend, term_decl.ty)
-    p_ctx = interp_effect(backend, effect_decl.ctx, eff, de.derivation)
+    p_ctx = interp_effect(backend, effect_decl.ctx, eff, de)
     p_a = backend.apply_pred(backend.unit_left_inv(a_ob), p_ctx)
     wp = weakest_precondition(backend, f, p_a)
 

@@ -46,6 +46,7 @@ from .syntax import (
     TTensor,
     TUnit,
     Typing,
+    subterms,
 )
 from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n, tensor_all
 from .typecheck import (
@@ -400,27 +401,16 @@ def weakest_precondition(backend: Backend, f, q):
 # --------------------------------------------------------------- applicability
 
 
-def _features(node, acc):
-    from .syntax import Syntax
+_QBIT_NODES = frozenset({NewPlus, PauliX, PauliZ, CZ, ProjPlus})
 
-    match node:
-        case ScalarLit(value=v):
-            if v not in (0, 1):
-                acc.add("literal")
-        case NewPlus() | PauliX() | PauliZ() | CZ() | ProjPlus():
-            acc.add("qbit")
-    for f in getattr(node, "__dataclass_fields__", {}):
-        v = getattr(node, f)
-        if isinstance(v, Syntax):
-            _features(v, acc)
-        elif isinstance(v, tuple):
-            for item in v:
-                if isinstance(item, tuple):
-                    for sub in item:
-                        if isinstance(sub, Syntax):
-                            _features(sub, acc)
-                elif isinstance(item, Syntax):
-                    _features(item, acc)
+
+def _features(node, acc):
+    if type(node) in _QBIT_NODES:
+        acc.add("qbit")
+    elif type(node) is ScalarLit and node.value not in (0, 1):
+        acc.add("literal")
+    for m, _ in subterms(node):
+        _features(m, acc)
     return acc
 
 

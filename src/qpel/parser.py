@@ -50,6 +50,7 @@ from .syntax import (
     ScalarLit,
     SMul,
     Star,
+    Syntax,
     Term,
     TermEq,
     TQbit,
@@ -61,6 +62,7 @@ from .syntax import (
     Var,
     Zero,
     desugar_let,
+    map_subterms,
     rebuilt,
 )
 
@@ -832,7 +834,7 @@ class DeclTables:
     effects: dict
 
 
-def _shadow(bound, tables: DeclTables, *names):
+def _shadow(bound, tables: DeclTables, names):
     """`bound` with the binders among names that shadow a declared term,
     the only names it is consulted for."""
     hidden = [n for n in names if n in tables.terms and n not in bound]
@@ -851,59 +853,23 @@ def resolve_type(t: Type, tables: DeclTables) -> Type:
             return t
 
 
-def resolve_term(m: Term, tables: DeclTables, bound=frozenset()) -> Term:
-    rec = lambda t: resolve_term(t, tables, bound)
-    match m:
-        case Var(name=x):
-            if x not in bound and x in tables.terms:
-                return tables.terms[x]
-            return m
-        case Pair(left=a, right=b) | CZ(left=a, right=b):
-            return rebuilt(m, left=rec(a), right=rec(b))
-        case LetPair(x=x, y=y, pair=p, body=n):
-            body = resolve_term(n, tables, _shadow(bound, tables, x, y))
-            return rebuilt(m, pair=rec(p), body=body)
-        case Star() | NewPlus():
-            return m
-        case Inl(arg=a) | Inr(arg=a) | PauliX(arg=a) | PauliZ(arg=a):
-            return rebuilt(m, arg=rec(a))
-        case Case(scrut=s, x=x, left=n, y=y, right=p):
-            return rebuilt(
-                m, scrut=rec(s), left=resolve_term(n, tables, _shadow(bound, tables, x)),
-                right=resolve_term(p, tables, _shadow(bound, tables, y)),
-            )
-        case Measure(branches=bs):
-            out = tuple((resolve_effect(phi, tables, bound), rec(t)) for phi, t in bs)
-            return rebuilt(m, branches=out)
-        case Ascribe(term=t, ty=ty):
-            return rebuilt(m, term=rec(t), ty=resolve_type(ty, tables))
-    raise TypeError(f"not a term: {m!r}")
-
-
-def resolve_effect(e: Effect, tables: DeclTables, bound=frozenset()) -> Effect:
-    rec = lambda x: resolve_effect(x, tables, bound)
-    match e:
-        case EffRef(name=n):
-            if n not in tables.effects:
-                raise ElabError(f"unknown effect name {n!r}")
-            return tables.effects[n]
-        case Zero() | ScalarLit():
-            return e
-        case OSum(left=a, right=b):
-            return rebuilt(e, left=rec(a), right=rec(b))
-        case Orth(arg=a):
-            return rebuilt(e, arg=rec(a))
-        case SMul(scalar=a, body=b):
-            return rebuilt(e, scalar=rec(a), body=rec(b))
-        case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-            return rebuilt(
-                e, scrut=resolve_term(m, tables, bound),
-                left=resolve_effect(a, tables, _shadow(bound, tables, x)),
-                right=resolve_effect(b, tables, _shadow(bound, tables, y)),
-            )
-        case ProjPlus(term=m):
-            return rebuilt(e, term=resolve_term(m, tables, bound))
-    raise TypeError(f"not an effect: {e!r}")
+def resolve_syntax(s, tables: DeclTables, bound=frozenset()):
+    """A term or effect with its references to declared terms, effects and
+    types inlined; `bound` holds the binders that shadow a declared term.
+    A tree without references is returned itself."""
+    cls = type(s)
+    if cls is Var:
+        return tables.terms[s.name] if s.name not in bound and s.name in tables.terms else s
+    if cls is EffRef:
+        if s.name not in tables.effects:
+            raise ElabError(f"unknown effect name {s.name!r}")
+        return tables.effects[s.name]
+    parts = map_subterms(
+        s, lambda m, names: resolve_syntax(m, tables, _shadow(bound, tables, names))
+    )
+    if cls is Ascribe:
+        parts["ty"] = resolve_type(s.ty, tables)
+    return rebuilt(s, **parts)
 
 
 def resolve_context(g: Context, tables: DeclTables) -> Context:
@@ -921,10 +887,8 @@ def resolve_script(s: Script | None, tables: DeclTables):
         case ScriptNode(rule=r, args=args, premises=prems):
             out_args = {}
             for k, v in args.items():
-                if isinstance(v, Term):
-                    out_args[k] = resolve_term(v, tables)
-                elif isinstance(v, Effect):
-                    out_args[k] = resolve_effect(v, tables)
+                if isinstance(v, Syntax):
+                    out_args[k] = resolve_syntax(v, tables)
                 elif isinstance(v, Type):
                     out_args[k] = resolve_type(v, tables)
                 else:
@@ -937,17 +901,17 @@ def resolve_script(s: Script | None, tables: DeclTables):
 def resolve_goal(goal: Goal, tables: DeclTables) -> Goal:
     match goal:
         case GTyping(term=m, ty=a):
-            return GTyping(resolve_term(m, tables), resolve_type(a, tables))
+            return GTyping(resolve_syntax(m, tables), resolve_type(a, tables))
         case GTermEq(lhs=m, rhs=n, ty=a):
-            return GTermEq(resolve_term(m, tables), resolve_term(n, tables), resolve_type(a, tables))
+            return GTermEq(resolve_syntax(m, tables), resolve_syntax(n, tables), resolve_type(a, tables))
         case GLeq(low=a, high=b):
-            return GLeq(resolve_effect(a, tables), resolve_effect(b, tables))
+            return GLeq(resolve_syntax(a, tables), resolve_syntax(b, tables))
         case GEquiv(lhs=a, rhs=b):
-            return GEquiv(resolve_effect(a, tables), resolve_effect(b, tables))
+            return GEquiv(resolve_syntax(a, tables), resolve_syntax(b, tables))
         case GPerp(lhs=a, rhs=b):
-            return GPerp(resolve_effect(a, tables), resolve_effect(b, tables))
+            return GPerp(resolve_syntax(a, tables), resolve_syntax(b, tables))
         case GEff(eff=e):
-            return GEff(resolve_effect(e, tables))
+            return GEff(resolve_syntax(e, tables))
     raise TypeError(goal)
 
 
@@ -973,7 +937,7 @@ def elaborate(raw: SourceFile) -> SourceFile:
                     n,
                     resolve_context(g, tables),
                     resolve_type(t, tables),
-                    resolve_term(m, tables, frozenset(g.names())),
+                    resolve_syntax(m, tables, frozenset(g.names())),
                     tuple(resolve_script(s, tables) for s in req),
                 )
                 if len(resolved.ctx) == 0:
@@ -983,7 +947,7 @@ def elaborate(raw: SourceFile) -> SourceFile:
                 resolved = EffectDecl(
                     n,
                     resolve_context(g, tables),
-                    resolve_effect(e, tables, frozenset(g.names())),
+                    resolve_syntax(e, tables, frozenset(g.names())),
                     tuple(resolve_script(s, tables) for s in req),
                 )
                 if len(resolved.ctx) == 0 and not free_vars(resolved.eff):
@@ -1014,14 +978,14 @@ def parse_term_text(text: str) -> Term:
     p = Parser(text)
     t = p.parse_term()
     p.expect("EOF")
-    return resolve_term(t, DeclTables({}, {}, {}))
+    return resolve_syntax(t, DeclTables({}, {}, {}))
 
 
 def parse_effect_text(text: str) -> Effect:
     p = Parser(text)
     e = p.parse_effect()
     p.expect("EOF")
-    return resolve_effect(e, DeclTables({}, {}, {}))
+    return resolve_syntax(e, DeclTables({}, {}, {}))
 
 
 # ----------------------------------------------------------- script sidecars

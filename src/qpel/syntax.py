@@ -4,11 +4,18 @@ Terms and effects carry named binders; ``==`` on them is alpha-equivalence,
 decided by converting both sides to a locally nameless form.  Substitution is
 capture-avoiding and freshens bound names on demand, so user-facing names
 survive wherever no capture threatens.
+
+`SHAPES` states the grammar once: for each constructor, its subterm fields,
+the binders that scope over each, and its data fields.  The tree walks here
+(nameless keys, free and bound names, substitution, ascription erasure), the
+parser's name resolution and the interpreter's applicability scan are folds
+over that table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 
 # --------------------------------------------------------------------- types
@@ -46,12 +53,15 @@ class TQbit(Type):
 class Syntax:
     """Base for terms and effects: equality and hashing are alpha-insensitive.
 
+    Each constructor is a slotted dataclass whose fields `SHAPES` describes.
     Nodes are immutable, so each computes its nameless key (and the key's
-    hash) at most once and keeps it in an attribute outside the dataclass
-    fields; `free_vars` is kept the same way, and `bound_names` on binding
-    nodes.  The cached hash depends on the process's string hashing, so a
-    node must not be moved to another process with it.
+    hash) at most once and keeps it in a slot outside the dataclass fields;
+    `free_vars` is kept the same way, and `bound_names` on binding nodes.
+    The cached hash depends on the process's string hashing, so a node must
+    not be moved to another process with it.
     """
+
+    __slots__ = ("_nameless", "_hash", "_free_vars", "_bound_names")
 
     def _key(self):
         try:
@@ -80,25 +90,25 @@ class Syntax:
 
 
 class Term(Syntax):
-    pass
+    __slots__ = ()
 
 
 class Effect(Syntax):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LetPair(Term):
     """let x * y = pair in body; binds x and y in body."""
 
@@ -108,22 +118,22 @@ class LetPair(Term):
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Star(Term):
     """The sole inhabitant of the unit type."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Inl(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Inr(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Case(Term):
     """case scrut of inl x -> left | inr y -> right."""
 
@@ -134,7 +144,7 @@ class Case(Term):
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Measure(Term):
     """Probabilistic branch over a family of effects covering the top effect."""
 
@@ -145,22 +155,22 @@ class Measure(Term):
             raise ValueError("measure needs at least one branch")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NewPlus(Term):
     """Fresh qubit prepared in the +1 eigenstate of Pauli-X."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PauliX(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PauliZ(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CZ(Term):
     """Controlled-Z applied to a pair of qubits."""
 
@@ -168,7 +178,7 @@ class CZ(Term):
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Ascribe(Term):
     """Surface-only type ascription, erased once checking has used it.
 
@@ -180,12 +190,12 @@ class Ascribe(Term):
     ty: Type
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Zero(Effect):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OSum(Effect):
     """Partial sum of two orthogonal effects."""
 
@@ -193,14 +203,14 @@ class OSum(Effect):
     right: Effect
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Orth(Effect):
     """Orthosupplement; the top effect is written Orth(Zero())."""
 
     arg: Effect
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SMul(Effect):
     """Scalar product; the left factor must be closed."""
 
@@ -208,7 +218,7 @@ class SMul(Effect):
     body: Effect
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CaseEff(Effect):
     """caseE scrut of inl x -> left | inr y -> right."""
 
@@ -219,7 +229,7 @@ class CaseEff(Effect):
     right: Effect
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScalarLit(Effect):
     """Rational probability literal in [0, 1]."""
 
@@ -232,7 +242,7 @@ class ScalarLit(Effect):
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProjPlus(Effect):
     """The qubit effect `term = |+_a>` with a = angle * pi, angle in [0, 2)."""
 
@@ -288,9 +298,6 @@ class Context:
 
     def extend(self, name: str, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
-
-    def concat(self, other: "Context") -> "Context":
-        return Context(self.entries + other.entries)
 
     def same_multiset(self, other: "Context") -> bool:
         return sorted(self.entries, key=repr) == sorted(other.entries, key=repr)
@@ -366,73 +373,117 @@ def judgement_up_to_exchange(a: Judgement, b: Judgement) -> bool:
     return a.low == b.low and a.high == b.high
 
 
+# ------------------------------------------------------- constructor shapes
+
+
+class Shape(NamedTuple):
+    """What the tree walks need to know of a constructor: its tag in the
+    nameless key, its subterm fields in field order, each paired with the
+    binder fields that scope over it, and its data fields, which hold no
+    syntax.  A binder list of None marks a field of (effect, term) pairs,
+    `Measure.branches`, that binds nothing."""
+
+    tag: str | None
+    children: tuple = ()
+    data: tuple = ()
+
+
+# One entry per term and effect constructor: the grammar, stated once.  The
+# walks below special-case only Var, whose name is free or bound, and
+# Ascribe, which alpha-equality and erasure look through.
+SHAPES = {
+    Var: Shape("v", data=("name",)),
+    Pair: Shape("pair", (("left", ()), ("right", ()))),
+    LetPair: Shape("let", (("pair", ()), ("body", ("x", "y")))),
+    Star: Shape("star"),
+    Inl: Shape("inl", (("arg", ()),)),
+    Inr: Shape("inr", (("arg", ()),)),
+    Case: Shape("case", (("scrut", ()), ("left", ("x",)), ("right", ("y",)))),
+    Measure: Shape("measure", (("branches", None),)),
+    NewPlus: Shape("plus"),
+    PauliX: Shape("X", (("arg", ()),)),
+    PauliZ: Shape("Z", (("arg", ()),)),
+    CZ: Shape("E", (("left", ()), ("right", ()))),
+    Ascribe: Shape(None, (("term", ()),), ("ty",)),
+    Zero: Shape("0"),
+    OSum: Shape("o+", (("left", ()), ("right", ()))),
+    Orth: Shape("bot", (("arg", ()),)),
+    SMul: Shape("smul", (("scalar", ()), ("body", ()))),
+    CaseEff: Shape("caseE", (("scrut", ()), ("left", ("x",)), ("right", ("y",)))),
+    ScalarLit: Shape("lit", data=("value",)),
+    ProjPlus: Shape("proj", (("term", ()),), ("angle",)),
+}
+_BINDING = frozenset(c for c, sh in SHAPES.items() if any(b for _, b in sh.children))
+
+
+def shape(node) -> Shape:
+    try:
+        return SHAPES[type(node)]
+    except KeyError:
+        raise TypeError(f"not syntax: {node!r}") from None
+
+
+def subterms(node) -> list:
+    """The subterms of a node in field order, each with the names bound
+    over it."""
+    out = []
+    for f, binders in shape(node).children:
+        m = getattr(node, f)
+        if binders is None:
+            out += [(x, ()) for pair in m for x in pair]
+        else:
+            out.append((m, tuple([getattr(node, b) for b in binders]) if binders else ()))
+    return out
+
+
+def map_subterms(node, fn) -> dict:
+    """Each subterm field of a node mapped by fn(subterm, names bound over
+    it), as keyword arguments for `rebuilt`."""
+    parts = {}
+    for f, binders in shape(node).children:
+        m = getattr(node, f)
+        if binders is None:
+            parts[f] = tuple(tuple(fn(x, ()) for x in pair) for pair in m)
+        else:
+            parts[f] = fn(m, tuple([getattr(node, b) for b in binders]) if binders else ())
+    return parts
+
+
 # ------------------------------------------------------- nameless conversion
 
 
 def nameless(s, under=()):
-    """Locally nameless skeleton of a term or effect, for alpha-equality.
+    """Locally nameless skeleton of a term or effect, for alpha-equality:
+    its tag, its subterms' keys and its data; a bound variable is the depth
+    of its binder.
 
     ``under`` names enclosing binders, so open subtrees can be compared as
     abstractions.
     """
 
     def go(node, env, depth):
-        match node:
-            case Var(name=x):
-                return ("b", env[x]) if x in env else ("v", x)
-            case Pair(left=m, right=n):
-                return ("pair", go(m, env, depth), go(n, env, depth))
-            case LetPair(x=x, y=y, pair=m, body=n):
-                inner = {**env, x: depth, y: depth + 1}
-                return ("let", go(m, env, depth), go(n, inner, depth + 2))
-            case Star():
-                return ("star",)
-            case Inl(arg=m):
-                return ("inl", go(m, env, depth))
-            case Inr(arg=m):
-                return ("inr", go(m, env, depth))
-            case Case(scrut=m, x=x, left=n, y=y, right=p):
-                return (
-                    "case",
-                    go(m, env, depth),
-                    go(n, {**env, x: depth}, depth + 1),
-                    go(p, {**env, y: depth}, depth + 1),
-                )
-            case Measure(branches=bs):
-                return ("measure",) + tuple(
-                    (go(phi, env, depth), go(m, env, depth)) for phi, m in bs
-                )
-            case NewPlus():
-                return ("plus",)
-            case PauliX(arg=m):
-                return ("X", go(m, env, depth))
-            case PauliZ(arg=m):
-                return ("Z", go(m, env, depth))
-            case CZ(left=m, right=n):
-                return ("E", go(m, env, depth), go(n, env, depth))
-            case Ascribe(term=m):
-                return go(m, env, depth)
-            case Zero():
-                return ("0",)
-            case OSum(left=a, right=b):
-                return ("o+", go(a, env, depth), go(b, env, depth))
-            case Orth(arg=a):
-                return ("bot", go(a, env, depth))
-            case SMul(scalar=a, body=b):
-                return ("smul", go(a, env, depth), go(b, env, depth))
-            case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-                return (
-                    "caseE",
-                    go(m, env, depth),
-                    go(a, {**env, x: depth}, depth + 1),
-                    go(b, {**env, y: depth}, depth + 1),
-                )
-            case ScalarLit(value=v):
-                return ("lit", v)
-            case ProjPlus(term=m, angle=a):
-                return ("proj", go(m, env, depth), a)
-            case _:
-                raise TypeError(f"not syntax: {node!r}")
+        cls = type(node)
+        if cls is Var:
+            x = node.name
+            return ("b", env[x]) if x in env else ("v", x)
+        if cls is Ascribe:
+            return go(node.term, env, depth)
+        tag, children, data = SHAPES.get(cls) or shape(node)
+        key = (tag,)
+        for f, binders in children:
+            m = getattr(node, f)
+            if binders is None:
+                key += tuple([(go(phi, env, depth), go(t, env, depth)) for phi, t in m])
+            elif binders:
+                inner = env.copy()
+                for i, b in enumerate(binders):
+                    inner[getattr(node, b)] = depth + i
+                key += (go(m, inner, depth + len(binders)),)
+            else:
+                key += (go(m, env, depth),)
+        for f in data:
+            key += (getattr(node, f),)
+        return key
 
     env0 = {x: i for i, x in enumerate(under)}
     return go(s, env0, len(under))
@@ -451,46 +502,21 @@ def abstraction_eq(binders_a, a, binders_b, b) -> bool:
 
 # ------------------------------------------------------------- free variables
 
+# one empty set for every node without names, rather than one set each
+_NO_NAMES = frozenset()
+
 
 def free_vars(s) -> frozenset[str]:
     try:
         return s._free_vars
     except AttributeError:
         pass
-    fvs = _free_vars(s)
+    fvs = frozenset((s.name,)) if type(s) is Var else _NO_NAMES
+    for m, names in subterms(s):
+        part = free_vars(m).difference(names) if names else free_vars(m)
+        fvs = fvs | part if fvs else part
     object.__setattr__(s, "_free_vars", fvs)
     return fvs
-
-
-def _free_vars(s) -> frozenset[str]:
-    match s:
-        case Var(name=x):
-            return frozenset({x})
-        case Pair(left=m, right=n) | CZ(left=m, right=n):
-            return free_vars(m) | free_vars(n)
-        case LetPair(x=x, y=y, pair=m, body=n):
-            return free_vars(m) | (free_vars(n) - {x, y})
-        case Star() | NewPlus() | Zero() | ScalarLit():
-            return frozenset()
-        case Inl(arg=m) | Inr(arg=m) | PauliX(arg=m) | PauliZ(arg=m) | Orth(arg=m):
-            return free_vars(m)
-        case Ascribe(term=m):
-            return free_vars(m)
-        case Case(scrut=m, x=x, left=n, y=y, right=p) | CaseEff(
-            scrut=m, x=x, left=n, y=y, right=p
-        ):
-            return free_vars(m) | (free_vars(n) - {x}) | (free_vars(p) - {y})
-        case Measure(branches=bs):
-            out = frozenset()
-            for phi, m in bs:
-                out |= free_vars(phi) | free_vars(m)
-            return out
-        case OSum(left=a, right=b) | SMul(scalar=a, body=b):
-            return free_vars(a) | free_vars(b)
-        case ProjPlus(term=m):
-            return free_vars(m)
-        case _:
-            raise TypeError(f"not syntax: {s!r}")
 
 
 def bound_names(s) -> frozenset[str]:
@@ -504,39 +530,13 @@ def bound_names(s) -> frozenset[str]:
         return s._bound_names
     except AttributeError:
         pass
-    names = _bound_names(s)
-    if isinstance(s, (LetPair, Case, CaseEff)):
+    names = _NO_NAMES
+    for m, binders in subterms(s):
+        part = bound_names(m).union(binders) if binders else bound_names(m)
+        names = names | part if names else part
+    if type(s) in _BINDING:
         object.__setattr__(s, "_bound_names", names)
     return names
-
-
-def _bound_names(s) -> frozenset[str]:
-    match s:
-        case Var() | Star() | NewPlus() | Zero() | ScalarLit():
-            return frozenset()
-        case Pair(left=m, right=n) | CZ(left=m, right=n) | OSum(left=m, right=n) | SMul(
-            scalar=m, body=n
-        ):
-            return bound_names(m) | bound_names(n)
-        case LetPair(x=x, y=y, pair=m, body=n):
-            return frozenset({x, y}) | bound_names(m) | bound_names(n)
-        case Inl(arg=m) | Inr(arg=m) | PauliX(arg=m) | PauliZ(arg=m) | Orth(arg=m):
-            return bound_names(m)
-        case Ascribe(term=m):
-            return bound_names(m)
-        case Case(scrut=m, x=x, left=n, y=y, right=p) | CaseEff(
-            scrut=m, x=x, left=n, y=y, right=p
-        ):
-            return frozenset({x, y}) | bound_names(m) | bound_names(n) | bound_names(p)
-        case Measure(branches=bs):
-            out = frozenset()
-            for phi, m in bs:
-                out |= bound_names(phi) | bound_names(m)
-            return out
-        case ProjPlus(term=m):
-            return bound_names(m)
-        case _:
-            raise TypeError(f"not syntax: {s!r}")
 
 
 def fresh(base: str, avoid) -> str:
@@ -580,48 +580,23 @@ def subst_many(s, repl: dict[str, Term]):
     def go(node, active):
         if not active:
             return node
-        match node:
-            case Var(name=x):
-                return active.get(x, node)
-            case Pair(left=m, right=n):
-                return Pair(go(m, active), go(n, active))
-            case LetPair(x=x, y=y, pair=m, body=n):
-                (x2, y2), n2, live = rebind([x, y], n, active)
-                return LetPair(x2, y2, go(m, active), go(n2, live))
-            case Star() | NewPlus() | Zero() | ScalarLit():
-                return node
-            case Inl(arg=m):
-                return Inl(go(m, active))
-            case Inr(arg=m):
-                return Inr(go(m, active))
-            case Case(scrut=m, x=x, left=n, y=y, right=p):
-                (x2,), n2, live_l = rebind([x], n, active)
-                (y2,), p2, live_r = rebind([y], p, active)
-                return Case(go(m, active), x2, go(n2, live_l), y2, go(p2, live_r))
-            case Measure(branches=bs):
-                return Measure(tuple((go(phi, active), go(m, active)) for phi, m in bs))
-            case PauliX(arg=m):
-                return PauliX(go(m, active))
-            case PauliZ(arg=m):
-                return PauliZ(go(m, active))
-            case CZ(left=m, right=n):
-                return CZ(go(m, active), go(n, active))
-            case Ascribe(term=m, ty=ty):
-                return Ascribe(go(m, active), ty)
-            case OSum(left=a, right=b):
-                return OSum(go(a, active), go(b, active))
-            case Orth(arg=a):
-                return Orth(go(a, active))
-            case SMul(scalar=a, body=b):
-                return SMul(go(a, active), go(b, active))
-            case CaseEff(scrut=m, x=x, left=a, y=y, right=b):
-                (x2,), a2, live_l = rebind([x], a, active)
-                (y2,), b2, live_r = rebind([y], b, active)
-                return CaseEff(go(m, active), x2, go(a2, live_l), y2, go(b2, live_r))
-            case ProjPlus(term=m, angle=ang):
-                return ProjPlus(go(m, active), ang)
-            case _:
-                raise TypeError(f"not syntax: {node!r}")
+        if type(node) is Var:
+            return active.get(node.name, node)
+        _, children, data = shape(node)
+        if not children:
+            return node
+        parts = {f: getattr(node, f) for f in data}
+        for f, binders in children:
+            m = getattr(node, f)
+            if binders is None:
+                parts[f] = tuple(tuple(go(x, active) for x in pair) for pair in m)
+            elif binders:
+                names, m, live = rebind([getattr(node, b) for b in binders], m, active)
+                parts.update(zip(binders, names))
+                parts[f] = go(m, live)
+            else:
+                parts[f] = go(m, active)
+        return type(node)(**parts)
 
     return go(s, repl)
 
@@ -645,32 +620,15 @@ def _same(a, b):
 def rebuilt(node, **parts):
     """node with the given fields, or node itself when it already has them,
     so that a rewrite that changes nothing shares the whole tree."""
-    if all(_same(getattr(node, k), v) for k, v in parts.items()):
-        return node
-    return replace(node, **parts)
+    for k, v in parts.items():
+        if not _same(getattr(node, k), v):
+            return replace(node, **parts)
+    return node
 
 
 def erase_ascriptions(s):
     """Drop every surface type ascription from a term or effect; a tree
     without one is returned itself."""
-    e = erase_ascriptions
-    match s:
-        case Ascribe(term=m):
-            return e(m)
-        case Var() | Star() | NewPlus() | Zero() | ScalarLit():
-            return s
-        case Pair(left=m, right=n) | CZ(left=m, right=n) | OSum(left=m, right=n):
-            return rebuilt(s, left=e(m), right=e(n))
-        case LetPair(pair=m, body=n):
-            return rebuilt(s, pair=e(m), body=e(n))
-        case Inl(arg=m) | Inr(arg=m) | PauliX(arg=m) | PauliZ(arg=m) | Orth(arg=m):
-            return rebuilt(s, arg=e(m))
-        case Case(scrut=m, left=n, right=p) | CaseEff(scrut=m, left=n, right=p):
-            return rebuilt(s, scrut=e(m), left=e(n), right=e(p))
-        case Measure(branches=bs):
-            return rebuilt(s, branches=tuple((e(phi), e(t)) for phi, t in bs))
-        case SMul(scalar=a, body=b):
-            return rebuilt(s, scalar=e(a), body=e(b))
-        case ProjPlus(term=m):
-            return rebuilt(s, term=e(m))
-    raise TypeError(f"not syntax: {s!r}")
+    if type(s) is Ascribe:
+        return erase_ascriptions(s.term)
+    return rebuilt(s, **map_subterms(s, lambda m, _: erase_ascriptions(m)))

@@ -32,8 +32,6 @@ class Backend(ABC):
     def s_ovee(self, a, b): ...
     @abstractmethod
     def s_mul(self, a, b): ...
-    def s_orth(self, a):
-        return self.s_ovee_inverse(a)
     @abstractmethod
     def s_ovee_inverse(self, a): ...
     def s_eq(self, a, b):

@@ -121,13 +121,6 @@ class Resolver:
         raise ObligationError(goal, "no resolver available")
 
 
-@dataclass(frozen=True)
-class TypingResult:
-    ty: Type
-    used: frozenset
-    derivation: Derivation
-
-
 # ------------------------------------------------------------------ splitting
 
 
@@ -284,31 +277,23 @@ _SCRUTINEES = {
 }
 
 
-def _unbound(g: Context, s) -> frozenset:
-    """The free variables of s, all of which g must bind."""
-    fvs = free_vars(s)
-    missing = fvs - set(g.names())
+def _unbound(g: Context, s):
+    """Raise unless g binds every free variable of s."""
+    missing = free_vars(s) - set(g.names())
     if missing:
         raise QpelTypeError(f"unbound variable {sorted(missing)[0]!r}")
-    return fvs
 
 
-def check_term(g: Context, m: Term, ty: Type, resolver: Resolver) -> TypingResult:
-    """Decide the typing judgement; returns the usage set and a derivation."""
-    used = _unbound(g, m)
-    return TypingResult(ty, used, _derive(Typing(g, m, ty), resolver))
+def check_term(g: Context, m: Term, ty: Type, resolver: Resolver) -> Derivation:
+    """Decide the typing judgement; returns its derivation."""
+    _unbound(g, m)
+    return _derive(Typing(g, m, ty), resolver)
 
 
-@dataclass(frozen=True)
-class EffectResult:
-    eff: Effect
-    used: frozenset
-    derivation: Derivation
-
-
-def check_effect(g: Context, e: Effect, resolver: Resolver) -> EffectResult:
-    used = _unbound(g, e)
-    return EffectResult(e, used, _derive(EffForm(g, e), resolver))
+def check_effect(g: Context, e: Effect, resolver: Resolver) -> Derivation:
+    """Decide the formation judgement; returns its derivation."""
+    _unbound(g, e)
+    return _derive(EffForm(g, e), resolver)
 
 
 def _derive(goal, resolver: Resolver) -> Derivation:
@@ -395,17 +380,17 @@ def check_judgement(j: Judgement, resolver: Resolver):
     components (one for a typing or a formation, two for an equation or an
     inequality)."""
     if isinstance(j, Typing):
-        d = check_term(j.ctx, j.term, j.ty, resolver).derivation
+        d = check_term(j.ctx, j.term, j.ty, resolver)
         return d.judgement, (d,)
     if isinstance(j, TermEq):
-        dl = check_term(j.ctx, j.lhs, j.ty, resolver).derivation
-        dr = check_term(j.ctx, j.rhs, j.ty, resolver).derivation
+        dl = check_term(j.ctx, j.lhs, j.ty, resolver)
+        dr = check_term(j.ctx, j.rhs, j.ty, resolver)
         return TermEq(j.ctx, dl.judgement.term, dr.judgement.term, j.ty), (dl, dr)
     if isinstance(j, EffForm):
-        d = check_effect(j.ctx, j.eff, resolver).derivation
+        d = check_effect(j.ctx, j.eff, resolver)
         return d.judgement, (d,)
     if isinstance(j, EffLeq):
-        dl = check_effect(j.ctx, j.low, resolver).derivation
-        dh = check_effect(j.ctx, j.high, resolver).derivation
+        dl = check_effect(j.ctx, j.low, resolver)
+        dh = check_effect(j.ctx, j.high, resolver)
         return EffLeq(j.ctx, dl.judgement.eff, dh.judgement.eff), (dl, dh)
     raise TypeError(j)

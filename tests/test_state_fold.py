@@ -65,7 +65,7 @@ def _deviation(d) -> float:
 
 
 def _derive(term, ty):
-    return check_term(Context(), term, ty, Env().resolver()).derivation
+    return check_term(Context(), term, ty, Env().resolver())
 
 
 def _contexts(d, acc):

@@ -1,29 +1,48 @@
+import dataclasses
+import hashlib
+import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
 from qpel.parser import parse_effect_text as E
 from qpel.parser import parse_term_text as T
 from qpel.randgen import raw_effect, raw_term
+from qpel import syntax
 from qpel.syntax import (
+    SHAPES,
+    CZ,
+    Ascribe,
     Case,
+    CaseEff,
     Inl,
     Inr,
     LetPair,
     Measure,
+    NewPlus,
     Orth,
     OSum,
     Pair,
     ProjPlus,
+    PauliX,
     ScalarLit,
+    SMul,
     Star,
+    Syntax,
+    TQbit,
+    TSum,
+    TTensor,
+    TUnit,
     Var,
     Zero,
     alpha_eq,
     bound_names,
     desugar_let,
+    erase_ascriptions,
     free_vars,
     is_one,
+    nameless,
     one,
     ovee_all,
     subst,
@@ -215,3 +234,77 @@ def test_free_and_bound_names():
     m = T("let a * b = z in a * (case w of inl c -> c | inr d -> b)")
     assert free_vars(m) == {"z", "w"}
     assert {"a", "b", "c", "d"} <= bound_names(m)
+
+
+def test_every_constructor_has_a_shape():
+    constructors = [
+        c for _, c in inspect.getmembers(syntax, inspect.isclass)
+        if issubclass(c, Syntax) and dataclasses.is_dataclass(c)
+        and c.__module__ == syntax.__name__
+    ]
+    assert {Var, Measure, CaseEff, ProjPlus} <= set(constructors)
+    for c in constructors:
+        assert c in SHAPES, c.__name__
+        # every field is a subterm, a binder or data, each exactly once
+        _, children, data = SHAPES[c]
+        binders = [b for _, bs in children for b in bs or ()]
+        named = [f for f, _ in children] + binders + list(data)
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(c)), c.__name__
+
+
+# Seeded random trees and hand-built ones covering what `raw_term` and
+# `raw_effect` never build: ascriptions, and `let`s whose two binders share a
+# name.  The digest was taken from the per-constructor walks that the
+# `SHAPES` table replaced.
+TRAVERSAL_SEED = 17
+TRAVERSAL_COUNT = 811
+TRAVERSAL_SHA256 = "16e9cf2df8c3745fc284ea4e046fba0bdc3afce5e6b1e22da5a58d61a36e1d2f"
+
+
+def _traversal_trees():
+    rng = random.Random(TRAVERSAL_SEED)
+    trees = [raw_term(rng, 3) for _ in range(400)] + [raw_effect(rng, 3) for _ in range(400)]
+    a, b, c = Var("a"), Var("b"), Var("c")
+    q = Ascribe(Var("q"), TQbit())
+    qq = TTensor(TQbit(), TQbit())
+    case_e = CaseEff(b, "a", ProjPlus(a, Fraction(3, 2)), "c", Zero())
+    trees += [
+        LetPair("a", "a", Pair(a, b), Pair(a, c)),
+        LetPair("b", "b", Ascribe(a, TTensor(TUnit(), TQbit())),
+                Ascribe(Pair(b, a), TTensor(TQbit(), TUnit()))),
+        Ascribe(Ascribe(Pair(q, NewPlus()), qq), qq),
+        Case(Ascribe(a, TSum(TUnit(), TQbit())), "b", Pair(b, c), "c", Pair(c, b)),
+        Case(Var("d"), "a", LetPair("b", "a", a, Pair(a, b)), "a", PauliX(a)),
+        Measure(((ProjPlus(Ascribe(a, TQbit()), Fraction(1, 4)), Inl(Ascribe(Star(), TUnit()))),
+                 (Orth(ProjPlus(a, Fraction(1, 4))), CZ(b, Ascribe(c, TQbit()))))),
+        Measure(((case_e, LetPair("b", "c", a, Pair(b, c))), (Orth(case_e), Star()))),
+        CaseEff(Ascribe(Pair(a, b), qq), "b",
+                OSum(ScalarLit(Fraction(1, 3)), ProjPlus(b, Fraction(1))),
+                "a", SMul(ScalarLit(Fraction(2, 3)), ProjPlus(Pair(a, c), Fraction(0)))),
+        SMul(ScalarLit(Fraction(1)),
+             CaseEff(c, "c", ProjPlus(LetPair("a", "c", c, a), Fraction(1, 2)), "a", Orth(Zero()))),
+        ProjPlus(LetPair("c", "c", Ascribe(b, TQbit()), c), Fraction(7, 4)),
+        ScalarLit(Fraction(0)),
+    ]
+    return trees
+
+
+def _traversal_record(s):
+    names = sorted(bound_names(s)) or ["a"]
+    # each free variable replaced by a bound name, so that binders freshen
+    capture = {x: Var(names[i % len(names)]) for i, x in enumerate(sorted(free_vars(s)))}
+    fixed = {"a": Pair(Var("b"), Var("c'")), "b": Var("a"), "u": Inl(Var("d'"))}
+    return "\n".join((
+        repr(nameless(s)),
+        repr(sorted(free_vars(s))),
+        repr(sorted(bound_names(s))),
+        repr(subst_many(s, capture)),
+        repr(subst_many(s, fixed)),
+        repr(erase_ascriptions(s)),
+    ))
+
+
+def test_traversal_golden():
+    records = [_traversal_record(s) for s in _traversal_trees()]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert (len(records), digest) == (TRAVERSAL_COUNT, TRAVERSAL_SHA256)

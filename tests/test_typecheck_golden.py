@@ -142,8 +142,8 @@ def _inputs():
 
 def _derivation(j, env):
     if isinstance(j, Typing):
-        return check_term(j.ctx, j.term, j.ty, env.resolver()).derivation
-    return check_effect(j.ctx, j.eff, env.resolver()).derivation
+        return check_term(j.ctx, j.term, j.ty, env.resolver())
+    return check_effect(j.ctx, j.eff, env.resolver())
 
 
 def test_typechecker_golden():

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..triangle import Backend, BackendError, nfold
-from .points import STAR, UNIT_OB, sum_points, tensor_points
+from ..triangle import BackendError, nfold
+from .points import STAR, UNIT_OB, PointBackend
 
 
 @dataclass
@@ -26,8 +26,9 @@ def _fn(dom, cod, f) -> SetMor:
     return SetMor(dom, cod, table)
 
 
-class SetBackend(Backend):
+class SetBackend(PointBackend):
     name = "set"
+    _map = staticmethod(_fn)
 
     # scalars: 0/1
     def s_zero(self):
@@ -52,20 +53,7 @@ class SetBackend(Backend):
             return 1
         raise BackendError(f"the boolean scalars cannot represent {q}")
 
-    # objects
-    def unit_ob(self):
-        return UNIT_OB
-
-    def tensor_ob(self, a, b):
-        return tensor_points(a, b)
-
-    def sum_ob(self, a, b):
-        return sum_points(a, b)
-
     # morphisms
-    def identity(self, a):
-        return _fn(a, a, lambda x: x)
-
     def compose(self, g, f):
         if f.cod != g.dom:
             raise BackendError("composition domain mismatch")
@@ -76,50 +64,6 @@ class SetBackend(Backend):
         cod = self.tensor_ob(f.cod, g.cod)
         return SetMor(dom, cod, {(x, y): (f.table[x], g.table[y]) for x, y in dom})
 
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
-    def symmetry(self, a, b):
-        return _fn(self.tensor_ob(a, b), self.tensor_ob(b, a), lambda p: (p[1], p[0]))
-
-    def assoc(self, a, b, c):
-        return _fn(
-            self.tensor_ob(self.tensor_ob(a, b), c),
-            self.tensor_ob(a, self.tensor_ob(b, c)),
-            lambda p: (p[0][0], (p[0][1], p[1])),
-        )
-
-    def assoc_inv(self, a, b, c):
-        return _fn(
-            self.tensor_ob(a, self.tensor_ob(b, c)),
-            self.tensor_ob(self.tensor_ob(a, b), c),
-            lambda p: ((p[0], p[1][0]), p[1][1]),
-        )
-
-    def unit_left(self, a):
-        return _fn(self.tensor_ob(UNIT_OB, a), a, lambda p: p[1])
-
-    def unit_left_inv(self, a):
-        return _fn(a, self.tensor_ob(UNIT_OB, a), lambda x: (STAR, x))
-
-    def unit_right(self, a):
-        return _fn(self.tensor_ob(a, UNIT_OB), a, lambda p: p[0])
-
-    def unit_right_inv(self, a):
-        return _fn(a, self.tensor_ob(a, UNIT_OB), lambda x: (x, STAR))
-
-    def terminal(self, a):
-        return _fn(a, UNIT_OB, lambda x: STAR)
-
-    def inj1(self, a, b):
-        return _fn(a, self.sum_ob(a, b), lambda x: ("L", x))
-
-    def inj2(self, a, b):
-        return _fn(b, self.sum_ob(a, b), lambda y: ("R", y))
-
     def cotuple(self, f, g):
         if f.cod != g.cod:
             raise BackendError("cotuple codomain mismatch")
@@ -129,24 +73,6 @@ class SetBackend(Backend):
             f.cod,
             {p: (f.table[p[1]] if p[0] == "L" else g.table[p[1]]) for p in dom},
         )
-
-    def dist_left(self, a, b, c):
-        def go(p):
-            (tag, x), y = p
-            return (tag, (x, y))
-
-        dom = self.tensor_ob(self.sum_ob(a, b), c)
-        cod = self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c))
-        return _fn(dom, cod, go)
-
-    def dist_left_inv(self, a, b, c):
-        def go(p):
-            tag, (x, y) = p
-            return ((tag, x), y)
-
-        dom = self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c))
-        cod = self.tensor_ob(self.sum_ob(a, b), c)
-        return _fn(dom, cod, go)
 
     def mor_eq(self, f, g):
         return f.dom == g.dom and f.cod == g.cod and f.table == g.table

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..triangle import Backend, BackendError, nfold
-from .points import STAR, UNIT_OB, sum_points, tensor_points
+from ..triangle import BackendError, nfold
+from .points import STAR, UNIT_OB, PointBackend
 from .setb import SetMor, _nested_inj_point
 
 ZERO = Fraction(0)
@@ -48,8 +48,9 @@ def det(dom, cod, f) -> StochMor:
     return _mk(dom, cod, {x: {f(x): ONE} for x in dom})
 
 
-class StochasticBackend(Backend):
+class StochasticBackend(PointBackend):
     name = "stochastic"
+    _map = staticmethod(det)
 
     # scalars: exact rationals in [0,1]
     def s_zero(self):
@@ -71,20 +72,7 @@ class StochasticBackend(Backend):
     def scalar_of_fraction(self, q):
         return Fraction(q)
 
-    # objects
-    def unit_ob(self):
-        return UNIT_OB
-
-    def tensor_ob(self, a, b):
-        return tensor_points(a, b)
-
-    def sum_ob(self, a, b):
-        return sum_points(a, b)
-
     # morphisms
-    def identity(self, a):
-        return det(a, a, lambda x: x)
-
     def compose(self, g, f):
         if f.cod != g.dom:
             raise BackendError("composition domain mismatch")
@@ -109,53 +97,9 @@ class StochasticBackend(Backend):
             }
         return _mk(dom, cod, rows)
 
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
     def from_set(self, f: SetMor) -> StochMor:
         """Embed a set-backend function as a 0/1 stochastic arrow."""
         return det(f.dom, f.cod, lambda x: f.table[x])
-
-    def symmetry(self, a, b):
-        return det(self.tensor_ob(a, b), self.tensor_ob(b, a), lambda p: (p[1], p[0]))
-
-    def assoc(self, a, b, c):
-        return det(
-            self.tensor_ob(self.tensor_ob(a, b), c),
-            self.tensor_ob(a, self.tensor_ob(b, c)),
-            lambda p: (p[0][0], (p[0][1], p[1])),
-        )
-
-    def assoc_inv(self, a, b, c):
-        return det(
-            self.tensor_ob(a, self.tensor_ob(b, c)),
-            self.tensor_ob(self.tensor_ob(a, b), c),
-            lambda p: ((p[0], p[1][0]), p[1][1]),
-        )
-
-    def unit_left(self, a):
-        return det(self.tensor_ob(UNIT_OB, a), a, lambda p: p[1])
-
-    def unit_left_inv(self, a):
-        return det(a, self.tensor_ob(UNIT_OB, a), lambda x: (STAR, x))
-
-    def unit_right(self, a):
-        return det(self.tensor_ob(a, UNIT_OB), a, lambda p: p[0])
-
-    def unit_right_inv(self, a):
-        return det(a, self.tensor_ob(a, UNIT_OB), lambda x: (x, STAR))
-
-    def terminal(self, a):
-        return det(a, UNIT_OB, lambda x: STAR)
-
-    def inj1(self, a, b):
-        return det(a, self.sum_ob(a, b), lambda x: ("L", x))
-
-    def inj2(self, a, b):
-        return det(b, self.sum_ob(a, b), lambda y: ("R", y))
 
     def cotuple(self, f, g):
         if f.cod != g.cod:
@@ -165,20 +109,6 @@ class StochasticBackend(Backend):
         for tag, x in dom:
             rows[(tag, x)] = dict(f.row(x) if tag == "L" else g.row(x))
         return _mk(dom, f.cod, rows)
-
-    def dist_left(self, a, b, c):
-        return det(
-            self.tensor_ob(self.sum_ob(a, b), c),
-            self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
-            lambda p: (p[0][0], (p[0][1], p[1])),
-        )
-
-    def dist_left_inv(self, a, b, c):
-        return det(
-            self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
-            self.tensor_ob(self.sum_ob(a, b), c),
-            lambda p: ((p[0], p[1][0]), p[1][1]),
-        )
 
     def mor_eq(self, f, g):
         return f.dom == g.dom and f.cod == g.cod and f.rows == g.rows

@@ -3,15 +3,20 @@
 Scripts are checked goal-directed: a rule node's conclusion must instantiate
 its named schema, the context is split deterministically over the premises
 by `typecheck.split_zones` (each variable goes to the premise that needs it,
-leftovers to the last open premise), and child scripts are checked against the resulting premise
-judgements.  A node given without premises has them discharged automatically:
-typing and formation premises by the type checker, inequality premises by
-bounded search, and equality premises only when reflexive.
+leftovers to the last open premise), and child scripts are checked against
+the resulting premise judgements.  A node given without premises has them
+discharged automatically: typing and formation premises by the type checker,
+inequality premises by a prover the caller passes in, and equality premises
+only when reflexive.  For a script that prover is a fresh bounded search.
 
 Search over the inequality rules is depth-bounded and deterministic.  The
 transitivity rule is explored against a fixed family of middle candidates
-(double orthosupplements, the top and zero effects, and immediate summands);
-everything a search finds is an ordinary script that re-checks.
+(double orthosupplements, the top and zero effects, and immediate summands).
+Search derivations are assembled by the script checker's discharge
+(`_discharge`): each rule instance the search tries is a node without
+premise scripts, whose inequality premises the search itself proves one
+level shallower.  So everything a search finds is an ordinary script that
+re-checks, and scripts and search build rule nodes in one place.
 
 The search is tabled (SLG-style, after Chen & Warren, JACM 43(1), 1996).
 Each `auto_search_leq` call owns one `SearchTable`, dropped when it returns:
@@ -35,9 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from . import rules
-from .parser import ArithNode, AutoNode, BothNode, ScriptNode, UseNode
+from .parser import ARG_SORTS, ArithNode, AutoNode, BothNode, ScriptNode, UseNode
 from .rules import Instantiation, RuleMismatch, Schema
 from .syntax import (
     EffForm,
@@ -68,7 +75,11 @@ from .typecheck import (
 
 
 class DerivationError(Exception):
-    pass
+    """A script or premise that does not check.  As with
+    `rules.RuleMismatch`, the message may be a function giving it, so that
+    the search formats none of the failures it discards."""
+
+    __str__ = RuleMismatch.__str__
 
 
 @dataclass
@@ -153,122 +164,127 @@ def check_arith(goal: Judgement) -> Derivation:
 def check_script(goal: Judgement, script, env: Env) -> Derivation:
     match script:
         case AutoNode(depth=d):
-            return _auto(goal, d if d is not None else env.depth, env)
+            if isinstance(goal, TermEq) and goal.lhs != goal.rhs:
+                raise DerivationError(
+                    f"auto cannot prove {show_judgement(goal)}; give an explicit script"
+                )
+            depth = d if d is not None else env.depth
+            prove_leq = _searcher(depth, env, "auto: no proof found within depth {} for {}")
+            return _unscripted(goal, env, prove_leq)
         case ArithNode():
             return check_arith(goal)
         case UseNode(name=n):
             if n not in env.lemmas:
                 raise DerivationError(f"use({n}): no such lemma")
-            for j in env.lemmas[n]:
-                if judgement_up_to_exchange(j, goal):
-                    return Derivation("use", goal, (), {"name": n})
-            raise DerivationError(
-                f"use({n}): lemma does not prove {show_judgement(goal)}"
-            )
+            d = _use(goal, n, env)
+            if d is None:
+                raise DerivationError(
+                    f"use({n}): lemma does not prove {show_judgement(goal)}"
+                )
+            return d
         case BothNode():
             raise DerivationError(
                 "both(...) is only meaningful for an equivalence position"
             )
         case ScriptNode(rule=name, args=args, premises=children):
-            return _check_rule_node(goal, name, args, children, env)
+            prove_leq = _searcher(env.depth, env, "premise not proved within depth {}: {}")
+            return _rule_node(goal, name, args, children, env, prove_leq)
     raise DerivationError(f"not a proof script: {script!r}")
 
 
-def _auto(goal: Judgement, depth: int, env: Env) -> Derivation:
-    if isinstance(goal, Typing):
-        return check_term(goal.ctx, goal.term, goal.ty, env.resolver())
-    if isinstance(goal, EffForm):
-        return check_effect(goal.ctx, goal.eff, env.resolver())
-    if isinstance(goal, EffLeq):
+def _searcher(depth: int, env: Env, message: str):
+    """The inequality prover of a script: a fresh bounded search, failing
+    with `message` formatted with the depth and the goal."""
+
+    def prove(j: EffLeq) -> Derivation:
         try:
-            return auto_search_leq(goal, depth, env)
+            return auto_search_leq(j, depth, env)
         except SearchFailed:
-            raise DerivationError(
-                f"auto: no proof found within depth {depth} for {show_judgement(goal)}"
-            )
-    if isinstance(goal, TermEq) and goal.lhs == goal.rhs:
-        return _check_rule_node(goal, "ref", {}, None, env)
-    raise DerivationError(
-        f"auto cannot prove {show_judgement(goal)}; give an explicit script"
-    )
+            raise DerivationError(lambda: message.format(depth, show_judgement(j))) from None
+
+    return prove
 
 
-def _check_rule_node(goal, name, args, children, env: Env) -> Derivation:
-    if name not in rules.SCHEMAS:
+def _use(goal: Judgement, name: str, env: Env) -> Derivation | None:
+    """`use(name)` at goal, if lemma `name` proves goal up to exchange."""
+    for j in env.lemmas[name]:
+        if judgement_up_to_exchange(j, goal):
+            return Derivation("use", goal, (), {"name": name})
+    return None
+
+
+def _rule_node(goal, name, args, children, env: Env, prove_leq) -> Derivation:
+    """A script node: the first reading of rule `name` at goal whose premises
+    check."""
+    schema: Schema | None = rules.SCHEMAS.get(name)
+    if schema is None:
         raise DerivationError(f"unknown rule name {name!r}")
-    schema: Schema = rules.SCHEMAS[name]
     if schema.pack not in env.packs:
         raise DerivationError(
             f"rule {name} belongs to the disabled pack {schema.pack!r}"
         )
-
-    def synth(term, extra=()):
-        return synth_type(goal.ctx, term, extra)
-
     try:
-        candidates = schema.match(goal, args, synth)
+        candidates = schema.match(goal, args, partial(synth_type, goal.ctx))
     except RuleMismatch as exc:
         raise DerivationError(f"{name}: schema mismatch: {exc}")
 
-    errors = []
+    error = None
     for instn in candidates:
         try:
-            return _discharge(goal, name, args, instn, children, env)
+            return _discharge(goal, name, args, instn, children, env, prove_leq)
         except (DerivationError, QpelTypeError) as exc:
-            errors.append(str(exc))
-    raise DerivationError(f"{name}: {errors[0] if errors else 'no reading applies'}")
+            if error is None:
+                error = str(exc)
+    raise DerivationError(f"{name}: {error if error is not None else 'no reading applies'}")
 
 
-def _discharge(goal, name, args, instn: Instantiation, children, env: Env) -> Derivation:
+def _discharge(goal, name, args, instn: Instantiation, children, env: Env,
+               prove_leq) -> Derivation:
+    """The node of rule `name` concluding goal from the premises of instn:
+    each checked against its script in children or, with children None,
+    derived by `_unscripted` with `prove_leq` for inequalities.  Scripts and
+    the search build every rule node here."""
     bindings = split_zones(goal.ctx, instn)
     premises = instn.premises
-    if children is not None and len(children) != len(premises):
+    if children is None:
+        children = (None,) * len(premises)
+    elif len(children) != len(premises):
         raise DerivationError(
             f"{name} takes {len(premises)} premises, got {len(children)}"
         )
 
     child_derivs = []
-    for i, p in enumerate(premises):
+    for p, script in zip(premises, children):
         j = p.to_judgement(bindings[p.zone])
-        script = children[i] if children is not None else None
         if p.shape[0] == "equiv":
             fwd, bwd = j, EffLeq(j.ctx, j.high, j.low)
             if isinstance(script, BothNode):
-                df = check_script(fwd, script.fwd, env)
-                db = check_script(bwd, script.bwd, env)
+                df, db = check_script(fwd, script.fwd, env), check_script(bwd, script.bwd, env)
             elif script is None:
-                df = _auto_premise(fwd, env)
-                db = _auto_premise(bwd, env)
+                df, db = _unscripted(fwd, env, prove_leq), _unscripted(bwd, env, prove_leq)
             else:
-                df = check_script(fwd, script, env)
-                db = check_script(bwd, script, env)
+                df, db = check_script(fwd, script, env), check_script(bwd, script, env)
             child_derivs.append(Derivation("both", fwd, (df, db)))
         elif script is None:
-            child_derivs.append(_auto_premise(j, env))
+            child_derivs.append(_unscripted(j, env, prove_leq))
         else:
             child_derivs.append(check_script(j, script, env))
     return Derivation(name, goal, tuple(child_derivs), dict(args))
 
 
-def _auto_premise(j: Judgement, env: Env) -> Derivation:
+def _unscripted(j: Judgement, env: Env, prove_leq) -> Derivation:
+    """A derivation of a judgement given without a script: inequalities by
+    `prove_leq`, typing and formation by the type checker, and equalities
+    only when reflexive."""
+    if isinstance(j, EffLeq):
+        return prove_leq(j)
     if isinstance(j, Typing):
         return check_term(j.ctx, j.term, j.ty, env.resolver())
     if isinstance(j, EffForm):
         return check_effect(j.ctx, j.eff, env.resolver())
-    if isinstance(j, EffLeq):
-        try:
-            return auto_search_leq(j, env.depth, env)
-        except SearchFailed:
-            raise DerivationError(
-                f"premise not proved within depth {env.depth}: {show_judgement(j)}"
-            )
-    if isinstance(j, TermEq):
-        if j.lhs == j.rhs:
-            return _check_rule_node(j, "ref", {}, None, env)
-        raise DerivationError(
-            f"premise needs an explicit script: {show_judgement(j)}"
-        )
-    raise TypeError(j)
+    if j.lhs == j.rhs:
+        return _rule_node(j, "ref", {}, None, env, prove_leq)
+    raise DerivationError(lambda: f"premise needs an explicit script: {show_judgement(j)}")
 
 
 # ------------------------------------------------------------- bounded search
@@ -336,17 +352,33 @@ def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivatio
     return d
 
 
+# the search's steps before transitivity: each rule without script arguments
+_RULE_STEPS = tuple((name, {}) for name in SEARCH_RULES)
+
+
+def _trans_steps(goal: EffLeq):
+    """Transitivity through each middle candidate, built only when reached."""
+    for mid in _mid_candidates(goal):
+        yield "leq-trans", {"via": mid}
+
+
 def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:
-    for lemma_name in sorted(env.lemmas):
-        for j in env.lemmas[lemma_name]:
-            if isinstance(j, EffLeq) and judgement_up_to_exchange(j, goal):
-                return Derivation("use", goal, (), {"name": lemma_name})
+    for name in sorted(env.lemmas):
+        d = _use(goal, name, env)
+        if d is not None:
+            return d
 
-    def synth(term, extra=()):
-        return synth_type(goal.ctx, term, extra)
+    synth = partial(synth_type, goal.ctx)
 
-    for name in SEARCH_RULES:
+    def prove_leq(j):
+        return _search(j, depth - 1, env, table)
+
+    steps = _RULE_STEPS if depth < 2 else chain(_RULE_STEPS, _trans_steps(goal))
+    for name, args in steps:
         if name == "arith":
+            # arith has no schema; comparing here instead of calling
+            # check_arith spares a raise at each non-literal goal, about 3%
+            # of a refute pass
             lo, hi = literal_value(goal.low), literal_value(goal.high)
             if lo is not None and hi is not None and lo <= hi:
                 return Derivation("arith", goal)
@@ -355,73 +387,15 @@ def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Der
         if schema.pack not in env.packs:
             continue
         try:
-            candidates = schema.match(goal, {}, synth)
+            candidates = schema.match(goal, args, synth)
         except RuleMismatch:
             continue
         for instn in candidates:
-            d = _try_instantiation(goal, name, instn, depth, env, table)
-            if d is not None:
-                return d
-
-    if depth >= 2:
-        for mid in _mid_candidates(goal):
             try:
-                schema = rules.SCHEMAS["leq-trans"]
-                candidates = schema.match(goal, {"via": mid}, synth)
-            except RuleMismatch:
-                continue
-            for instn in candidates:
-                d = _try_instantiation(
-                    goal, "leq-trans", instn, depth, env, table, args={"via": mid}
-                )
-                if d is not None:
-                    return d
+                return _discharge(goal, name, args, instn, None, env, prove_leq)
+            except (SearchFailed, DerivationError, QpelTypeError):
+                pass
     raise SearchFailed()
-
-
-def _try_instantiation(goal, name, instn, depth, env, table, args=None):
-    try:
-        bindings = split_zones(goal.ctx, instn)
-    except QpelTypeError:
-        return None
-    children = []
-    for p in instn.premises:
-        j = p.to_judgement(bindings[p.zone])
-        if p.shape[0] == "equiv":
-            try:
-                df = _search(j, depth - 1, env, table)
-                db = _search(EffLeq(j.ctx, j.high, j.low), depth - 1, env, table)
-            except SearchFailed:
-                return None
-            children.append(Derivation("both", j, (df, db)))
-        elif isinstance(j, Typing):
-            try:
-                children.append(check_term(j.ctx, j.term, j.ty, env.resolver()))
-            except QpelTypeError:
-                return None
-        elif isinstance(j, EffForm):
-            try:
-                children.append(check_effect(j.ctx, j.eff, env.resolver()))
-            except QpelTypeError:
-                return None
-        elif isinstance(j, EffLeq):
-            try:
-                children.append(_search(j, depth - 1, env, table))
-            except SearchFailed:
-                return None
-        else:  # term equality: only reflexivity
-            if j.lhs == j.rhs:
-                try:
-                    children.append(
-                        Derivation(
-                            "ref", j, (check_term(j.ctx, j.lhs, j.ty, env.resolver()),)
-                        )
-                    )
-                except QpelTypeError:
-                    return None
-            else:
-                return None
-    return Derivation(name, goal, tuple(children), dict(args or {}))
 
 
 # ------------------------------------------------------- derivation re-check
@@ -439,10 +413,7 @@ def deriv_to_script(d: Derivation):
         return BothNode(deriv_to_script(d.children[0]), deriv_to_script(d.children[1]))
     prems = tuple(deriv_to_script(c) for c in d.children)
     args = {
-        k: v
-        for k, v in d.args.items()
-        if (d.rule, k) in (("trans", "via"), ("leq-trans", "via"), ("measure-perm", "perm"))
-        or k in ("ty", "ty2", "x", "body", "m", "n")
+        k: v for k, v in d.args.items() if (d.rule, k) in ARG_SORTS or (None, k) in ARG_SORTS
     }
     return ScriptNode(d.rule, args, prems if prems else None)
 

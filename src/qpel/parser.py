@@ -293,8 +293,9 @@ def tokenize(text: str) -> list[Token]:
             i, col = i + 1, col + 1
             continue
         if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            i, col = j, col + j - i
             continue
         if text.startswith("_|_", i) and not (i + 3 < n and _name_char(text[i + 3])):
             toks.append(Token("_|_", "_|_", line, col))
@@ -355,8 +356,9 @@ _KEYWORDS = {
 
 _NODE_KINDS = {"auto", "arith", "both", "use"}
 
-# sort of each script argument value, keyed by (rule, key) with a fallback key
-_ARG_SORTS = {
+# sort of each script argument value, keyed by (rule, key) with a fallback key;
+# `derivation.deriv_to_script` keeps the derivation arguments named here
+ARG_SORTS = {
     ("trans", "via"): "term",
     ("leq-trans", "via"): "effect",
     ("measure-perm", "perm"): "intlist",
@@ -371,10 +373,10 @@ _ARG_SORTS = {
 
 
 def arg_sort(rule: str, key: str) -> str:
-    if (rule, key) in _ARG_SORTS:
-        return _ARG_SORTS[(rule, key)]
-    if (None, key) in _ARG_SORTS:
-        return _ARG_SORTS[(None, key)]
+    if (rule, key) in ARG_SORTS:
+        return ARG_SORTS[(rule, key)]
+    if (None, key) in ARG_SORTS:
+        return ARG_SORTS[(None, key)]
     raise QpelSyntaxError(f"rule {rule} takes no argument named {key!r}")
 
 

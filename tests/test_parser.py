@@ -85,6 +85,10 @@ def test_parse_errors_have_positions():
         parse("term bad (x : I) : I = let x y")
     assert exc.value.line == 1 and exc.value.col > 0
     assert exc.value.expected
+    # input that ends inside a comment ends after the comment, not at its start
+    with pytest.raises(QpelSyntaxError) as exc:
+        parse("lemma l (x : I) : x = x : I by { ref -- the proof")
+    assert (exc.value.line, exc.value.col) == (1, 50)
 
 
 def test_type_alias_and_inlining():

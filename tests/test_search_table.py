@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-from qpel import derivation
+from qpel import derivation, typecheck
 from qpel.backends import BACKEND_NAMES, make_backend
 from qpel.derivation import Env, SearchFailed, auto_search_leq
 from qpel.driver import process_file
@@ -19,6 +19,7 @@ from qpel.interpreter import backend_applicable, judgement_true
 from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse
 from qpel.rules import DEFAULT_PACKS
 from qpel.syntax import EffLeq, Syntax
+from qpel.typecheck import show_judgement
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILE_PACKS = {"beta_iso.qpel": DEFAULT_PACKS | {"beta-iso"}}
@@ -102,6 +103,29 @@ def test_search_results_match_the_untabled_golden(monkeypatch):
     records = _golden_records(monkeypatch)
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (GOLDEN_COUNT, GOLDEN_SHA256)
+
+
+def test_search_formats_only_the_failures_it_reports(monkeypatch):
+    """A search discards thousands of failed premises; their messages must be
+    formatted only when read.  Checking the refutable converses shows 26
+    judgements: the 23 reported failures, and 3 obligations of typing
+    premises inside the search, which `ObligationError` formats as raised."""
+    shown = []
+
+    def counting(j):
+        shown.append(j)
+        return show_judgement(j)
+
+    monkeypatch.setattr(typecheck, "show_judgement", counting)
+    monkeypatch.setattr(derivation, "show_judgement", counting)
+    decls = tuple(
+        replace(decl, name="refute-" + decl.name, goal=GLeq(decl.goal.high, decl.goal.low),
+                script=AutoNode(REFUTE_DEPTH), requires=())
+        for decl, _ in _refute_goals()
+    )
+    report = process_file(SourceFile(decls), packs=DEFAULT_PACKS)
+    assert [d.status for d in report.decls] == ["proof-error"] * 23
+    assert len(shown) == 26
 
 
 def test_table_hits_agree_with_a_fresh_search(monkeypatch):

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .backends import BACKEND_NAMES
-from .derivation import DerivationError
+from .derivation import DerivationError, SearchBudgetExhausted
 from .driver import (
     EXIT_OK,
     EXIT_PARSE,
@@ -100,6 +100,9 @@ def main(argv=None) -> int:
         except QpelTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TYPE
+        except SearchBudgetExhausted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PROOF
         print(render_state(args.backend, state))
         return EXIT_OK
 
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
         except QpelTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TYPE
-        except DerivationError as exc:
+        except (DerivationError, SearchBudgetExhausted) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PROOF
         print(render_pred(pred))

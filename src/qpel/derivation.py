@@ -9,9 +9,14 @@ discharged automatically: typing and formation premises by the type checker,
 inequality premises by a prover the caller passes in, and equality premises
 only when reflexive.  For a script that prover is a fresh bounded search.
 
-Search over the inequality rules is depth-bounded and deterministic.  The
+Search over the inequality rules is depth-bounded and deterministic.  At a
+goal it tries, in `SEARCH_RULES` order, only the rules whose declared heads
+(`rules.Schema.heads`) admit the classes of the goal's two sides; that is
+necessary for a schema to match, so the index skips only misses.  The
 transitivity rule is explored against a fixed family of middle candidates
 (double orthosupplements, the top and zero effects, and immediate summands).
+Each call expands at most `SEARCH_BUDGET` goals; running out ends the whole
+search with `SearchBudgetExhausted`, which no rule catches.
 Search derivations are assembled by the script checker's discharge
 (`_discharge`): each rule instance the search tries is a node without
 premise scripts, whose inequality premises the search itself proves one
@@ -57,6 +62,7 @@ from .syntax import (
     TermEq,
     Typing,
     Zero,
+    free_vars,
     judgement_up_to_exchange,
     one,
 )
@@ -301,9 +307,25 @@ SEARCH_RULES = (
     "bot-bot", "bot-antitone", "ovee-comm", "ovee-mono", "perp-rotate",
     "ovee-assoc", "ortho-1", "unit-l", "unit-r", "assoc", "comm", "dist-l",
     "dist-r", "case-mono", "case-leq", "case-ovee", "case-bot", "case-times",
-    "case-cong", "eta-plus-eff", "beta-plus-1-eff", "beta-plus-2-eff",
-    "qbit-x-proj", "qbit-z-proj", "qbit-xz-zx",
+    "case-cong", "eta-plus-eff", "qbit-x-proj", "qbit-z-proj", "qbit-xz-zx",
 )
+
+# goals one `auto_search_leq` call may expand.  No call in the test suite
+# or the benchmark workloads expands more than 509, nor more than 965 with
+# the refutable converses at auto(6); at auto(40) most of them reach the
+# budget in two to three seconds on 2 vCPUs.
+SEARCH_BUDGET = 10_000
+
+
+class SearchBudgetExhausted(Exception):
+    """A search call, given as (goal, depth), that expanded SEARCH_BUDGET
+    goals.  It is not a rule failure: nothing in the checker catches it, and
+    the driver reports it as a proof error."""
+
+    def __str__(self):
+        goal, depth = self.args
+        return (f"auto: budget exhausted after {SEARCH_BUDGET} nodes "
+                f"at depth {depth} for {show_judgement(goal)}")
 
 
 def _mid_candidates(goal: EffLeq):
@@ -325,16 +347,19 @@ def _mid_candidates(goal: EffLeq):
 
 
 class SearchTable:
-    """The answers of one `auto_search_leq` call, keyed by goal value."""
+    """The answers of one `auto_search_leq` call, keyed by goal value, and
+    the number of goals it has expanded."""
 
-    def __init__(self):
+    def __init__(self, goal: EffLeq, depth: int):
+        self.root = goal, depth
         self.proved = {}  # (goal, depth) -> Derivation
         self.failed = {}  # goal -> deepest depth at which the search failed
+        self.nodes = 0
 
 
 def auto_search_leq(goal: EffLeq, depth: int, env: Env) -> Derivation:
     """Deterministic bounded search; results always re-check."""
-    return _search(goal, depth, env, SearchTable())
+    return _search(goal, depth, env, SearchTable(goal, depth))
 
 
 def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:
@@ -343,6 +368,9 @@ def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivatio
     d = table.proved.get((goal, depth))
     if d is not None:
         return d
+    if table.nodes == SEARCH_BUDGET:
+        raise SearchBudgetExhausted(*table.root)
+    table.nodes += 1
     try:
         d = _search_rules(goal, depth, env, table)
     except SearchFailed:
@@ -352,8 +380,22 @@ def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivatio
     return d
 
 
-# the search's steps before transitivity: each rule without script arguments
-_RULE_STEPS = tuple((name, {}) for name in SEARCH_RULES)
+# the search's steps before transitivity, per (low, high) class pair of a
+# goal: each rule whose declared heads admit the pair, without script
+# arguments, in SEARCH_RULES order; built when a pair is first met, and
+# holding names, as the schemas are looked up when tried
+_RULE_STEPS = {}
+
+
+def _rule_steps(goal: EffLeq) -> tuple:
+    heads = type(goal.low), type(goal.high)
+    steps = _RULE_STEPS.get(heads)
+    if steps is None:
+        steps = _RULE_STEPS[heads] = tuple(
+            (name, {}) for name in SEARCH_RULES
+            if name == "arith" or rules.SCHEMAS[name].admits(*heads)
+        )
+    return steps
 
 
 def _trans_steps(goal: EffLeq):
@@ -373,12 +415,17 @@ def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Der
     def prove_leq(j):
         return _search(j, depth - 1, env, table)
 
-    steps = _RULE_STEPS if depth < 2 else chain(_RULE_STEPS, _trans_steps(goal))
+    steps = _rule_steps(goal)
+    if depth >= 2:
+        steps = chain(steps, _trans_steps(goal))
     for name, args in steps:
         if name == "arith":
             # arith has no schema; comparing here instead of calling
             # check_arith spares a raise at each non-literal goal, about 3%
-            # of a refute pass
+            # of a refute pass.  A literal effect has no variables, so a
+            # goal with any is not evaluated.
+            if free_vars(goal.low) or free_vars(goal.high):
+                continue
             lo, hi = literal_value(goal.low), literal_value(goal.high)
             if lo is not None and hi is not None and lo <= hi:
                 return Derivation("arith", goal)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .backends import make_backend
 from .backends.points import show_point
-from .derivation import DerivationError, Env, check_script
+from .derivation import DerivationError, Env, SearchBudgetExhausted, check_script
 from .interpreter import (
     backend_applicable,
     evaluate,
@@ -183,6 +183,8 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
                 terms[decl.name] = "check expects a closed term" if len(decl.ctx) else d
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
+            except SearchBudgetExhausted as exc:
+                rep.status, rep.message = "proof-error", str(exc)
         elif isinstance(decl, EffectDecl):
             rep = DeclReport(decl.name, "effect", "ok", "typechecked")
             try:
@@ -190,6 +192,8 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
                 terms[decl.name] = "check expects a term declaration"
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
+            except SearchBudgetExhausted as exc:
+                rep.status, rep.message = "proof-error", str(exc)
         elif isinstance(decl, LemmaDecl):
             rep = _process_lemma(decl, env, sidecar, backends)
         elif isinstance(decl, CheckDecl):
@@ -214,6 +218,9 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
     except QpelTypeError as exc:
         rep.status, rep.message = "type-error", str(exc)
         return rep
+    except SearchBudgetExhausted as exc:
+        rep.status, rep.message = "proof-error", str(exc)
+        return rep
     rep.stage = "typechecked"
 
     scripts = [script] * len(checked)
@@ -231,7 +238,7 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
 
                 s = AutoNode()
             check_script(j, s, env)
-    except (DerivationError, ObligationError) as exc:
+    except (DerivationError, ObligationError, SearchBudgetExhausted) as exc:
         rep.status, rep.message = "proof-error", str(exc)
         return rep
     except QpelTypeError as exc:

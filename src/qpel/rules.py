@@ -7,7 +7,9 @@ conclusion is assembled from.  `typecheck.split_zones` splits a goal context
 among those zones, for the type checker, the script checker in `derivation`
 and its search alike.  The formation schemas (var through measure, eff-0
 through eff-case, qbit-new through qbit-proj) are the type checker's rules
-too, so their messages are its user-facing ones.
+too, so their messages are its user-facing ones.  The inequality schemas
+that the search tries declare their heads: the (low, high) effect classes a
+conclusion they match can have, by which the search indexes them.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -26,6 +28,7 @@ from .syntax import (
     Context,
     CZ,
     EffForm,
+    Effect,
     EffLeq,
     Inl,
     Inr,
@@ -38,6 +41,7 @@ from .syntax import (
     PauliX,
     PauliZ,
     ProjPlus,
+    SHAPES,
     ScalarLit,
     SMul,
     Star,
@@ -145,6 +149,14 @@ class Schema:
     name: str
     pack: str
     match: object = field(compare=False)  # fn(goal, args, synth) -> [Instantiation]
+    # for a rule the search tries, the (low, high) effect classes of its
+    # conclusions: one whose sides are of no listed pair cannot match;
+    # `Effect` stands for any effect
+    heads: tuple | None = None
+
+    def admits(self, low: type, high: type) -> bool:
+        """Whether a conclusion with sides of these classes may match."""
+        return any(issubclass(low, lo) and issubclass(high, hi) for lo, hi in self.heads)
 
 
 # the one instance of a rule without premises: its conclusion in any context
@@ -231,10 +243,13 @@ def angle_minus_pi(q: Fraction) -> Fraction:
 
 SCHEMAS: dict[str, Schema] = {}
 
+# the effect constructors, for head declarations
+EFFECTS = tuple(c for c in SHAPES if issubclass(c, Effect))
 
-def rule(name, pack="core"):
+
+def rule(name, pack="core", heads=None):
     def deco(fn):
-        SCHEMAS[name] = Schema(name, pack, fn)
+        SCHEMAS[name] = Schema(name, pack, fn, None if heads is None else tuple(heads))
         return fn
 
     return deco
@@ -971,7 +986,7 @@ def _eff_case(goal, args, synth):
 # ---- derivability
 
 
-@rule("leq-ref")
+@rule("leq-ref", heads=[(c, c) for c in EFFECTS])
 def _leq_ref(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     need(goal.low == goal.high, "the two sides are not alpha-equal")
@@ -985,13 +1000,13 @@ def _leq_trans(goal, args, synth):
     return [inst([p_leq("G", goal.low, mid), p_leq("G", mid, goal.high)], ["G"])]
 
 
-@rule("zero-leq")
+@rule("zero-leq", heads=[(Zero, Effect)])
 def _zero_leq(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, Zero), "left side must be 0")
     return [inst([p_eff("G", goal.high)], ["G"])]
 
 
-@rule("bot-antitone")
+@rule("bot-antitone", heads=[(Orth, Orth)])
 def _bot_antitone(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, Orth) and isinstance(goal.high, Orth),
@@ -1000,7 +1015,7 @@ def _bot_antitone(goal, args, synth):
     return [inst([p_leq("G", goal.high.arg, goal.low.arg)], ["G"])]
 
 
-@rule("bot-bot")
+@rule("bot-bot", heads=[(Effect, Orth)])
 def _bot_bot(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     h = goal.high
@@ -1009,14 +1024,14 @@ def _bot_bot(goal, args, synth):
     return [inst([p_eff("G", goal.low)], ["G"])]
 
 
-@rule("leq-ovee")
+@rule("leq-ovee", heads=[(Effect, OSum)])
 def _leq_ovee(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.high, OSum), "right side must be a sum")
     alpha2(goal.high.left, goal.low, "sum left component")
     return [inst([p_leq("G", goal.low, Orth(goal.high.right))], ["G"])]
 
 
-@rule("ovee-mono")
+@rule("ovee-mono", heads=[(OSum, OSum)])
 def _ovee_mono(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
@@ -1028,7 +1043,7 @@ def _ovee_mono(goal, args, synth):
     return [inst([p_leq("G", phi, psi), p_leq("G", psi, Orth(chi))], ["G"])]
 
 
-@rule("ovee-comm")
+@rule("ovee-comm", heads=[(OSum, OSum)])
 def _ovee_comm(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
@@ -1041,7 +1056,7 @@ def _ovee_comm(goal, args, synth):
     return [inst([p_leq("G", goal.low.left, Orth(goal.low.right))], ["G"])]
 
 
-@rule("perp-rotate")
+@rule("perp-rotate", heads=[(OSum, Orth)])
 def _perp_rotate(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, Orth),
@@ -1052,7 +1067,7 @@ def _perp_rotate(goal, args, synth):
     return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
 
 
-@rule("ovee-assoc")
+@rule("ovee-assoc", heads=[(OSum, OSum)])
 def _ovee_assoc(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     l, h = goal.low, goal.high
@@ -1068,7 +1083,7 @@ def _ovee_assoc(goal, args, synth):
     return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
 
 
-@rule("ovee-0")
+@rule("ovee-0", heads=[(OSum, Effect)])
 def _ovee_0(goal, args, synth):
     need(
         isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.low.right, Zero),
@@ -1078,14 +1093,14 @@ def _ovee_0(goal, args, synth):
     return [inst([p_eff("G", goal.high)], ["G"])]
 
 
-@rule("ortho-1")
+@rule("ortho-1", heads=[(Orth, Effect)])
 def _ortho_1(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, Orth), "left side must be an orthosupplement")
     psi, phi = goal.low.arg, goal.high
     return [inst([p_leq("G", one(), OSum(phi, psi))], ["G"])]
 
 
-@rule("ortho-2")
+@rule("ortho-2", heads=[(Orth, OSum)])
 def _ortho_2(goal, args, synth):
     need(isinstance(goal, EffLeq) and is_one(goal.low), "left side must be bot(0)")
     h = goal.high
@@ -1094,7 +1109,7 @@ def _ortho_2(goal, args, synth):
     return [inst([p_eff("G", h.left)], ["G"])]
 
 
-@rule("dist-l")
+@rule("dist-l", heads=[(SMul, Orth), (SMul, OSum), (OSum, SMul)])
 def _dist_l(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1124,7 +1139,7 @@ def _dist_l(goal, args, synth):
     return out
 
 
-@rule("dist-r")
+@rule("dist-r", heads=[(SMul, Orth), (SMul, OSum), (OSum, SMul)])
 def _dist_r(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1152,7 +1167,7 @@ def _dist_r(goal, args, synth):
     return out
 
 
-@rule("unit-l")
+@rule("unit-l", heads=[(SMul, Effect), (Effect, SMul)])
 def _unit_l(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1163,7 +1178,7 @@ def _unit_l(goal, args, synth):
     return out
 
 
-@rule("unit-r")
+@rule("unit-r", heads=[(SMul, Effect), (Effect, SMul)])
 def _unit_r(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1174,7 +1189,7 @@ def _unit_r(goal, args, synth):
     return out
 
 
-@rule("assoc")
+@rule("assoc", heads=[(SMul, SMul)])
 def _assoc(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1194,7 +1209,7 @@ def _assoc(goal, args, synth):
     return out
 
 
-@rule("comm")
+@rule("comm", heads=[(SMul, SMul)])
 def _comm(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     lo, hi = goal.low, goal.high
@@ -1205,7 +1220,7 @@ def _comm(goal, args, synth):
     return [inst([p_eff("", lo.scalar), p_eff("", lo.body)], [])]
 
 
-@rule("case-cong")
+@rule("case-cong", heads=[(CaseEff, CaseEff)])
 def _case_cong(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1233,7 +1248,7 @@ def _case_cong(goal, args, synth):
     return out
 
 
-@rule("case-mono")
+@rule("case-mono", heads=[(CaseEff, CaseEff)])
 def _case_mono(goal, args, synth):
     need(
         isinstance(goal, EffLeq)
@@ -1314,7 +1329,7 @@ def _beta_plus_2_eff(goal, args, synth):
     return out
 
 
-@rule("eta-plus-eff")
+@rule("eta-plus-eff", heads=[(Effect, CaseEff), (CaseEff, Effect)])
 def _eta_plus_eff(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1340,7 +1355,7 @@ def _eta_plus_eff(goal, args, synth):
     return out
 
 
-@rule("case-ovee")
+@rule("case-ovee", heads=[(CaseEff, OSum), (OSum, CaseEff)])
 def _case_ovee(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1380,7 +1395,7 @@ def _case_ovee(goal, args, synth):
     return out
 
 
-@rule("case-bot")
+@rule("case-bot", heads=[(CaseEff, Orth), (Orth, CaseEff)])
 def _case_bot(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1416,7 +1431,7 @@ def _case_bot(goal, args, synth):
     return out
 
 
-@rule("case-leq")
+@rule("case-leq", heads=[(CaseEff, Effect)])
 def _case_leq(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, CaseEff), "left side must be a case effect")
     l, chi = goal.low, goal.high
@@ -1436,7 +1451,7 @@ def _case_leq(goal, args, synth):
     ]
 
 
-@rule("case-times")
+@rule("case-times", heads=[(CaseEff, SMul), (SMul, CaseEff)])
 def _case_times(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1557,7 +1572,7 @@ def _qbit_cz_z(goal, args, synth):
     ]
 
 
-@rule("qbit-x-proj", pack="qubit")
+@rule("qbit-x-proj", pack="qubit", heads=[(ProjPlus, ProjPlus)])
 def _qbit_x_proj(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1571,7 +1586,7 @@ def _qbit_x_proj(goal, args, synth):
     return out
 
 
-@rule("qbit-z-proj", pack="qubit")
+@rule("qbit-z-proj", pack="qubit", heads=[(ProjPlus, ProjPlus)])
 def _qbit_z_proj(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []
@@ -1603,7 +1618,7 @@ def _qbit_zz(goal, args, synth):
     return [inst([p_ty("G", goal.rhs, TQbit())], ["G"])]
 
 
-@rule("qbit-xz-zx", pack="qubit")
+@rule("qbit-xz-zx", pack="qubit", heads=[(ProjPlus, ProjPlus)])
 def _qbit_xz_zx(goal, args, synth):
     need(isinstance(goal, EffLeq), "conclusion is not an inequality")
     out = []

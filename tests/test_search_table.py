@@ -5,21 +5,34 @@ These tests pin down what that must not change: every top-level search
 result over the corpus and the refutable corpus converses (a golden digest
 taken before tabling), the answer behind every table hit, and the two facts
 the table relies on, that failure is monotone in depth and that goals are
-keyed by value rather than by hash.
+keyed by value rather than by hash.  The last tests pin the index of the
+search rules by goal head, which must skip only schema misses, what it
+saves, and the node budget that ends a search too deep to finish.
 """
 import hashlib
+import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from qpel import derivation, typecheck
 from qpel.backends import BACKEND_NAMES, make_backend
-from qpel.derivation import Env, SearchFailed, auto_search_leq
-from qpel.driver import process_file
+from qpel.corpus import all_items
+from qpel.derivation import (
+    SEARCH_BUDGET,
+    SEARCH_RULES,
+    Env,
+    SearchBudgetExhausted,
+    SearchFailed,
+    auto_search_leq,
+)
+from qpel.driver import EXIT_PROOF, process_file
 from qpel.interpreter import backend_applicable, judgement_true
 from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse
-from qpel.rules import DEFAULT_PACKS
-from qpel.syntax import EffLeq, Syntax
-from qpel.typecheck import show_judgement
+from qpel.randgen import raw_effect
+from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
+from qpel.syntax import Context, EffLeq, Syntax
+from qpel.typecheck import show_judgement, synth_type
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILE_PACKS = {"beta_iso.qpel": DEFAULT_PACKS | {"beta-iso"}}
@@ -86,16 +99,22 @@ def _check_file(name):
     return process_file(_parse(name), path=name, packs=FILE_PACKS.get(name, DEFAULT_PACKS))
 
 
+def _refute_decl(decl, depth=REFUTE_DEPTH):
+    """The converse of lemma decl, to be proved by auto(depth)."""
+    return replace(decl, name="refute-" + decl.name, goal=GLeq(decl.goal.high, decl.goal.low),
+                   script=AutoNode(depth), requires=())
+
+
+def _check_refute_file():
+    decls = tuple(_refute_decl(decl) for decl, _ in _refute_goals())
+    return process_file(SourceFile(decls), packs=DEFAULT_PACKS)
+
+
 def _golden_records(monkeypatch):
     records = _record_searches(monkeypatch)
     for name in _corpus_files():
         _check_file(name)
-    decls = tuple(
-        replace(decl, name="refute-" + decl.name, goal=GLeq(decl.goal.high, decl.goal.low),
-                script=AutoNode(REFUTE_DEPTH), requires=())
-        for decl, _ in _refute_goals()
-    )
-    process_file(SourceFile(decls), packs=DEFAULT_PACKS)
+    _check_refute_file()
     return records
 
 
@@ -118,14 +137,114 @@ def test_search_formats_only_the_failures_it_reports(monkeypatch):
 
     monkeypatch.setattr(typecheck, "show_judgement", counting)
     monkeypatch.setattr(derivation, "show_judgement", counting)
-    decls = tuple(
-        replace(decl, name="refute-" + decl.name, goal=GLeq(decl.goal.high, decl.goal.low),
-                script=AutoNode(REFUTE_DEPTH), requires=())
-        for decl, _ in _refute_goals()
-    )
-    report = process_file(SourceFile(decls), packs=DEFAULT_PACKS)
+    report = _check_refute_file()
     assert [d.status for d in report.decls] == ["proof-error"] * 23
     assert len(shown) == 26
+
+
+def test_search_tries_only_the_rules_the_goal_heads_admit(monkeypatch):
+    """Checking the refutable converses calls `Schema.match` 13,344 times,
+    for the type checker's formation rules and the search's inequality rules
+    together.  Tried at every node whatever the goal, the 31 search rules
+    took 75,821 calls, nearly nine in ten of them misses."""
+    calls = []
+    for name, schema in list(SCHEMAS.items()):
+        def counting(goal, args, synth, match=schema.match):
+            calls.append(goal)
+            return match(goal, args, synth)
+
+        monkeypatch.setitem(SCHEMAS, name, replace(schema, match=counting))
+    report = _check_refute_file()
+    assert [d.status for d in report.decls] == ["proof-error"] * 23
+    assert len(calls) == 13344
+
+
+def _heads(goal):
+    return type(goal.low), type(goal.high)
+
+
+def test_rule_heads_exclude_only_goals_the_schema_misses(monkeypatch):
+    """The search skips a rule at a goal whose (low, high) classes the rule's
+    declared heads exclude.  That loses no proof only if the schema misses
+    every such goal.  Checked at each goal the search expands while the
+    golden's inputs are checked, at seeded random pairs of effects of every
+    class, each effect also paired with itself, and at the inequalities of
+    the rule-instance corpus, their mutants and the converses of both, which
+    instantiate each rule in each of its readings."""
+    assert all(SCHEMAS[name].heads for name in SEARCH_RULES if name != "arith")
+
+    goals = set()
+    search_rules = derivation._search_rules
+
+    def recording(goal, depth, env, table):
+        goals.add(goal)
+        return search_rules(goal, depth, env, table)
+
+    monkeypatch.setattr(derivation, "_search_rules", recording)
+    _golden_records(monkeypatch)
+    assert len({_heads(goal) for goal in goals}) > 20
+
+    rng = random.Random(10)
+    pool = {cls: [] for cls in EFFECTS}
+    while min(map(len, pool.values())) < 6:
+        e = raw_effect(rng, 2)
+        if len(pool[type(e)]) < 6:
+            pool[type(e)].append(e)
+    effects = [e for es in pool.values() for e in es]
+    for lo in effects:
+        for hi in effects:
+            goals.add(EffLeq(Context(), lo, hi))
+    for item in all_items():
+        for j in (item.judgement, item.mutant):
+            if isinstance(j, EffLeq):
+                goals.update((j, EffLeq(j.ctx, j.high, j.low)))
+
+    matched = []
+    for goal in goals:
+        synth = partial(synth_type, goal.ctx)
+        for name in SEARCH_RULES:
+            schema = SCHEMAS.get(name)
+            if schema is None or schema.admits(*_heads(goal)):
+                continue
+            try:
+                schema.match(goal, {}, synth)
+            except RuleMismatch:
+                continue
+            matched.append((name, show_judgement(goal)))
+    assert matched == []
+
+
+def test_search_budget_ends_a_deep_search(monkeypatch):
+    """A refutable converse at auto(40) would search for hours.  The node
+    budget ends it with a proof error that names the budget, and nothing
+    catches the exhaustion to go on searching."""
+    expanded_after = []
+    exhausted = []
+    search, search_rules = derivation._search, derivation._search_rules
+
+    def watching(goal, depth, env, table):
+        try:
+            return search(goal, depth, env, table)
+        except SearchBudgetExhausted:
+            exhausted.append(table)
+            raise
+
+    def expanding(goal, depth, env, table):
+        if exhausted:
+            expanded_after.append(goal)
+        return search_rules(goal, depth, env, table)
+
+    monkeypatch.setattr(derivation, "_search", watching)
+    monkeypatch.setattr(derivation, "_search_rules", expanding)
+    (decl,) = [decl for decl, _ in _refute_goals() if decl.name == "zero-leq-1"]
+    report = process_file(SourceFile((_refute_decl(decl, 40),)), packs=DEFAULT_PACKS)
+    (rep,) = report.decls
+    assert (report.exit_code, rep.status) == (EXIT_PROOF, "proof-error")
+    assert rep.message == (f"auto: budget exhausted after {SEARCH_BUDGET} nodes "
+                           "at depth 40 for x : qbit |- proj(x, 1/2) <= 0")
+    assert exhausted and all(t.nodes == SEARCH_BUDGET for t in exhausted)
+    assert expanded_after == []
+    assert rep.elapsed < 30
 
 
 def test_table_hits_agree_with_a_fresh_search(monkeypatch):

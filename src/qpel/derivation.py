@@ -10,8 +10,9 @@ inequality premises by a prover the caller passes in, and equality premises
 only when reflexive.  For a script that prover is a fresh bounded search.
 
 Search over the inequality rules is depth-bounded and deterministic.  At a
-goal it tries, in `SEARCH_RULES` order, only the rules whose declared heads
-(`rules.Schema.heads`) admit the classes of the goal's two sides; that is
+goal it tries, in `SEARCH_RULES` order, only the rules whose heads
+(`rules.Schema.heads`, read off a pattern rule's conclusion or declared by
+a rule given as code) admit the classes of the goal's two sides; that is
 necessary for a schema to match, so the index skips only misses.  The
 transitivity rule is explored against a fixed family of middle candidates
 (double orthosupplements, the top and zero effects, and immediate summands).
@@ -381,9 +382,9 @@ def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivatio
 
 
 # the search's steps before transitivity, per (low, high) class pair of a
-# goal: each rule whose declared heads admit the pair, without script
-# arguments, in SEARCH_RULES order; built when a pair is first met, and
-# holding names, as the schemas are looked up when tried
+# goal: each rule whose heads admit the pair, without script arguments, in
+# SEARCH_RULES order; built when a pair is first met, and holding names, as
+# the schemas are looked up when tried
 _RULE_STEPS = {}
 
 

@@ -277,6 +277,11 @@ class Token:
     col: int
 
 
+# the digits of a numeric literal: ASCII only, as `str.isdigit` holds for
+# superscripts that `int` rejects and for other scripts' digits it reads
+DIGITS = frozenset("0123456789")
+
+
 def _name_char(c):
     return c.isalnum() or c in "_'"
 
@@ -327,9 +332,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i

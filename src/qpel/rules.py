@@ -8,8 +8,12 @@ among those zones, for the type checker, the script checker in `derivation`
 and its search alike.  The formation schemas (var through measure, eff-0
 through eff-case, qbit-new through qbit-proj) are the type checker's rules
 too, so their messages are its user-facing ones.  The inequality schemas
-that the search tries declare their heads: the (low, high) effect classes a
-conclusion they match can have, by which the search indexes them.
+that the search tries have heads: the (low, high) effect classes a
+conclusion they match can have, by which the search indexes them.  The
+first-order ones, zero-leq through comm, are pattern rules: data, a
+conclusion and premises over effect metavariables, which one interpreter
+matches and from whose conclusions their heads are read.  The others,
+leq-ref and the binder and qubit rules, are code and declare their heads.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .printer import print_type
@@ -1000,224 +1005,125 @@ def _leq_trans(goal, args, synth):
     return [inst([p_leq("G", goal.low, mid), p_leq("G", mid, goal.high)], ["G"])]
 
 
-@rule("zero-leq", heads=[(Zero, Effect)])
-def _zero_leq(goal, args, synth):
-    need(isinstance(goal, EffLeq) and isinstance(goal.low, Zero), "left side must be 0")
-    return [inst([p_eff("G", goal.high)], ["G"])]
+# ---- first-order inequality rules, as patterns
 
 
-@rule("bot-antitone", heads=[(Orth, Orth)])
-def _bot_antitone(goal, args, synth):
-    need(
-        isinstance(goal, EffLeq) and isinstance(goal.low, Orth) and isinstance(goal.high, Orth),
-        "both sides must be orthosupplements",
-    )
-    return [inst([p_leq("G", goal.high.arg, goal.low.arg)], ["G"])]
+class Meta(NamedTuple):
+    """A metavariable of a rule pattern: it matches any effect, and each
+    further occurrence in a conclusion must be alpha-equal to the first."""
+
+    name: str
 
 
-@rule("bot-bot", heads=[(Effect, Orth)])
-def _bot_bot(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    h = goal.high
-    need(isinstance(h, Orth) and isinstance(h.arg, Orth), "right side must be a double orthosupplement")
-    alpha2(h.arg.arg, goal.low, "right side")
-    return [inst([p_eff("G", goal.low)], ["G"])]
+PHI, PSI, CHI = Meta("phi"), Meta("psi"), Meta("chi")
 
 
-@rule("leq-ovee", heads=[(Effect, OSum)])
-def _leq_ovee(goal, args, synth):
-    need(isinstance(goal, EffLeq) and isinstance(goal.high, OSum), "right side must be a sum")
-    alpha2(goal.high.left, goal.low, "sum left component")
-    return [inst([p_leq("G", goal.low, Orth(goal.high.right))], ["G"])]
+def _paths(pat, path):
+    """Each subpattern of pat with its attribute path, parents first, through
+    the subterm fields `SHAPES` lists (patterns bind nothing)."""
+    yield path, pat
+    for f, _ in () if isinstance(pat, Meta) else SHAPES[type(pat)].children:
+        yield from _paths(getattr(pat, f), f"{path}.{f}")
 
 
-@rule("ovee-mono", heads=[(OSum, OSum)])
-def _ovee_mono(goal, args, synth):
-    need(
-        isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
-        "both sides must be sums",
-    )
-    phi, chi = goal.low.left, goal.low.right
-    psi, chi2 = goal.high.left, goal.high.right
-    alpha2(chi2, chi, "shared summand")
-    return [inst([p_leq("G", phi, psi), p_leq("G", psi, Orth(chi))], ["G"])]
+def _builder(pat, where):
+    """A function of the matched nodes that builds pat, each metavariable
+    replaced by the node at its position in `where`.  Nodes are immutable, so
+    a subpattern without metavariables is one node for every instance."""
+    if isinstance(pat, Meta):
+        return itemgetter(where[pat])
+    if not any(isinstance(p, Meta) for _, p in _paths(pat, "")):
+        return lambda nodes: pat
+    cls, parts = type(pat), [_builder(getattr(pat, f), where) for f, _ in SHAPES[type(pat)].children]
+    return lambda nodes: cls(*[part(nodes) for part in parts])
 
 
-@rule("ovee-comm", heads=[(OSum, OSum)])
-def _ovee_comm(goal, args, synth):
-    need(
-        isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, OSum),
-        "both sides must be sums",
-    )
-    need(
-        goal.high.left == goal.low.right and goal.high.right == goal.low.left,
-        "right side must be the flipped sum",
-    )
-    return [inst([p_leq("G", goal.low.left, Orth(goal.low.right))], ["G"])]
+def _reading(low, high, sides, premises, zones):
+    """A conclusion read with its low and high patterns against the goal
+    fields `sides` names, compiled once: the (low, high) classes it admits,
+    and for the interpreter its steps and its instance builder.  A step takes
+    a field of an earlier node (the goal is node 0), which must hold the
+    step's class (`Effect` for a metavariable) and, at a metavariable seen
+    before, be alpha-equal to the node of its first occurrence."""
+    steps, nodes, where = [], {"": 0}, {}
+    for side, pat in zip(sides, (low, high)):
+        for path, p in _paths(pat, side):
+            parent, _, field = path.rpartition(".")
+            nodes[path] = len(nodes)
+            if isinstance(p, Meta):
+                steps.append((nodes[parent], field, Effect, where.get(p, 0)))
+                where.setdefault(p, nodes[path])
+            else:
+                steps.append((nodes[parent], field, type(p), 0))
+    built = [(p.zone, p.shape[0], [_builder(s, where) for s in p.shape[1:]]) for p in premises]
+
+    def build(nodes):
+        prems = [Premise(z, (kind, *[b(nodes) for b in parts])) for z, kind, parts in built]
+        return Instantiation(tuple(prems), zones)
+
+    roots = {field: cls for parent, field, cls, _ in steps if parent == 0}
+    return (roots["low"], roots["high"]), (tuple(steps), build)
 
 
-@rule("perp-rotate", heads=[(OSum, Orth)])
-def _perp_rotate(goal, args, synth):
-    need(
-        isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.high, Orth),
-        "conclusion must be `psi o+ chi <= bot(phi)`",
-    )
-    psi, chi = goal.low.left, goal.low.right
-    phi = goal.high.arg
-    return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
+def pattern_rule(name, conclusion, premises, message, both=False, extra=(), zones=("G",)):
+    """Register rule `name`, whose conclusion (low, high) is read against a
+    goal as written and, with `both`, with the goal's sides swapped, after
+    the `extra` conclusions.  A goal no reading fits gets `message`."""
+    readings = [_reading(lo, hi, ("low", "high"), premises, zones) for lo, hi in (*extra, conclusion)]
+    if both:
+        readings.append(_reading(*conclusion, ("high", "low"), premises, zones))
+    heads, compiled = zip(*readings)
+
+    def match(goal, args, synth):
+        out = []
+        for steps, build in compiled if isinstance(goal, EffLeq) else ():
+            nodes = [goal]
+            for parent, field, cls, first in steps:
+                node = getattr(nodes[parent], field)
+                if not isinstance(node, cls) or first and not node == nodes[first]:
+                    break
+                nodes.append(node)
+            else:
+                out.append(build(nodes))
+        need(out, message)
+        return out
+
+    SCHEMAS[name] = Schema(name, "core", match, tuple(dict.fromkeys(heads)))
 
 
-@rule("ovee-assoc", heads=[(OSum, OSum)])
-def _ovee_assoc(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    l, h = goal.low, goal.high
-    need(
-        isinstance(l, OSum) and isinstance(l.right, OSum) and isinstance(h, OSum) and isinstance(h.left, OSum),
-        "conclusion must reassociate a triple sum",
-    )
-    phi, psi, chi = l.left, l.right.left, l.right.right
-    need(
-        h.left.left == phi and h.left.right == psi and h.right == chi,
-        "the two sides do not share their summands",
-    )
-    return [inst([p_leq("G", OSum(phi, psi), Orth(chi))], ["G"])]
-
-
-@rule("ovee-0", heads=[(OSum, Effect)])
-def _ovee_0(goal, args, synth):
-    need(
-        isinstance(goal, EffLeq) and isinstance(goal.low, OSum) and isinstance(goal.low.right, Zero),
-        "left side must be `phi o+ 0`",
-    )
-    alpha2(goal.low.left, goal.high, "summand")
-    return [inst([p_eff("G", goal.high)], ["G"])]
-
-
-@rule("ortho-1", heads=[(Orth, Effect)])
-def _ortho_1(goal, args, synth):
-    need(isinstance(goal, EffLeq) and isinstance(goal.low, Orth), "left side must be an orthosupplement")
-    psi, phi = goal.low.arg, goal.high
-    return [inst([p_leq("G", one(), OSum(phi, psi))], ["G"])]
-
-
-@rule("ortho-2", heads=[(Orth, OSum)])
-def _ortho_2(goal, args, synth):
-    need(isinstance(goal, EffLeq) and is_one(goal.low), "left side must be bot(0)")
-    h = goal.high
-    need(isinstance(h, OSum) and isinstance(h.right, Orth), "right side must be `phi o+ bot(phi)`")
-    alpha2(h.right.arg, h.left, "orthosupplement argument")
-    return [inst([p_eff("G", h.left)], ["G"])]
-
-
-@rule("dist-l", heads=[(SMul, Orth), (SMul, OSum), (OSum, SMul)])
-def _dist_l(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    lo, hi = goal.low, goal.high
-    # reading 1: phi.chi _|_ psi.chi
-    if isinstance(lo, SMul) and isinstance(hi, Orth) and isinstance(hi.arg, SMul):
-        if lo.body == hi.arg.body:
-            phi, psi, chi = lo.scalar, hi.arg.scalar, lo.body
-            out.append(
-                inst([p_leq("", phi, Orth(psi)), p_eff("G", chi)], ["G"])
-            )
-    # readings 2 and 3: (phi o+ psi).chi == phi.chi o+ psi.chi
-    for a, b in both_readings(goal):
-        if (
-            isinstance(a, SMul)
-            and isinstance(a.scalar, OSum)
-            and isinstance(b, OSum)
-            and isinstance(b.left, SMul)
-            and isinstance(b.right, SMul)
-        ):
-            phi, psi, chi = a.scalar.left, a.scalar.right, a.body
-            if b.left == SMul(phi, chi) and b.right == SMul(psi, chi):
-                out.append(
-                    inst([p_leq("", phi, Orth(psi)), p_eff("G", chi)], ["G"])
-                )
-    need(out, "conclusion matches no reading of dist-l")
-    return out
-
-
-@rule("dist-r", heads=[(SMul, Orth), (SMul, OSum), (OSum, SMul)])
-def _dist_r(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    lo, hi = goal.low, goal.high
-    if isinstance(lo, SMul) and isinstance(hi, Orth) and isinstance(hi.arg, SMul):
-        if lo.scalar == hi.arg.scalar:
-            phi, psi, chi = lo.scalar, lo.body, hi.arg.body
-            out.append(
-                inst([p_eff("", phi), p_leq("G", psi, Orth(chi))], ["G"])
-            )
-    for a, b in both_readings(goal):
-        if (
-            isinstance(a, SMul)
-            and isinstance(a.body, OSum)
-            and isinstance(b, OSum)
-            and isinstance(b.left, SMul)
-            and isinstance(b.right, SMul)
-        ):
-            phi, psi, chi = a.scalar, a.body.left, a.body.right
-            if b.left == SMul(phi, psi) and b.right == SMul(phi, chi):
-                out.append(
-                    inst([p_eff("", phi), p_leq("G", psi, Orth(chi))], ["G"])
-                )
-    need(out, "conclusion matches no reading of dist-r")
-    return out
-
-
-@rule("unit-l", heads=[(SMul, Effect), (Effect, SMul)])
-def _unit_l(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if isinstance(a, SMul) and is_one(a.scalar) and a.body == b:
-            out.append(inst([p_eff("G", b)], ["G"]))
-    need(out, "conclusion must relate `bot(0) . phi` with `phi`")
-    return out
-
-
-@rule("unit-r", heads=[(SMul, Effect), (Effect, SMul)])
-def _unit_r(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if isinstance(a, SMul) and is_one(a.body) and a.scalar == b:
-            out.append(inst([p_eff("", b)], ["G"]))
-    need(out, "conclusion must relate `phi . bot(0)` with `phi`")
-    return out
-
-
-@rule("assoc", heads=[(SMul, SMul)])
-def _assoc(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if (
-            isinstance(a, SMul)
-            and isinstance(a.body, SMul)
-            and isinstance(b, SMul)
-            and isinstance(b.scalar, SMul)
-        ):
-            phi, psi, chi = a.scalar, a.body.scalar, a.body.body
-            if b.scalar.scalar == phi and b.scalar.body == psi and b.body == chi:
-                out.append(
-                    inst([p_eff("", phi), p_eff("", psi), p_eff("G", chi)], ["G"])
-                )
-    need(out, "conclusion must reassociate a scalar product")
-    return out
-
-
-@rule("comm", heads=[(SMul, SMul)])
-def _comm(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    lo, hi = goal.low, goal.high
-    need(
-        isinstance(lo, SMul) and isinstance(hi, SMul) and lo.scalar == hi.body and lo.body == hi.scalar,
-        "conclusion must flip a scalar product",
-    )
-    return [inst([p_eff("", lo.scalar), p_eff("", lo.body)], [])]
+pattern_rule("zero-leq", (Zero(), PHI), [p_eff("G", PHI)], "left side must be 0")
+pattern_rule("bot-antitone", (Orth(PHI), Orth(PSI)), [p_leq("G", PSI, PHI)],
+             "both sides must be orthosupplements")
+pattern_rule("bot-bot", (PHI, Orth(Orth(PHI))), [p_eff("G", PHI)],
+             "right side must be a double orthosupplement")
+pattern_rule("leq-ovee", (PHI, OSum(PHI, PSI)), [p_leq("G", PHI, Orth(PSI))], "right side must be a sum")
+pattern_rule("ovee-mono", (OSum(PHI, CHI), OSum(PSI, CHI)),
+             [p_leq("G", PHI, PSI), p_leq("G", PSI, Orth(CHI))], "both sides must be sums")
+pattern_rule("ovee-comm", (OSum(PHI, PSI), OSum(PSI, PHI)), [p_leq("G", PHI, Orth(PSI))],
+             "both sides must be sums")
+pattern_rule("perp-rotate", (OSum(PSI, CHI), Orth(PHI)), [p_leq("G", OSum(PHI, PSI), Orth(CHI))],
+             "conclusion must be `psi o+ chi <= bot(phi)`")
+pattern_rule("ovee-assoc", (OSum(PHI, OSum(PSI, CHI)), OSum(OSum(PHI, PSI), CHI)),
+             [p_leq("G", OSum(PHI, PSI), Orth(CHI))], "conclusion must reassociate a triple sum")
+pattern_rule("ovee-0", (OSum(PHI, Zero()), PHI), [p_eff("G", PHI)], "left side must be `phi o+ 0`")
+pattern_rule("ortho-1", (Orth(PSI), PHI), [p_leq("G", one(), OSum(PHI, PSI))],
+             "left side must be an orthosupplement")
+pattern_rule("ortho-2", (one(), OSum(PHI, Orth(PHI))), [p_eff("G", PHI)], "left side must be bot(0)")
+pattern_rule("dist-l", (SMul(OSum(PHI, PSI), CHI), OSum(SMul(PHI, CHI), SMul(PSI, CHI))),
+             [p_leq("", PHI, Orth(PSI)), p_eff("G", CHI)], "conclusion matches no reading of dist-l",
+             both=True, extra=[(SMul(PHI, CHI), Orth(SMul(PSI, CHI)))])
+pattern_rule("dist-r", (SMul(PHI, OSum(PSI, CHI)), OSum(SMul(PHI, PSI), SMul(PHI, CHI))),
+             [p_eff("", PHI), p_leq("G", PSI, Orth(CHI))], "conclusion matches no reading of dist-r",
+             both=True, extra=[(SMul(PHI, PSI), Orth(SMul(PHI, CHI)))])
+pattern_rule("unit-l", (SMul(one(), PHI), PHI), [p_eff("G", PHI)],
+             "conclusion must relate `bot(0) . phi` with `phi`", both=True)
+pattern_rule("unit-r", (SMul(PHI, one()), PHI), [p_eff("", PHI)],
+             "conclusion must relate `phi . bot(0)` with `phi`", both=True)
+pattern_rule("assoc", (SMul(PHI, SMul(PSI, CHI)), SMul(SMul(PHI, PSI), CHI)),
+             [p_eff("", PHI), p_eff("", PSI), p_eff("G", CHI)],
+             "conclusion must reassociate a scalar product", both=True)
+pattern_rule("comm", (SMul(PHI, PSI), SMul(PSI, PHI)), [p_eff("", PHI), p_eff("", PSI)],
+             "conclusion must flip a scalar product", zones=())
 
 
 @rule("case-cong", heads=[(CaseEff, CaseEff)])

@@ -198,6 +198,53 @@ def test_schema_mismatch_message_names_the_difference():
         check_script(goal, sc("beta-tensor"), env())
 
 
+PATTERN_RULE_MESSAGES = {
+    "zero-leq": "left side must be 0",
+    "bot-antitone": "both sides must be orthosupplements",
+    "bot-bot": "right side must be a double orthosupplement",
+    "leq-ovee": "right side must be a sum",
+    "ovee-mono": "both sides must be sums",
+    "ovee-comm": "both sides must be sums",
+    "perp-rotate": "conclusion must be `psi o+ chi <= bot(phi)`",
+    "ovee-assoc": "conclusion must reassociate a triple sum",
+    "ovee-0": "left side must be `phi o+ 0`",
+    "ortho-1": "left side must be an orthosupplement",
+    "ortho-2": "left side must be bot(0)",
+    "dist-l": "conclusion matches no reading of dist-l",
+    "dist-r": "conclusion matches no reading of dist-r",
+    "unit-l": "conclusion must relate `bot(0) . phi` with `phi`",
+    "unit-r": "conclusion must relate `phi . bot(0)` with `phi`",
+    "assoc": "conclusion must reassociate a scalar product",
+    "comm": "conclusion must flip a scalar product",
+}
+
+
+# a goal no pattern rule's heads admit, and for each rule with a repeated
+# metavariable, a goal of the rule's heads whose repeated occurrences differ
+P, Q, R = "proj(x, 0)", "proj(x, 1/2)", "proj(x, 1)"
+MISMATCHES = [(name, P, Q) for name in PATTERN_RULE_MESSAGES] + [
+    ("bot-bot", P, f"bot(bot({Q}))"),
+    ("leq-ovee", P, f"{Q} o+ {P}"),
+    ("ovee-mono", f"{P} o+ {Q}", f"{R} o+ {P}"),
+    ("ovee-comm", f"{P} o+ {Q}", f"{P} o+ {Q}"),
+    ("ovee-assoc", f"{P} o+ ({Q} o+ {R})", f"({Q} o+ {P}) o+ {R}"),
+    ("ovee-0", f"{P} o+ 0", Q),
+    ("ortho-2", "bot(0)", f"{P} o+ bot({Q})"),
+    ("dist-l", f"({P} o+ {Q}) . {R}", f"{P} . {R} o+ {R} . {Q}"),
+    ("unit-l", f"bot(0) . {P}", Q),
+    ("comm", f"{P} . {Q}", f"{P} . {Q}"),
+]
+
+
+@pytest.mark.parametrize("name, low, high", MISMATCHES)
+def test_pattern_rule_mismatch_gives_the_rule_message(name, low, high):
+    """An explicit node of a pattern rule at a goal no reading of the rule
+    fits fails with the rule's one message."""
+    with pytest.raises(DerivationError) as exc:
+        check_script(EffLeq(QCTX, E(low), E(high)), ScriptNode(name), env())
+    assert str(exc.value) == f"{name}: schema mismatch: {PATTERN_RULE_MESSAGES[name]}"
+
+
 def test_permutation_side_condition():
     it_goal = TermEq(
         Context(),

@@ -91,6 +91,17 @@ def test_parse_errors_have_positions():
     assert (exc.value.line, exc.value.col) == (1, 50)
 
 
+@pytest.mark.parametrize("text, col", [
+    ("effect e () = ²/4", 15),  # superscript two, which `int` rejects
+    ("effect e () = 1²", 16),
+    ("effect e () = ٣/4", 15),  # Arabic-Indic three, which `int` reads as 3
+])
+def test_numeric_literals_take_only_ascii_digits(text, col):
+    with pytest.raises(QpelSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"unexpected character {text[col - 1]!r} at 1:{col}"
+
+
 def test_type_alias_and_inlining():
     f = parse(
         """

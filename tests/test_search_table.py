@@ -7,11 +7,13 @@ taken before tabling), the answer behind every table hit, and the two facts
 the table relies on, that failure is monotone in depth and that goals are
 keyed by value rather than by hash.  The last tests pin the index of the
 search rules by goal head, which must skip only schema misses, what it
-saves, and the node budget that ends a search too deep to finish.
+saves, the heads and instances of the rules written as patterns, and the
+node budget that ends a search too deep to finish.
 """
 import hashlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +33,23 @@ from qpel.interpreter import backend_applicable, judgement_true
 from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse
 from qpel.randgen import raw_effect
 from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
-from qpel.syntax import Context, EffLeq, Syntax
+from qpel.syntax import (
+    CaseEff,
+    Context,
+    EffLeq,
+    Effect,
+    Orth,
+    OSum,
+    ProjPlus,
+    SMul,
+    Syntax,
+    TQbit,
+    TSum,
+    Var,
+    Zero,
+    nameless,
+    one,
+)
 from qpel.typecheck import show_judgement, synth_type
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -172,7 +190,27 @@ def test_rule_heads_exclude_only_goals_the_schema_misses(monkeypatch):
     the rule-instance corpus, their mutants and the converses of both, which
     instantiate each rule in each of its readings."""
     assert all(SCHEMAS[name].heads for name in SEARCH_RULES if name != "arith")
+    goals = _goal_pool(monkeypatch)
+    matched = []
+    for goal in goals:
+        synth = partial(synth_type, goal.ctx)
+        for name in SEARCH_RULES:
+            schema = SCHEMAS.get(name)
+            if schema is None or schema.admits(*_heads(goal)):
+                continue
+            try:
+                schema.match(goal, {}, synth)
+            except RuleMismatch:
+                continue
+            matched.append((name, show_judgement(goal)))
+    assert matched == []
 
+
+def _goal_pool(monkeypatch):
+    """Each goal the search expands while the golden's inputs are checked,
+    seeded random pairs of effects of every class, each effect also paired
+    with itself, and the inequalities of the rule-instance corpus, their
+    mutants and the converses of both."""
     goals = set()
     search_rules = derivation._search_rules
 
@@ -198,20 +236,108 @@ def test_rule_heads_exclude_only_goals_the_schema_misses(monkeypatch):
         for j in (item.judgement, item.mutant):
             if isinstance(j, EffLeq):
                 goals.update((j, EffLeq(j.ctx, j.high, j.low)))
+    return goals
 
-    matched = []
-    for goal in goals:
-        synth = partial(synth_type, goal.ctx)
-        for name in SEARCH_RULES:
-            schema = SCHEMAS.get(name)
-            if schema is None or schema.admits(*_heads(goal)):
-                continue
+
+# the first-order inequality rules, and the (low, high) head classes of
+# their conclusions in each reading
+PATTERN_HEADS = {
+    "zero-leq": ((Zero, Effect),),
+    "bot-antitone": ((Orth, Orth),),
+    "bot-bot": ((Effect, Orth),),
+    "leq-ovee": ((Effect, OSum),),
+    "ovee-mono": ((OSum, OSum),),
+    "ovee-comm": ((OSum, OSum),),
+    "perp-rotate": ((OSum, Orth),),
+    "ovee-assoc": ((OSum, OSum),),
+    "ovee-0": ((OSum, Effect),),
+    "ortho-1": ((Orth, Effect),),
+    "ortho-2": ((Orth, OSum),),
+    "dist-l": ((SMul, Orth), (SMul, OSum), (OSum, SMul)),
+    "dist-r": ((SMul, Orth), (SMul, OSum), (OSum, SMul)),
+    "unit-l": ((SMul, Effect), (Effect, SMul)),
+    "unit-r": ((SMul, Effect), (Effect, SMul)),
+    "assoc": ((SMul, SMul),),
+    "comm": ((SMul, SMul),),
+}
+
+# sha256 of the newline-joined records of `_instance_records`, and their
+# count, taken from the hand-written matchers these rules had before they
+# became patterns
+INSTANCE_SHA256 = "3951954693867b573083ecec776c45e497ab6162b2327de1bde0fae0ef69da8a"
+INSTANCE_COUNT = 55403
+
+
+def test_pattern_rule_heads_are_those_of_their_conclusions():
+    assert {name: SCHEMAS[name].heads for name in PATTERN_HEADS} == PATTERN_HEADS
+    assert sum(map(len, PATTERN_HEADS.values())) == 23
+
+
+def _case_eff(angle, tag):
+    """A case effect on z whose binders are named after tag: effects of one
+    angle and different tags are alpha-variants."""
+    x, y = "x" + tag, "y" + tag
+    return CaseEff(Var("z"), x, ProjPlus(Var(x), angle), y, ProjPlus(Var(y), angle))
+
+
+def _alpha_variant_goals():
+    """An instance of each reading of each first-order rule, and the
+    converses, in which the effects that one metavariable stands for are
+    alpha-variants with different binder names."""
+    c, d, e = (partial(_case_eff, Fraction(a, 2)) for a in range(3))
+    top = one()
+    pairs = [
+        (OSum(c(""), Zero()), c("'")),
+        (c(""), Orth(Orth(c("'")))),
+        (c(""), OSum(c("'"), d(""))),
+        (OSum(c(""), d("")), OSum(e(""), d("'"))),
+        (OSum(c(""), d("")), OSum(d("'"), c("'"))),
+        (OSum(c(""), OSum(d(""), e(""))), OSum(OSum(c("'"), d("'")), e("'"))),
+        (top, OSum(c(""), Orth(c("'")))),
+        (SMul(c(""), e("")), Orth(SMul(d(""), e("'")))),
+        (SMul(OSum(c(""), d("")), e("")), OSum(SMul(c("'"), e("'")), SMul(d("'"), e("''")))),
+        (SMul(c(""), d("")), Orth(SMul(c("'"), e("")))),
+        (SMul(c(""), OSum(d(""), e(""))), OSum(SMul(c("'"), d("'")), SMul(c("''"), e("'")))),
+        (SMul(top, c("")), c("'")),
+        (SMul(c(""), top), c("'")),
+        (SMul(c(""), SMul(d(""), e(""))), SMul(SMul(c("'"), d("'")), e("'"))),
+        (SMul(c(""), d("")), SMul(d("'"), c("'"))),
+    ]
+    g = Context((("z", TSum(TQbit(), TQbit())),))
+    return [EffLeq(g, lo, hi) for a, b in pairs for lo, hi in ((a, b), (b, a))]
+
+
+def _instance_records(goals):
+    """For each first-order rule and goal: MISMATCH, or for each instance in
+    order, each premise's zone, kind and the nameless keys of its syntax,
+    then the conclusion zones."""
+    records = []
+    for name in PATTERN_HEADS:
+        for goal in goals:
             try:
-                schema.match(goal, {}, synth)
+                instns = SCHEMAS[name].match(goal, {}, partial(synth_type, goal.ctx))
             except RuleMismatch:
+                records.append(f"{name} {_goal_key(goal)} MISMATCH")
                 continue
-            matched.append((name, show_judgement(goal)))
-    assert matched == []
+            shown = [([(p.zone, p.shape[0], [nameless(s) for s in p.shape[1:]], p.ext)
+                       for p in i.premises], i.zones, i.fixed) for i in instns]
+            records.append(f"{name} {_goal_key(goal)} {shown!r}")
+    return records
+
+
+def _goal_key(goal):
+    return repr((goal.ctx.entries, nameless(goal.low), nameless(goal.high)))
+
+
+def test_pattern_rule_instances_match_the_golden(monkeypatch):
+    """Each first-order rule gives the instances its hand-written matcher
+    gave, reading for reading, with the same premises in the same order and
+    zones, at every goal of the head test's pool and at goals whose repeated
+    metavariables stand for alpha-variants."""
+    goals = sorted(_goal_pool(monkeypatch), key=_goal_key) + _alpha_variant_goals()
+    records = _instance_records(goals)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (INSTANCE_COUNT, INSTANCE_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

@@ -7,7 +7,7 @@ leftovers to the last open premise), and child scripts are checked against
 the resulting premise judgements.  A node given without premises has them
 discharged automatically: typing and formation premises by the type checker,
 inequality premises by a prover the caller passes in, and equality premises
-only when reflexive.  For a script that prover is a fresh bounded search.
+only when reflexive.  For a script that prover is a bounded search.
 
 Search over the inequality rules is depth-bounded and deterministic.  At a
 goal it tries, in `SEARCH_RULES` order, only the rules whose heads
@@ -16,16 +16,21 @@ a rule given as code) admit the classes of the goal's two sides; that is
 necessary for a schema to match, so the index skips only misses.  The
 transitivity rule is explored against a fixed family of middle candidates
 (double orthosupplements, the top and zero effects, and immediate summands).
-Each call expands at most `SEARCH_BUDGET` goals; running out ends the whole
-search with `SearchBudgetExhausted`, which no rule catches.
+One search expands at most `SEARCH_BUDGET` goals, counting those of the
+searches that the obligations of its typing and formation premises start;
+running out ends the whole search with `SearchBudgetExhausted`, which no
+rule catches.  Only goals missing from the table are counted, so whether a
+search runs out depends on what earlier searches on the same lemma
+environment tabled; which derivation a finished search returns does not.
 Search derivations are assembled by the script checker's discharge
 (`_discharge`): each rule instance the search tries is a node without
 premise scripts, whose inequality premises the search itself proves one
 level shallower.  So everything a search finds is an ordinary script that
 re-checks, and scripts and search build rule nodes in one place.
 
-The search is tabled (SLG-style, after Chen & Warren, JACM 43(1), 1996).
-Each `auto_search_leq` call owns one `SearchTable`, dropped when it returns:
+The search is tabled (SLG-style, after Chen & Warren, JACM 43(1), 1996),
+with one `SearchTable` per lemma environment: `Env.add_lemma` replaces it,
+and every search and unscripted formation premise in between shares it:
 
 - a success is stored under (goal, depth) and reused only at that depth,
   since a deeper search may find an earlier rule's proof first;
@@ -35,12 +40,15 @@ Each `auto_search_leq` call owns one `SearchTable`, dropped when it returns:
 - goals are keyed by value (`EffLeq` equality: context entries and the
   alpha-keys of both effects), never by hash, so colliding hashes cannot
   merge distinct goals; an alpha-variant of a stored goal gets the stored
-  derivation, which proves it too.
+  derivation, which proves it too;
+- a typing or formation premise is stored with its derivation or its type
+  error, whichever the type checker gave.
 
-Within one call `_search(goal, depth)` is a pure function (the lemma
-environment changes only between declarations), so the table needs no
-invalidation.  No cycle check is needed either: every recursive call
-lowers the depth by one, so no (goal, depth) key repeats along a path.
+`_search(goal, depth)` and the formation checks are pure functions of the
+goal, the depth, the packs, the default depth and the lemmas; only the
+lemmas change under an `Env`, and adding one drops the table.  A budget
+that runs out is never stored.  No cycle check is needed: every recursive
+call lowers the depth by one, so no (goal, depth) key repeats along a path.
 """
 from __future__ import annotations
 
@@ -91,12 +99,23 @@ class DerivationError(Exception):
 
 @dataclass
 class Env:
+    """A lemma environment: the rule packs, the default search depth, the
+    lemmas proved so far, and the `SearchTable` of what the search and the
+    formation checks have worked out under them.  Lemmas are added only by
+    `add_lemma`, which replaces the table."""
+
     packs: frozenset = rules.DEFAULT_PACKS
     depth: int = 6
     lemmas: dict = field(default_factory=dict)  # name -> list[Judgement]
+    search: SearchTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.packs = frozenset(self.packs) | {"core"}
+        self.search = SearchTable()
+
+    def add_lemma(self, name: str, judgements) -> None:
+        self.lemmas[name] = list(judgements)
+        self.search = SearchTable()
 
     def resolver(self, scripts=()):
         return QueueResolver(list(scripts), self)
@@ -200,7 +219,7 @@ def check_script(goal: Judgement, script, env: Env) -> Derivation:
 
 
 def _searcher(depth: int, env: Env, message: str):
-    """The inequality prover of a script: a fresh bounded search, failing
+    """The inequality prover of a script: a bounded search, failing
     with `message` formatted with the depth and the goal."""
 
     def prove(j: EffLeq) -> Derivation:
@@ -281,14 +300,30 @@ def _discharge(goal, name, args, instn: Instantiation, children, env: Env,
 
 def _unscripted(j: Judgement, env: Env, prove_leq) -> Derivation:
     """A derivation of a judgement given without a script: inequalities by
-    `prove_leq`, typing and formation by the type checker, and equalities
-    only when reflexive."""
+    `prove_leq`, typing and formation by the type checker through the lemma
+    environment's table, and equalities only when reflexive."""
     if isinstance(j, EffLeq):
         return prove_leq(j)
-    if isinstance(j, Typing):
-        return check_term(j.ctx, j.term, j.ty, env.resolver())
-    if isinstance(j, EffForm):
-        return check_effect(j.ctx, j.eff, env.resolver())
+    if isinstance(j, (Typing, EffForm)):
+        formed = env.search.formed
+        d = formed.get(j)
+        if d is None:
+            try:
+                if isinstance(j, Typing):
+                    d = check_term(j.ctx, j.term, j.ty, env.resolver())
+                else:
+                    d = check_effect(j.ctx, j.eff, env.resolver())
+            except QpelTypeError as exc:
+                # kept without the frames and the exception it was raised in
+                d = exc.with_traceback(None)
+                d.__context__ = None
+            formed[j] = d
+        if isinstance(d, QpelTypeError):
+            # each hit raises a copy, so the stored error never takes a traceback
+            exc = type(d).__new__(type(d), *d.args)
+            exc.__dict__.update(vars(d))
+            raise exc
+        return d
     if j.lhs == j.rhs:
         return _rule_node(j, "ref", {}, None, env, prove_leq)
     raise DerivationError(lambda: f"premise needs an explicit script: {show_judgement(j)}")
@@ -311,17 +346,19 @@ SEARCH_RULES = (
     "case-cong", "eta-plus-eff", "qbit-x-proj", "qbit-z-proj", "qbit-xz-zx",
 )
 
-# goals one `auto_search_leq` call may expand.  No call in the test suite
-# or the benchmark workloads expands more than 509, nor more than 965 with
-# the refutable converses at auto(6); at auto(40) most of them reach the
-# budget in two to three seconds on 2 vCPUs.
+# goals one outermost `auto_search_leq` call may expand, with those of the
+# searches nested in it.  No call in the test suite expands more than 623,
+# nor more than 451 in the benchmark workloads, nor more than 2,285 with the
+# refutable converses at auto(6); at auto(40) each of them reaches the budget
+# in 1.1 to 2.6 seconds on 2 vCPUs.
 SEARCH_BUDGET = 10_000
 
 
 class SearchBudgetExhausted(Exception):
-    """A search call, given as (goal, depth), that expanded SEARCH_BUDGET
-    goals.  It is not a rule failure: nothing in the checker catches it, and
-    the driver reports it as a proof error."""
+    """An outermost search call, given as (goal, depth), that expanded
+    SEARCH_BUDGET goals with the searches nested in it.  It is not a rule
+    failure: nothing in the checker catches or tables it, and the driver
+    reports it as a proof error."""
 
     def __str__(self):
         goal, depth = self.args
@@ -348,19 +385,30 @@ def _mid_candidates(goal: EffLeq):
 
 
 class SearchTable:
-    """The answers of one `auto_search_leq` call, keyed by goal value, and
-    the number of goals it has expanded."""
+    """The answers of the searches and formation checks run on one lemma
+    environment, keyed by judgement value, and the budget count of the
+    outermost search running."""
 
-    def __init__(self, goal: EffLeq, depth: int):
-        self.root = goal, depth
+    def __init__(self):
         self.proved = {}  # (goal, depth) -> Derivation
         self.failed = {}  # goal -> deepest depth at which the search failed
-        self.nodes = 0
+        self.formed = {}  # Typing | EffForm -> Derivation | QpelTypeError
+        self.nodes = 0  # goals the outermost search has expanded
+        self.root = None  # its (goal, depth) while it runs
 
 
 def auto_search_leq(goal: EffLeq, depth: int, env: Env) -> Derivation:
-    """Deterministic bounded search; results always re-check."""
-    return _search(goal, depth, env, SearchTable(goal, depth))
+    """Deterministic bounded search; results always re-check.  A call made
+    while another runs, by an obligation of a premise it types, charges the
+    running call's budget."""
+    table = env.search
+    if table.root is not None:
+        return _search(goal, depth, env, table)
+    table.root, table.nodes = (goal, depth), 0
+    try:
+        return _search(goal, depth, env, table)
+    finally:
+        table.root = None
 
 
 def _search(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:

@@ -245,7 +245,7 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
         rep.status, rep.message = "type-error", str(exc)
         return rep
     rep.stage = "lemma-checked"
-    env.lemmas[decl.name] = [j for j, _ in checked]
+    env.add_lemma(decl.name, [j for j, _ in checked])
 
     _verify_lemma(checked, backends, rep)
     return rep

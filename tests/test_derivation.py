@@ -178,7 +178,7 @@ def test_arith_leaf():
 
 def test_use_node_cites_lemmas():
     e = env()
-    e.lemmas["covered"] = [EffLeq(QCTX, one(), OSum(PHI, Orth(PHI)))]
+    e.add_lemma("covered", [EffLeq(QCTX, one(), OSum(PHI, Orth(PHI)))])
     goal = EffLeq(QCTX, one(), OSum(PHI, Orth(PHI)))
     d = check_script(goal, UseNode("covered"), e)
     assert d.rule == "use"
@@ -186,7 +186,7 @@ def test_use_node_cites_lemmas():
         check_script(goal, UseNode("missing"), e)
     # context matched up to exchange
     ctx2 = Context((("y", TUnit()), ("x", TQbit())))
-    e.lemmas["covered"] = [EffLeq(ctx2, one(), OSum(PHI, Orth(PHI)))]
+    e.add_lemma("covered", [EffLeq(ctx2, one(), OSum(PHI, Orth(PHI)))])
     goal2 = EffLeq(Context((("x", TQbit()), ("y", TUnit()))), one(), OSum(PHI, Orth(PHI)))
     assert check_script(goal2, UseNode("covered"), e).rule == "use"
 

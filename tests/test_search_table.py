@@ -1,21 +1,27 @@
 """The tabled search finds exactly what an untabled one finds.
 
-`auto_search_leq` answers repeated subgoals from a table local to the call.
-These tests pin down what that must not change: every top-level search
-result over the corpus and the refutable corpus converses (a golden digest
-taken before tabling), the answer behind every table hit, and the two facts
-the table relies on, that failure is monotone in depth and that goals are
-keyed by value rather than by hash.  The last tests pin the index of the
-search rules by goal head, which must skip only schema misses, what it
-saves, the heads and instances of the rules written as patterns, and the
-node budget that ends a search too deep to finish.
+`auto_search_leq` answers repeated subgoals, and `_unscripted` repeated
+formation premises, from the table of the lemma environment, kept across the
+searches of a file until a lemma is added.  These tests pin down what that
+must not change: every top-level search result over the corpus and the
+refutable corpus converses (a golden digest taken before tabling), the
+answer behind every table hit, and the two facts the table relies on, that
+failure is monotone in depth and that goals are keyed by value rather than
+by hash.  The last tests pin the index of the search rules by goal head,
+which must skip only schema misses, what it saves, the heads and instances
+of the rules written as patterns, the node budget that ends a search too
+deep to finish and that its nested searches charge, and the table's
+invalidation and its formation failures.
 """
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+
+import pytest
 
 from qpel import derivation, typecheck
 from qpel.backends import BACKEND_NAMES, make_backend
@@ -26,6 +32,7 @@ from qpel.derivation import (
     Env,
     SearchBudgetExhausted,
     SearchFailed,
+    SearchTable,
     auto_search_leq,
 )
 from qpel.driver import EXIT_PROOF, process_file
@@ -36,6 +43,7 @@ from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
 from qpel.syntax import (
     CaseEff,
     Context,
+    EffForm,
     EffLeq,
     Effect,
     Orth,
@@ -45,12 +53,19 @@ from qpel.syntax import (
     Syntax,
     TQbit,
     TSum,
+    TUnit,
     Var,
     Zero,
     nameless,
     one,
 )
-from qpel.typecheck import show_judgement, synth_type
+from qpel.typecheck import (
+    ObligationError,
+    QpelTypeError,
+    check_effect,
+    show_judgement,
+    synth_type,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILE_PACKS = {"beta_iso.qpel": DEFAULT_PACKS | {"beta-iso"}}
@@ -144,9 +159,10 @@ def test_search_results_match_the_untabled_golden(monkeypatch):
 
 def test_search_formats_only_the_failures_it_reports(monkeypatch):
     """A search discards thousands of failed premises; their messages must be
-    formatted only when read.  Checking the refutable converses shows 26
-    judgements: the 23 reported failures, and 3 obligations of typing
-    premises inside the search, which `ObligationError` formats as raised."""
+    formatted only when read.  Checking the refutable converses shows 25
+    judgements: the 23 reported failures, and 2 obligations of typing
+    premises inside the search, which `ObligationError` formats as raised
+    (once each: the lemma environment's table answers the repeats)."""
     shown = []
 
     def counting(j):
@@ -157,14 +173,16 @@ def test_search_formats_only_the_failures_it_reports(monkeypatch):
     monkeypatch.setattr(derivation, "show_judgement", counting)
     report = _check_refute_file()
     assert [d.status for d in report.decls] == ["proof-error"] * 23
-    assert len(shown) == 26
+    assert len(shown) == 25
 
 
 def test_search_tries_only_the_rules_the_goal_heads_admit(monkeypatch):
-    """Checking the refutable converses calls `Schema.match` 13,344 times,
+    """Checking the refutable converses calls `Schema.match` 7,740 times,
     for the type checker's formation rules and the search's inequality rules
-    together.  Tried at every node whatever the goal, the 31 search rules
-    took 75,821 calls, nearly nine in ten of them misses."""
+    together, with one table for the file's lemma environment.  Tried at
+    every node whatever the goal, the 31 search rules took 75,821 calls,
+    nearly nine in ten of them misses, and 13,344 with a table per search
+    call."""
     calls = []
     for name, schema in list(SCHEMAS.items()):
         def counting(goal, args, synth, match=schema.match):
@@ -174,7 +192,7 @@ def test_search_tries_only_the_rules_the_goal_heads_admit(monkeypatch):
         monkeypatch.setitem(SCHEMAS, name, replace(schema, match=counting))
     report = _check_refute_file()
     assert [d.status for d in report.decls] == ["proof-error"] * 23
-    assert len(calls) == 13344
+    assert len(calls) == 7740
 
 
 def _heads(goal):
@@ -210,14 +228,24 @@ def _goal_pool(monkeypatch):
     """Each goal the search expands while the golden's inputs are checked,
     seeded random pairs of effects of every class, each effect also paired
     with itself, and the inequalities of the rule-instance corpus, their
-    mutants and the converses of both."""
+    mutants and the converses of both.  Each search call, nested ones
+    included, runs on a fresh table, so the goals expanded are those of a
+    table per call, which the instance golden was taken with."""
     goals = set()
-    search_rules = derivation._search_rules
+    search, search_rules = derivation.auto_search_leq, derivation._search_rules
+
+    def fresh(goal, depth, env):
+        table, env.search = env.search, SearchTable()
+        try:
+            return search(goal, depth, env)
+        finally:
+            env.search = table
 
     def recording(goal, depth, env, table):
         goals.add(goal)
         return search_rules(goal, depth, env, table)
 
+    monkeypatch.setattr(derivation, "auto_search_leq", fresh)
     monkeypatch.setattr(derivation, "_search_rules", recording)
     _golden_records(monkeypatch)
     assert len({_heads(goal) for goal in goals}) > 20
@@ -373,6 +401,85 @@ def test_search_budget_ends_a_deep_search(monkeypatch):
     assert rep.elapsed < 30
 
 
+def test_nested_searches_charge_the_outer_budget(monkeypatch):
+    """The typing premises of the rule instances a search tries start
+    obligation searches of their own.  They share the lemma environment's
+    table and charge the budget of the search that started them, so
+    `leq-ovee-2`'s converse at auto(40), which with a budget per call made
+    73,041 expansions in 494 nested searches, expands at most
+    `SEARCH_BUDGET` goals in all."""
+    nested = []  # the root of the running search, at each nested call
+    expanded = Counter()  # root -> goals expanded under it
+    search, search_rules = derivation.auto_search_leq, derivation._search_rules
+
+    def entering(goal, depth, env):
+        if env.search.root is not None:
+            nested.append(env.search.root)
+        return search(goal, depth, env)
+
+    def expanding(goal, depth, env, table):
+        expanded[table.root] += 1
+        return search_rules(goal, depth, env, table)
+
+    monkeypatch.setattr(derivation, "auto_search_leq", entering)
+    monkeypatch.setattr(derivation, "_search_rules", expanding)
+    ((decl, converse),) = [(d, c) for d, c in _refute_goals() if d.name == "leq-ovee-2"]
+    report = process_file(SourceFile((_refute_decl(decl, 40),)), packs=DEFAULT_PACKS)
+    (rep,) = report.decls
+    assert (report.exit_code, rep.status) == (EXIT_PROOF, "proof-error")
+    assert rep.message == (f"auto: budget exhausted after {SEARCH_BUDGET} nodes at depth 40 "
+                           "for x : qbit |- bot(proj(x, 1)) o+ bot(bot(proj(x, 1))) "
+                           "<= bot(proj(x, 1))")
+    root = converse, 40
+    assert root in nested
+    assert expanded[root] <= SEARCH_BUDGET
+    assert rep.elapsed < 10
+
+
+def test_a_new_lemma_drops_the_table():
+    """A failure tabled before a lemma is added must not answer the same goal
+    after it: the first auto(1) fails, the second finds `use(cover)`."""
+    sf = parse(
+        "lemma early (x : qbit) : bot(proj(x, 0)) <= bot(0)\n  by { auto(1) }\n\n"
+        "lemma cover (x : qbit) : bot(proj(x, 0)) <= bot(0)\n  by { bot-antitone(zero-leq) }\n\n"
+        "lemma late (x : qbit) : bot(proj(x, 0)) <= bot(0)\n  by { auto(1) }\n"
+    )
+    report = process_file(sf, packs=DEFAULT_PACKS)
+    assert [(d.name, d.status) for d in report.decls] == [
+        ("early", "proof-error"), ("cover", "ok"), ("late", "ok")]
+
+
+def test_formation_table_answers_failures_like_a_fresh_check(monkeypatch):
+    """A tabled formation failure is raised again with the class and message
+    a fresh check gives, as a copy, so the stored error holds no frames; a
+    budget that runs out is not tabled."""
+    g = Context((("x", TQbit()),))
+    ill = EffForm(Context((("x", TUnit()),)), ProjPlus(Var("x"), Fraction(0)))
+    p1 = ProjPlus(Var("x"), Fraction(1))
+    undischargeable = EffForm(g, OSum(p1, p1))
+    env = Env()
+    for j, cls in ((ill, QpelTypeError), (undischargeable, ObligationError)):
+        with pytest.raises(cls) as fresh:
+            check_effect(j.ctx, j.eff, Env().resolver())
+        for _ in range(2):
+            with pytest.raises(cls) as tabled:
+                derivation._unscripted(j, env, None)
+            assert (type(tabled.value), str(tabled.value)) == (cls, str(fresh.value))
+            assert tabled.value is not env.search.formed[j]
+        assert isinstance(env.search.formed[j], cls)
+        assert env.search.formed[j].__traceback__ is None
+        assert env.search.formed[j].__context__ is None
+
+    p0 = ProjPlus(Var("x"), Fraction(0))
+    formed = EffForm(g, OSum(p0, Orth(p0)))
+    with monkeypatch.context() as mp:
+        mp.setattr(derivation, "SEARCH_BUDGET", 0)
+        with pytest.raises(SearchBudgetExhausted):
+            derivation._unscripted(formed, env, None)
+    assert formed not in env.search.formed
+    assert derivation._unscripted(formed, env, None).judgement == formed
+
+
 def test_table_hits_agree_with_a_fresh_search(monkeypatch):
     hits = []  # (goal, depth, packs, env depth, lemmas, repr or None)
     search = derivation._search
@@ -406,8 +513,11 @@ def test_table_hits_agree_with_a_fresh_search(monkeypatch):
 
 
 def _found(goal, depth, env):
+    """Whether a search on a fresh table for `env`'s packs and default depth
+    proves `goal` at `depth`: a table shared between probes would answer a
+    shallower probe from a deeper failure, which is what is being checked."""
     try:
-        auto_search_leq(goal, depth, env)
+        auto_search_leq(goal, depth, Env(packs=env.packs, depth=env.depth))
     except SearchFailed:
         return False
     return True

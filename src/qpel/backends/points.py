@@ -104,10 +104,3 @@ class PointBackend(Backend):
             self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
             lambda p: (p[0][0], (p[0][1], p[1])),
         )
-
-    def dist_left_inv(self, a, b, c):
-        return self._map(
-            self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
-            self.tensor_ob(self.sum_ob(a, b), c),
-            lambda p: ((p[0], p[1][0]), p[1][1]),
-        )

@@ -53,22 +53,6 @@ class QuantumBackend(Backend):
     has_qbit = True
 
     # scalars: floats in [0,1] up to tolerance
-    def s_zero(self):
-        return 0.0
-
-    def s_one(self):
-        return 1.0
-
-    def s_ovee(self, a, b):
-        s = a + b
-        return s if s <= 1 + TOL else None
-
-    def s_ovee_inverse(self, a):
-        return 1.0 - a
-
-    def s_mul(self, a, b):
-        return a * b
-
     def s_eq(self, a, b):
         return abs(a - b) <= 1e-9
 
@@ -258,12 +242,6 @@ class QuantumBackend(Backend):
         f = self.identity(dom)
         return QMor(dom, cod, f.blocks)
 
-    def dist_left_inv(self, a, b, c):
-        dom = self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c))
-        cod = self.tensor_ob(self.sum_ob(a, b), c)
-        f = self.identity(dom)
-        return QMor(dom, cod, f.blocks)
-
     def mor_eq(self, f, g):
         if f.dom != g.dom or f.cod != g.cod:
             return False
@@ -331,9 +309,6 @@ class QuantumBackend(Backend):
         for (i, j), t in f.blocks.items():
             out[j] += np.einsum("klij,ij->kl", t, s[i])
         return tuple(out)
-
-    def state_pair(self, a, b, s, t):
-        return tuple(np.kron(x, y) for x in s for y in t)
 
     def validity(self, p, s):
         return float(sum(np.trace(e @ rho).real for e, rho in zip(p, s)))

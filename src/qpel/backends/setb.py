@@ -31,21 +31,6 @@ class SetBackend(PointBackend):
     _map = staticmethod(_fn)
 
     # scalars: 0/1
-    def s_zero(self):
-        return 0
-
-    def s_one(self):
-        return 1
-
-    def s_ovee(self, a, b):
-        return None if a and b else a | b
-
-    def s_ovee_inverse(self, a):
-        return 1 - a
-
-    def s_mul(self, a, b):
-        return a & b
-
     def scalar_of_fraction(self, q):
         if q == 0:
             return 0
@@ -114,9 +99,6 @@ class SetBackend(PointBackend):
 
     def apply_state(self, f, s):
         return f.table[s]
-
-    def state_pair(self, a, b, s, t):
-        return (s, t)
 
     def validity(self, p, s):
         return 1 if s in p else 0

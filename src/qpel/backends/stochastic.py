@@ -53,22 +53,6 @@ class StochasticBackend(PointBackend):
     _map = staticmethod(det)
 
     # scalars: exact rationals in [0,1]
-    def s_zero(self):
-        return ZERO
-
-    def s_one(self):
-        return ONE
-
-    def s_ovee(self, a, b):
-        s = a + b
-        return s if s <= 1 else None
-
-    def s_ovee_inverse(self, a):
-        return 1 - a
-
-    def s_mul(self, a, b):
-        return a * b
-
     def scalar_of_fraction(self, q):
         return Fraction(q)
 
@@ -158,9 +142,6 @@ class StochasticBackend(PointBackend):
             for y, v in f.row(x).items():
                 acc[y] = acc.get(y, ZERO) + w * v
         return _normal(acc)
-
-    def state_pair(self, a, b, s, t):
-        return _normal({(x, y): w1 * w2 for x, w1 in s.items() for y, w2 in t.items()})
 
     def validity(self, p, s):
         return sum((w * p[x] for x, w in s.items()), start=ZERO)

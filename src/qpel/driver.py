@@ -7,6 +7,8 @@ stage wins.
 """
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ from .interpreter import (
     weakest_precondition,
 )
 from .parser import (
+    AutoNode,
     BothNode,
     CheckDecl,
     EffectDecl,
@@ -35,6 +38,7 @@ from .parser import (
     SourceFile,
     TermDecl,
     TypeDecl,
+    load_sidecar,
     parse,
 )
 from .printer import rational
@@ -234,8 +238,6 @@ def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
                     raise DerivationError(
                         "a term equality lemma needs a `by { ... }` script"
                     )
-                from .parser import AutoNode
-
                 s = AutoNode()
             check_script(j, s, env)
     except (DerivationError, ObligationError, SearchBudgetExhausted) as exc:
@@ -355,11 +357,6 @@ def read_source(path) -> str:
 
 def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False):
     """Process files in order; returns (rendered report, exit code)."""
-    import json as _json
-    import os
-
-    from .parser import load_sidecar
-
     reports = []
     for p in paths:
         sidecar_path = str(p) + ".proofs.json"
@@ -381,7 +378,7 @@ def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False
         if code != EXIT_OK and (exit_code == EXIT_OK or code < exit_code):
             exit_code = code
     if fmt == "json":
-        rendered = _json.dumps([r.to_json(timing=timing) for r in reports], indent=2)
+        rendered = json.dumps([r.to_json(timing=timing) for r in reports], indent=2)
     else:
         rendered = "\n".join(r.render_text(timing=timing) for r in reports)
     return rendered, exit_code

@@ -9,11 +9,21 @@ and its search alike.  The formation schemas (var through measure, eff-0
 through eff-case, qbit-new through qbit-proj) are the type checker's rules
 too, so their messages are its user-facing ones.  The inequality schemas
 that the search tries have heads: the (low, high) effect classes a
-conclusion they match can have, by which the search indexes them.  The
-first-order ones, zero-leq through comm, are pattern rules: data, a
-conclusion and premises over effect metavariables, which one interpreter
-matches and from whose conclusions their heads are read.  The others,
-leq-ref and the binder and qubit rules, are code and declare their heads.
+conclusion they match can have, by which the search indexes them.
+
+Pattern rules are data: a conclusion and premises over metavariables, which
+one interpreter matches and from whose conclusions their heads are read.
+They are the first-order rules zero-leq through comm, and case-cong,
+case-ovee, case-bot and case-times, whose conclusions bind: their
+metavariables stand for effects, for the scrutinee of caseE, for its binder
+names and, in premises, for the scrutinee's sum type.  The other search
+rules are code and declare their heads, since no pattern says what they do:
+case-mono and case-leq freshen their binders against the goal, the
+beta-plus-*-eff rules substitute in their conclusion, eta-plus-eff looks up
+the context, and qbit-x-proj, qbit-z-proj and qbit-xz-zx relate projection
+angles, which a `ProjPlus` checks when it is built, so no pattern can hold
+an angle metavariable.  leq-ref stays code for its heads: each effect
+class paired with itself, finer than the pair a pattern (phi, phi) gives.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -50,11 +60,14 @@ from .syntax import (
     ScalarLit,
     SMul,
     Star,
+    Syntax,
+    Term,
     TermEq,
     TQbit,
     TSum,
     TTensor,
     TUnit,
+    Type,
     Typing,
     Var,
     Zero,
@@ -1005,35 +1018,64 @@ def _leq_trans(goal, args, synth):
     return [inst([p_leq("G", goal.low, mid), p_leq("G", mid, goal.high)], ["G"])]
 
 
-# ---- first-order inequality rules, as patterns
+# ---- inequality rules, as patterns
 
 
 class Meta(NamedTuple):
-    """A metavariable of a rule pattern: it matches any effect, and each
-    further occurrence in a conclusion must be alpha-equal to the first."""
+    """A metavariable of a rule pattern: it matches any node of class `cls`,
+    an effect, a term (a scrutinee) or, with `str`, the name in a binder
+    field.  A binder metavariable matches any name each time; each further
+    occurrence of any other must be alpha-equal to its first.  One that a
+    premise puts under binders (in its `ext`) is a body, which may name the
+    binders in scope: it is compared as an abstraction over the binders in
+    scope at each of the two occurrences."""
 
     name: str
+    cls: type = Effect
 
 
 PHI, PSI, CHI = Meta("phi"), Meta("psi"), Meta("chi")
+# caseE's scrutinees and binders
+M, N, X, Y = Meta("m", Term), Meta("n", Term), Meta("x", str), Meta("y", str)
+# the sum type A + B of the scrutinee M, for premises: read from the `ty`
+# argument or synthesised, as `scrut_type` and `as_sum` read it
+AB, A, B = Meta("ab", Type), Meta("a", Type), Meta("b", Type)
 
 
-def _paths(pat, path):
-    """Each subpattern of pat with its attribute path, parents first, through
-    the subterm fields `SHAPES` lists (patterns bind nothing)."""
-    yield path, pat
-    for f, _ in () if isinstance(pat, Meta) else SHAPES[type(pat)].children:
-        yield from _paths(getattr(pat, f), f"{path}.{f}")
+def _paths(pat, path, scope=()):
+    """Each subpattern of pat with its attribute path and the paths of the
+    binder fields in scope at it, parents first, through the fields `SHAPES`
+    lists; a binder field comes just before the subterm it scopes over."""
+    yield path, pat, scope
+    for f, binders in () if isinstance(pat, Meta) else SHAPES[type(pat)].children:
+        for b in binders:
+            yield f"{path}.{b}", getattr(pat, b), scope
+        yield from _paths(getattr(pat, f), f"{path}.{f}", scope + tuple(f"{path}.{b}" for b in binders))
+
+
+def _metas(pat):
+    """The metavariables in pat: a pattern, or a tuple of them and of data."""
+    if isinstance(pat, Meta):
+        return {pat}
+    if isinstance(pat, tuple):
+        return set().union(*map(_metas, pat))
+    if isinstance(pat, Syntax):
+        return {p for _, p, _ in _paths(pat, "") if isinstance(p, Meta)}
+    return set()
 
 
 def _builder(pat, where):
-    """A function of the matched nodes that builds pat, each metavariable
-    replaced by the node at its position in `where`.  Nodes are immutable, so
-    a subpattern without metavariables is one node for every instance."""
+    """A function of the matched nodes that builds pat, a premise's shape or
+    ext or the syntax in them, each metavariable replaced by the node at its
+    position in `where`.  Nodes are immutable, so a part without
+    metavariables is one object for every instance."""
     if isinstance(pat, Meta):
         return itemgetter(where[pat])
-    if not any(isinstance(p, Meta) for _, p in _paths(pat, "")):
+    if not _metas(pat):
         return lambda nodes: pat
+    if isinstance(pat, tuple):
+        parts = [_builder(p, where) for p in pat]
+        return lambda nodes: tuple([part(nodes) for part in parts])
     cls, parts = type(pat), [_builder(getattr(pat, f), where) for f, _ in SHAPES[type(pat)].children]
     return lambda nodes: cls(*[part(nodes) for part in parts])
 
@@ -1043,40 +1085,62 @@ def _reading(low, high, sides, premises, zones):
     fields `sides` names, compiled once: the (low, high) classes it admits,
     and for the interpreter its steps and its instance builder.  A step takes
     a field of an earlier node (the goal is node 0), which must hold the
-    step's class (`Effect` for a metavariable) and, at a metavariable seen
-    before, be alpha-equal to the node of its first occurrence."""
-    steps, nodes, where = [], {"": 0}, {}
+    step's class and, at a metavariable seen before, be alpha-equal to the
+    node of its first occurrence.  A body seen before under binders is
+    compared by the builder instead, which then reads the scrutinee's type if
+    a premise names it, and gives None if a body differs."""
+    steps, nodes, where, scopes, scoped = [], {"": 0}, {}, {}, []
+    bodies = set().union(*(_metas(p.shape) for p in premises if p.ext))
     for side, pat in zip(sides, (low, high)):
-        for path, p in _paths(pat, side):
+        for path, p, scope in _paths(pat, side):
             parent, _, field = path.rpartition(".")
-            nodes[path] = len(nodes)
-            if isinstance(p, Meta):
-                steps.append((nodes[parent], field, Effect, where.get(p, 0)))
-                where.setdefault(p, nodes[path])
-            else:
+            nodes[path] = here = len(nodes)
+            if not isinstance(p, Meta):
                 steps.append((nodes[parent], field, type(p), 0))
-    built = [(p.zone, p.shape[0], [_builder(s, where) for s in p.shape[1:]]) for p in premises]
+                continue
+            scope = tuple(nodes[b] for b in scope)
+            first = where.setdefault(p, here)
+            scopes.setdefault(p, scope)
+            if first == here or p.cls is str:
+                first = 0
+            elif p in bodies and (scope or scopes[p]):
+                scoped.append((scope, here, scopes[p], first))
+                first = 0
+            steps.append((nodes[parent], field, p.cls, first))
+    typed = not _metas(tuple(premises)).isdisjoint((AB, A, B))
+    scrut = where[M] if typed else None
+    where.update({AB: len(nodes), A: len(nodes) + 1, B: len(nodes) + 2})
+    built = [(p.zone, _builder(p.shape, where), _builder(p.ext, where)) for p in premises]
 
-    def build(nodes):
-        prems = [Premise(z, (kind, *[b(nodes) for b in parts])) for z, kind, parts in built]
-        return Instantiation(tuple(prems), zones)
+    def build(nodes, args, synth):
+        for here, node, there, first in scoped:
+            if not abstraction_eq([nodes[i] for i in here], nodes[node],
+                                  [nodes[i] for i in there], nodes[first]):
+                return None
+        if typed:
+            ab = scrut_type(nodes[0].ctx, nodes[scrut], args, synth)
+            nodes += (ab, *as_sum(ab, "the case scrutinee"))
+        return Instantiation(tuple([Premise(z, shape(nodes), ext(nodes)) for z, shape, ext in built]), zones)
 
     roots = {field: cls for parent, field, cls, _ in steps if parent == 0}
     return (roots["low"], roots["high"]), (tuple(steps), build)
 
 
 def pattern_rule(name, conclusion, premises, message, both=False, extra=(), zones=("G",)):
-    """Register rule `name`, whose conclusion (low, high) is read against a
-    goal as written and, with `both`, with the goal's sides swapped, after
-    the `extra` conclusions.  A goal no reading fits gets `message`."""
+    """Register core rule `name`, whose conclusion (low, high) is read
+    against an inequality goal as written and, with `both`, with the goal's
+    sides swapped, after the `extra` conclusions.  A goal no reading fits
+    gets `message`."""
     readings = [_reading(lo, hi, ("low", "high"), premises, zones) for lo, hi in (*extra, conclusion)]
     if both:
         readings.append(_reading(*conclusion, ("high", "low"), premises, zones))
     heads, compiled = zip(*readings)
 
     def match(goal, args, synth):
+        if not isinstance(goal, EffLeq):
+            raise RuleMismatch("conclusion is not an inequality")
         out = []
-        for steps, build in compiled if isinstance(goal, EffLeq) else ():
+        for steps, build in compiled:
             nodes = [goal]
             for parent, field, cls, first in steps:
                 node = getattr(nodes[parent], field)
@@ -1084,7 +1148,9 @@ def pattern_rule(name, conclusion, premises, message, both=False, extra=(), zone
                     break
                 nodes.append(node)
             else:
-                out.append(build(nodes))
+                found = build(nodes, args, synth)
+                if found:
+                    out.append(found)
         need(out, message)
         return out
 
@@ -1126,32 +1192,9 @@ pattern_rule("comm", (SMul(PHI, PSI), SMul(PSI, PHI)), [p_eff("", PHI), p_eff(""
              "conclusion must flip a scalar product", zones=())
 
 
-@rule("case-cong", heads=[(CaseEff, CaseEff)])
-def _case_cong(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, CaseEff) and isinstance(b, CaseEff)):
-            continue
-        if not (
-            abstraction_eq([a.x], a.left, [b.x], b.left)
-            and abstraction_eq([a.y], a.right, [b.y], b.right)
-        ):
-            continue
-        ab = scrut_type(goal.ctx, a.scrut, args, synth)
-        sa, sb = as_sum(ab, "the case scrutinee")
-        out.append(
-            inst(
-                [
-                    p_eff("G", a.left, ext=((a.x, sa),)),
-                    p_eff("G", a.right, ext=((a.y, sb),)),
-                    p_eq("D", a.scrut, b.scrut, ab),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "the two sides must be case effects with shared branches")
-    return out
+pattern_rule("case-cong", (CaseEff(M, X, PHI, Y, PSI), CaseEff(N, X, PHI, Y, PSI)),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_eq("D", M, N, AB)],
+             "the two sides must be case effects with shared branches", both=True, zones=("G", "D"))
 
 
 @rule("case-mono", heads=[(CaseEff, CaseEff)])
@@ -1261,80 +1304,15 @@ def _eta_plus_eff(goal, args, synth):
     return out
 
 
-@rule("case-ovee", heads=[(CaseEff, OSum), (OSum, CaseEff)])
-def _case_ovee(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (
-            isinstance(a, CaseEff)
-            and isinstance(a.left, OSum)
-            and isinstance(a.right, OSum)
-            and isinstance(b, OSum)
-            and isinstance(b.left, CaseEff)
-            and isinstance(b.right, CaseEff)
-        ):
-            continue
-        c1, c2 = b.left, b.right
-        if not (
-            c1.scrut == a.scrut
-            and c2.scrut == a.scrut
-            and abstraction_eq([c1.x], c1.left, [a.x], a.left.left)
-            and abstraction_eq([c1.y], c1.right, [a.y], a.right.left)
-            and abstraction_eq([c2.x], c2.left, [a.x], a.left.right)
-            and abstraction_eq([c2.y], c2.right, [a.y], a.right.right)
-        ):
-            continue
-        ab = scrut_type(goal.ctx, a.scrut, args, synth)
-        sa, sb = as_sum(ab, "the case scrutinee")
-        out.append(
-            inst(
-                [
-                    p_leq("G", a.left.left, Orth(a.left.right), ext=((a.x, sa),)),
-                    p_leq("G", a.right.left, Orth(a.right.right), ext=((a.y, sb),)),
-                    p_ty("D", a.scrut, ab),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "conclusion must distribute a sum over a case effect")
-    return out
-
-
-@rule("case-bot", heads=[(CaseEff, Orth), (Orth, CaseEff)])
-def _case_bot(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (
-            isinstance(a, CaseEff)
-            and isinstance(a.left, Orth)
-            and isinstance(a.right, Orth)
-            and isinstance(b, Orth)
-            and isinstance(b.arg, CaseEff)
-        ):
-            continue
-        c = b.arg
-        if not (
-            c.scrut == a.scrut
-            and abstraction_eq([c.x], c.left, [a.x], a.left.arg)
-            and abstraction_eq([c.y], c.right, [a.y], a.right.arg)
-        ):
-            continue
-        ab = scrut_type(goal.ctx, a.scrut, args, synth)
-        sa, sb = as_sum(ab, "the case scrutinee")
-        out.append(
-            inst(
-                [
-                    p_eff("G", a.left.arg, ext=((a.x, sa),)),
-                    p_eff("G", a.right.arg, ext=((a.y, sb),)),
-                    p_ty("D", a.scrut, ab),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "conclusion must push an orthosupplement through a case effect")
-    return out
+PHI1, PHI2, PSI1, PSI2 = (Meta(n) for n in ("phi1", "phi2", "psi1", "psi2"))
+pattern_rule("case-ovee", (CaseEff(M, X, OSum(PHI1, PHI2), Y, OSum(PSI1, PSI2)),
+                           OSum(CaseEff(M, X, PHI1, Y, PSI1), CaseEff(M, X, PHI2, Y, PSI2))),
+             [p_leq("G", PHI1, Orth(PHI2), ext=((X, A),)), p_leq("G", PSI1, Orth(PSI2), ext=((Y, B),)),
+              p_ty("D", M, AB)],
+             "conclusion must distribute a sum over a case effect", both=True, zones=("G", "D"))
+pattern_rule("case-bot", (CaseEff(M, X, Orth(PHI), Y, Orth(PSI)), Orth(CaseEff(M, X, PHI, Y, PSI))),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_ty("D", M, AB)],
+             "conclusion must push an orthosupplement through a case effect", both=True, zones=("G", "D"))
 
 
 @rule("case-leq", heads=[(CaseEff, Effect)])
@@ -1357,44 +1335,13 @@ def _case_leq(goal, args, synth):
     ]
 
 
-@rule("case-times", heads=[(CaseEff, SMul), (SMul, CaseEff)])
-def _case_times(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (
-            isinstance(a, CaseEff)
-            and isinstance(a.left, SMul)
-            and isinstance(a.right, SMul)
-            and isinstance(b, SMul)
-            and isinstance(b.body, CaseEff)
-        ):
-            continue
-        chi = b.scalar
-        if not (a.left.scalar == chi and a.right.scalar == chi):
-            continue
-        c = b.body
-        if not (
-            c.scrut == a.scrut
-            and abstraction_eq([c.x], c.left, [a.x], a.left.body)
-            and abstraction_eq([c.y], c.right, [a.y], a.right.body)
-        ):
-            continue
-        ab = scrut_type(goal.ctx, a.scrut, args, synth)
-        sa, sb = as_sum(ab, "the case scrutinee")
-        out.append(
-            inst(
-                [
-                    p_eff("G", a.left.body, ext=((a.x, sa),)),
-                    p_eff("G", a.right.body, ext=((a.y, sb),)),
-                    p_ty("D", a.scrut, ab),
-                    p_eff("", chi),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "conclusion must pull a closed scalar out of a case effect")
-    return out
+# the scalar CHI is closed: no premise binds over it, so its occurrences
+# inside the branches and outside are compared as they stand
+pattern_rule("case-times", (CaseEff(M, X, SMul(CHI, PHI), Y, SMul(CHI, PSI)),
+                            SMul(CHI, CaseEff(M, X, PHI, Y, PSI))),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_ty("D", M, AB),
+              p_eff("", CHI)],
+             "conclusion must pull a closed scalar out of a case effect", both=True, zones=("G", "D"))
 
 
 # ---- qubit pack

@@ -1,10 +1,11 @@
 """Abstract state-and-effect backend interface and generic helpers.
 
 A backend supplies a symmetric monoidal category with distributive binary
-coproducts and terminal tensor unit, a scalar effect monoid, an effect module
-of predicates over each object with a contravariant predicate transformer, a
-set of states with a forward transformer, measurement morphisms, and the
-validity pairing between predicates and states.
+coproducts and terminal tensor unit, scalars embedded from rational literals
+and compared, an effect module of predicates over each object with a
+contravariant predicate transformer, a set of states with a forward
+transformer, measurement morphisms, and the validity pairing between
+predicates and states.
 
 n-ary coproducts are derived here by left nesting, which makes the
 zero-extension measurement axiom literal: (n+1)-fold I is (n-fold I) + I and
@@ -24,16 +25,6 @@ class Backend(ABC):
     has_qbit = False
 
     # ---- scalars
-    @abstractmethod
-    def s_zero(self): ...
-    @abstractmethod
-    def s_one(self): ...
-    @abstractmethod
-    def s_ovee(self, a, b): ...
-    @abstractmethod
-    def s_mul(self, a, b): ...
-    @abstractmethod
-    def s_ovee_inverse(self, a): ...
     def s_eq(self, a, b):
         return a == b
 
@@ -87,8 +78,6 @@ class Backend(ABC):
     @abstractmethod
     def dist_left(self, a, b, c):
         """(A+B) (x) C -> A (x) C + B (x) C"""
-    @abstractmethod
-    def dist_left_inv(self, a, b, c): ...
     @abstractmethod
     def mor_eq(self, f, g): ...
 
@@ -173,8 +162,6 @@ class Backend(ABC):
     def unit_state(self): ...
     @abstractmethod
     def apply_state(self, f, s): ...
-    @abstractmethod
-    def state_pair(self, a, b, s, t): ...
     @abstractmethod
     def validity(self, p, s): ...
     @abstractmethod

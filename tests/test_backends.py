@@ -1,10 +1,14 @@
+import inspect
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpel.backends import make_backend
+from qpel.backends.points import PointBackend
 from qpel.backends.quantum import QuantumBackend
 from qpel.backends.setb import SetBackend
 from qpel.backends.stochastic import StochasticBackend
@@ -315,3 +319,20 @@ def test_quantum_compose_is_the_block_contraction():
         for key, t in want.items():
             assert gf.blocks[key].shape == t.shape
             assert np.abs(gf.blocks[key] - t).max() < 1e-12
+
+
+def test_every_backend_method_is_named_outside_its_definitions():
+    """Each public method that `Backend`, `PointBackend` or a backend defines
+    is named somewhere in the sources, tests, scripts or benchmark other than
+    where it is defined: interface that nothing calls goes."""
+    root = Path(__file__).resolve().parent.parent
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for part in ("src", "tests", "scripts", "perfbench")
+                     for path in sorted((root / part).rglob("*.py")))
+    names = {name
+             for cls in (Backend, PointBackend, SetBackend, StochasticBackend, QuantumBackend)
+             for name, member in vars(cls).items()
+             if inspect.isfunction(member) and not name.startswith("_")}
+    assert len(names) > 40
+    unnamed = sorted(name for name in names if not re.search(rf"(?<!def )\b{name}\b", text))
+    assert unnamed == []

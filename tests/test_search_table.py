@@ -37,7 +37,7 @@ from qpel.derivation import (
 )
 from qpel.driver import EXIT_PROOF, process_file
 from qpel.interpreter import backend_applicable, judgement_true
-from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse
+from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse, parse_effect_text
 from qpel.randgen import raw_effect
 from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
 from qpel.syntax import (
@@ -267,8 +267,8 @@ def _goal_pool(monkeypatch):
     return goals
 
 
-# the first-order inequality rules, and the (low, high) head classes of
-# their conclusions in each reading
+# the inequality rules written as patterns, and the (low, high) head classes
+# of their conclusions in each reading
 PATTERN_HEADS = {
     "zero-leq": ((Zero, Effect),),
     "bot-antitone": ((Orth, Orth),),
@@ -287,18 +287,28 @@ PATTERN_HEADS = {
     "unit-r": ((SMul, Effect), (Effect, SMul)),
     "assoc": ((SMul, SMul),),
     "comm": ((SMul, SMul),),
+    "case-cong": ((CaseEff, CaseEff),),
+    "case-ovee": ((CaseEff, OSum), (OSum, CaseEff)),
+    "case-bot": ((CaseEff, Orth), (Orth, CaseEff)),
+    "case-times": ((CaseEff, SMul), (SMul, CaseEff)),
 }
+# the rules above that push an effect operation through `caseE`
+CASE_RULES = ("case-cong", "case-ovee", "case-bot", "case-times")
+FIRST_ORDER_RULES = tuple(name for name in PATTERN_HEADS if name not in CASE_RULES)
 
 # sha256 of the newline-joined records of `_instance_records`, and their
 # count, taken from the hand-written matchers these rules had before they
 # became patterns
 INSTANCE_SHA256 = "3951954693867b573083ecec776c45e497ab6162b2327de1bde0fae0ef69da8a"
 INSTANCE_COUNT = 55403
+# the same for the case rules, with mismatch messages, over more goals
+CASE_INSTANCE_SHA256 = "7790b6e26ef0a197cfd907062fbcf1c686401963bc09901ff03cf110acb86686"
+CASE_INSTANCE_COUNT = 13980
 
 
 def test_pattern_rule_heads_are_those_of_their_conclusions():
     assert {name: SCHEMAS[name].heads for name in PATTERN_HEADS} == PATTERN_HEADS
-    assert sum(map(len, PATTERN_HEADS.values())) == 23
+    assert sum(map(len, PATTERN_HEADS.values())) == 30
 
 
 def _case_eff(angle, tag):
@@ -335,21 +345,24 @@ def _alpha_variant_goals():
     return [EffLeq(g, lo, hi) for a, b in pairs for lo, hi in ((a, b), (b, a))]
 
 
-def _instance_records(goals):
-    """For each first-order rule and goal: MISMATCH, or for each instance in
-    order, each premise's zone, kind and the nameless keys of its syntax,
-    then the conclusion zones."""
+def _instance_records(names, cases, texts=False):
+    """For each rule of names and each (goal, args) case: MISMATCH, with
+    texts followed by the mismatch's message, or for each instance in order,
+    each premise's zone, kind, the nameless keys of its syntax, its types and
+    its ext, then the conclusion zones and fixed entries."""
     records = []
-    for name in PATTERN_HEADS:
-        for goal in goals:
+    for name in names:
+        for goal, args in cases:
+            key = _goal_key(goal) + (f" {args!r}" if args else "")
             try:
-                instns = SCHEMAS[name].match(goal, {}, partial(synth_type, goal.ctx))
-            except RuleMismatch:
-                records.append(f"{name} {_goal_key(goal)} MISMATCH")
+                instns = SCHEMAS[name].match(goal, args, partial(synth_type, goal.ctx))
+            except RuleMismatch as e:
+                records.append(f"{name} {key} MISMATCH" + (f" {e}" if texts else ""))
                 continue
-            shown = [([(p.zone, p.shape[0], [nameless(s) for s in p.shape[1:]], p.ext)
+            shown = [([(p.zone, p.shape[0], [nameless(s) if isinstance(s, Syntax) else s
+                                              for s in p.shape[1:]], p.ext)
                        for p in i.premises], i.zones, i.fixed) for i in instns]
-            records.append(f"{name} {_goal_key(goal)} {shown!r}")
+            records.append(f"{name} {key} {shown!r}")
     return records
 
 
@@ -363,9 +376,67 @@ def test_pattern_rule_instances_match_the_golden(monkeypatch):
     zones, at every goal of the head test's pool and at goals whose repeated
     metavariables stand for alpha-variants."""
     goals = sorted(_goal_pool(monkeypatch), key=_goal_key) + _alpha_variant_goals()
-    records = _instance_records(goals)
+    records = _instance_records(FIRST_ORDER_RULES, [(goal, {}) for goal in goals])
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (INSTANCE_COUNT, INSTANCE_SHA256)
+
+
+def _case_rule_cases():
+    """Goals of the case rules that the head test's pool lacks, each read
+    both ways: sides whose binders differ, bodies naming a binder that one
+    side binds and the other leaves free, branch scalars that differ or name
+    a branch binder, scrutinees that do not synthesise or have no sum type,
+    `ty` arguments of a sum and of no sum type, and the case-ovee goal whose
+    binder clashes with a context name."""
+    base = [
+        ("caseE z of inl a -> proj(a, 0) | inr b -> 0", "caseE z of inl c -> proj(c, 0) | inr d -> 0"),
+        ("caseE z of inl a -> proj(a, 0) | inr b -> 0", "caseE z of inl x -> proj(a, 0) | inr b -> 0"),
+        ("caseE z of inl a -> proj(x, 0) | inr b -> 0", "caseE z of inl x -> proj(x, 0) | inr b -> 0"),
+        ("caseE z of inl a -> proj(a, 0) | inr b -> 0", "caseE w of inl a -> proj(a, 0) | inr b -> 0"),
+        ("caseE z of inl a -> proj(a, 0) o+ bot(proj(a, 0)) | inr b -> 0 o+ bot(0)",
+         "(caseE z of inl c -> proj(c, 0) | inr d -> 0) o+ (caseE z of inl e -> bot(proj(e, 0)) | inr f -> bot(0))"),
+        ("caseE z of inl a -> proj(x, 0) o+ 0 | inr b -> 0 o+ 0",
+         "(caseE z of inl x -> proj(x, 0) | inr b -> 0) o+ (caseE z of inl a -> 0 | inr b -> 0)"),
+        ("caseE z of inl a -> proj(a, 0) o+ 0 | inr b -> 0 o+ 0",
+         "(caseE z of inl a -> proj(a, 0) | inr b -> 0) o+ (caseE w of inl a -> 0 | inr b -> 0)"),
+        ("caseE z of inl a -> bot(proj(a, 0)) | inr b -> bot(0)", "bot(caseE z of inl c -> proj(c, 0) | inr d -> 0)"),
+        ("caseE z of inl a -> bot(proj(x, 0)) | inr b -> bot(0)", "bot(caseE z of inl x -> proj(x, 0) | inr d -> 0)"),
+        ("caseE z of inl a -> 1/2 . proj(a, 0) | inr b -> 1/2 . 0",
+         "1/2 . (caseE z of inl c -> proj(c, 0) | inr d -> 0)"),
+        ("caseE z of inl a -> 1/2 . proj(a, 0) | inr b -> 1/3 . 0",
+         "1/2 . (caseE z of inl c -> proj(c, 0) | inr d -> 0)"),
+        ("caseE z of inl a -> 1/3 . proj(a, 0) | inr b -> 1/3 . 0",
+         "1/2 . (caseE z of inl c -> proj(c, 0) | inr d -> 0)"),
+        ("caseE z of inl a -> proj(a, 0) . proj(a, 0) | inr b -> proj(a, 0) . 0",
+         "proj(a, 0) . (caseE z of inl a -> proj(a, 0) | inr b -> 0)"),
+    ]
+    # v is unbound and x is a qubit: the scrutinee's type cannot be read
+    sides = base + [(lo.replace("caseE z", f"caseE {m}"), hi.replace("caseE z", f"caseE {m}"))
+                    for m in ("v", "x") for lo, hi in base]
+    qbit, unit = TQbit(), TUnit()
+    g = Context((("z", TSum(qbit, qbit)), ("w", TSum(qbit, qbit)), ("x", qbit), ("a", qbit)))
+    cases = []
+    for lo, hi in sides:
+        for args in ({}, {"ty": TSum(unit, qbit)}, {"ty": unit}):
+            cases += [(EffLeq(g, parse_effect_text(lo), parse_effect_text(hi)), args),
+                      (EffLeq(g, parse_effect_text(hi), parse_effect_text(lo)), args)]
+    # the lemma of `test_cli.CLASHING_BINDER`: case-ovee's premise binds b
+    clash = Context((("b", qbit), ("s", TSum(unit, unit))))
+    lo = parse_effect_text("(caseE s of inl a -> proj(b, 0) | inr b -> 0) o+ (caseE s of inl a -> 0 | inr b -> 0)")
+    hi = parse_effect_text("caseE s of inl a -> proj(b, 0) o+ 0 | inr b -> 0 o+ 0")
+    return cases + [(EffLeq(clash, lo, hi), {}), (EffLeq(clash, hi, lo), {})]
+
+
+def test_case_rule_instances_match_the_golden(monkeypatch):
+    """Each case rule gives the instances, or the mismatch message, that its
+    hand-written matcher gave: reading for reading, with the same premises,
+    zones and ext binder names, and the same message at the same point when
+    the scrutinee's type cannot be read."""
+    goals = sorted(_goal_pool(monkeypatch), key=_goal_key) + _alpha_variant_goals()
+    cases = [(goal, {}) for goal in goals] + _case_rule_cases()
+    records = _instance_records(CASE_RULES, cases, texts=True)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (CASE_INSTANCE_COUNT, CASE_INSTANCE_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

@@ -130,7 +130,8 @@ class FileReport:
 
 def render_state(backend_name: str, state) -> str:
     if backend_name == "set":
-        return show_point(state)
+        (point,) = state  # a {0, 1}-distribution is a point mass
+        return show_point(point)
     if backend_name == "stochastic":
         items = sorted(state.items(), key=lambda kv: repr(kv[0]))
         return ", ".join(f"{show_point(p)} : {rational(w)}" for p, w in items)

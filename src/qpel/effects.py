@@ -50,12 +50,6 @@ class EffectMonoid:
     def one(self):
         return self.algebra.one
 
-    def ovee(self, x, y):
-        return self.algebra.ovee(x, y)
-
-    def orth(self, x):
-        return self.algebra.orth(x)
-
     def samples(self, rng=None, k=200):
         return self.algebra.samples(rng, k)
 
@@ -241,7 +235,7 @@ def check_effect_module_laws(mod: EffectModule, carrier_samples=None,
         return t is not None and t == smul(r, s)
 
     def dist_scalar(r, s, x):
-        rs_sum = sc.ovee(r, s)
+        rs_sum = sc.algebra.ovee(r, s)
         if rs_sum is None:
             return True
         t = alg.ovee(smul(r, x), smul(s, x))
@@ -303,7 +297,7 @@ def chain3_algebra() -> EffectAlgebra:
         "chain {0, 1/2, 1}",
         elements=(Fraction(0), h, Fraction(1)),
         zero=Fraction(0),
-        ovee=lambda x, y: x + y if x + y <= 1 else None,
+        ovee=lambda x, y: s if (s := x + y) <= 1 else None,
         orth=lambda x: 1 - x,
     )
 
@@ -318,7 +312,7 @@ def unit_interval_algebra() -> EffectAlgebra:
         "rational [0,1]",
         elements=None,
         zero=Fraction(0),
-        ovee=lambda x, y: x + y if x + y <= 1 else None,
+        ovee=lambda x, y: s if (s := x + y) <= 1 else None,
         orth=lambda x: 1 - x,
         sampler=interval_sampler,
     )

@@ -205,7 +205,7 @@ def inst(premises, zones, fixed=()):
     return Instantiation(tuple(premises), tuple(zones), tuple(fixed))
 
 
-def scrut_type(goal_ctx, m, args, synth, extra=(), key="ty"):
+def scrut_type(m, args, synth, extra=(), key="ty"):
     """The type of a scrutinee: explicit argument first, synthesis second."""
     if key in args:
         return args[key]
@@ -318,7 +318,7 @@ def _tensor(goal, args, synth):
 def _let(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, LetPair), "conclusion is not a let typing")
     t = goal.term
-    ab = scrut_type(goal.ctx, t.pair, args, synth)
+    ab = scrut_type(t.pair, args, synth)
     a, b = as_tensor(ab, "the let scrutinee")
     x, y, body = _freshen2(t.x, t.y, t.body, goal.ctx.names())
     return [
@@ -354,7 +354,7 @@ def _inr(goal, args, synth):
 def _case(goal, args, synth):
     need(isinstance(goal, Typing) and isinstance(goal.term, Case), "conclusion is not a case typing")
     t = goal.term
-    ab = scrut_type(goal.ctx, t.scrut, args, synth)
+    ab = scrut_type(t.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     x, left, y, right = _freshen_branches(t, goal.ctx.names())
     return [
@@ -478,7 +478,7 @@ def _let_eq(goal, args, synth):
         "both sides must be lets",
     )
     l, r = goal.lhs, goal.rhs
-    ab = scrut_type(goal.ctx, l.pair, args, synth)
+    ab = scrut_type(l.pair, args, synth)
     a, b = as_tensor(ab, "the let scrutinee")
     x, y, bl, br = _align_let(l, r, goal.ctx.names())
     return [
@@ -519,7 +519,7 @@ def _case_eq(goal, args, synth):
         "both sides must be cases",
     )
     l, r = goal.lhs, goal.rhs
-    ab = scrut_type(goal.ctx, l.scrut, args, synth)
+    ab = scrut_type(l.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     x, y, ll, rl, lr, rr = _align_case(l, r, goal.ctx.names())
     return [
@@ -673,9 +673,9 @@ def _let_commute(goal, args, synth):
     )
     inner = l.body
     m, n, p = l.pair, inner.pair, inner.body
-    ab = scrut_type(goal.ctx, m, args, synth)
+    ab = scrut_type(m, args, synth)
     a, b = as_tensor(ab, "the outer scrutinee")
-    cd = scrut_type(goal.ctx, n, args, synth, extra=((l.x, a), (l.y, b)), key="ty2")
+    cd = scrut_type(n, args, synth, extra=((l.x, a), (l.y, b)), key="ty2")
     c, d = as_tensor(cd, "the inner scrutinee")
     expected = _mk_let(inner.x, inner.y, _mk_let(l.x, l.y, m, n), p)
     alpha2(goal.rhs, expected, "right side")
@@ -724,9 +724,9 @@ def _let_case(goal, args, synth):
     )
     cs = l.pair
     m, n, p, q = cs.scrut, cs.left, cs.right, l.body
-    ab = scrut_type(goal.ctx, m, args, synth)
+    ab = scrut_type(m, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
-    cd = scrut_type(goal.ctx, n, args, synth, extra=((cs.x, a),), key="ty2")
+    cd = scrut_type(n, args, synth, extra=((cs.x, a),), key="ty2")
     c, d = as_tensor(cd, "the case branches")
     expected = _mk_case(
         m, cs.x, _mk_let(l.x, l.y, n, q), cs.y, _mk_let(l.x, l.y, p, q)
@@ -755,7 +755,7 @@ def _let_tensor(goal, args, synth):
     )
     lt, p = l.left, l.right
     c, d = as_tensor(goal.ty, "the conclusion")
-    ab = scrut_type(goal.ctx, lt.pair, args, synth)
+    ab = scrut_type(lt.pair, args, synth)
     a, b = as_tensor(ab, "the let scrutinee")
     expected = _mk_let(lt.x, lt.y, lt.pair, Pair(lt.body, p))
     alpha2(goal.rhs, expected, "right side")
@@ -788,9 +788,9 @@ def _case_commute(goal, args, synth):
         and abstraction_eq([inr_case.y], inr_case.right, [inl_case.y], r),
         "the two inner cases must share their branches",
     )
-    ab = scrut_type(goal.ctx, m, args, synth)
+    ab = scrut_type(m, args, synth)
     a, b = as_sum(ab, "the outer scrutinee")
-    cd = scrut_type(goal.ctx, n, args, synth, extra=((l.x, a),), key="ty2")
+    cd = scrut_type(n, args, synth, extra=((l.x, a),), key="ty2")
     c, d = as_sum(cd, "the inner scrutinee")
     expected = _mk_case(_mk_case(m, l.x, n, l.y, p), inl_case.x, q, inl_case.y, r)
     alpha2(goal.rhs, expected, "right side")
@@ -818,7 +818,7 @@ def _case_tensor(goal, args, synth):
     )
     cs, p = l.left, l.right
     c, d = as_tensor(goal.ty, "the conclusion")
-    ab = scrut_type(goal.ctx, cs.scrut, args, synth)
+    ab = scrut_type(cs.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     expected = _mk_case(cs.scrut, cs.x, Pair(cs.left, p), cs.y, Pair(cs.right, p))
     alpha2(goal.rhs, expected, "right side")
@@ -935,7 +935,7 @@ def _measure_case(goal, args, synth):
         )
         phis.append(subst(phi.left, phi.x, Var(x)) if phi.x != x else phi.left)
         psis.append(subst(phi.right, phi.y, Var(y)) if phi.y != y else phi.right)
-    ab = scrut_type(goal.ctx, m, args, synth)
+    ab = scrut_type(m, args, synth)
     a, b = as_sum(ab, "the shared scrutinee")
     terms = [t for _, t in bs]
     expected = _mk_case(
@@ -986,7 +986,7 @@ def _eff_mult(goal, args, synth):
 def _eff_case(goal, args, synth):
     need(isinstance(goal, EffForm) and isinstance(goal.eff, CaseEff), "conclusion is not a case formation")
     e = goal.eff
-    ab = scrut_type(goal.ctx, e.scrut, args, synth)
+    ab = scrut_type(e.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     x, left, y, right = _freshen_branches(e, goal.ctx.names())
     return [
@@ -1118,7 +1118,7 @@ def _reading(low, high, sides, premises, zones):
                                   [nodes[i] for i in there], nodes[first]):
                 return None
         if typed:
-            ab = scrut_type(nodes[0].ctx, nodes[scrut], args, synth)
+            ab = scrut_type(nodes[scrut], args, synth)
             nodes += (ab, *as_sum(ab, "the case scrutinee"))
         return Instantiation(tuple([Premise(z, shape(nodes), ext(nodes)) for z, shape, ext in built]), zones)
 
@@ -1207,7 +1207,7 @@ def _case_mono(goal, args, synth):
     )
     l, h = goal.low, goal.high
     alpha2(h.scrut, l.scrut, "case scrutinee")
-    ab = scrut_type(goal.ctx, l.scrut, args, synth)
+    ab = scrut_type(l.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     avoid = set(goal.ctx.names()) | free_vars(l) | free_vars(h)
     x = fresh(l.x, avoid)
@@ -1319,7 +1319,7 @@ pattern_rule("case-bot", (CaseEff(M, X, Orth(PHI), Y, Orth(PSI)), Orth(CaseEff(M
 def _case_leq(goal, args, synth):
     need(isinstance(goal, EffLeq) and isinstance(goal.low, CaseEff), "left side must be a case effect")
     l, chi = goal.low, goal.high
-    ab = scrut_type(goal.ctx, l.scrut, args, synth)
+    ab = scrut_type(l.scrut, args, synth)
     a, b = as_sum(ab, "the case scrutinee")
     x, left = freshen_binder(l.x, l.left, set(goal.ctx.names()) | free_vars(chi))
     y, right = freshen_binder(l.y, l.right, set(goal.ctx.names()) | free_vars(chi) | {x})

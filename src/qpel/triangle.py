@@ -5,7 +5,11 @@ coproducts and terminal tensor unit, scalars embedded from rational literals
 and compared, an effect module of predicates over each object with a
 contravariant predicate transformer, a set of states with a forward
 transformer, measurement morphisms, and the validity pairing between
-predicates and states.
+predicates and states.  Two implementations stand behind it:
+`backends.points.PointBackend`, the Kleisli category of the distribution
+monad over an effect monoid of scalars, whose instances are the set and
+stochastic backends, and `backends.quantum.QuantumBackend`.  Test-data
+draws (`random_state`, `random_pred`) are not part of the interface.
 
 n-ary coproducts are derived here by left nesting, which makes the
 zero-extension measurement axiom literal: (n+1)-fold I is (n-fold I) + I and
@@ -164,10 +168,6 @@ class Backend(ABC):
     def apply_state(self, f, s): ...
     @abstractmethod
     def validity(self, p, s): ...
-    @abstractmethod
-    def random_state(self, a, rng): ...
-    @abstractmethod
-    def random_pred(self, a, rng): ...
     def state_of_mor(self, f):
         """The state picked out by a morphism from the tensor unit."""
         return self.apply_state(f, self.unit_state())

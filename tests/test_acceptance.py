@@ -67,48 +67,71 @@ def test_criterion_2_monad_laws():
     # The three-element chain admits no effect monoid (the effects suite
     # proves this exhaustively), so the exhaustive monad-law runs use the
     # boolean scalars and the boolean square, the smallest commutative
-    # effect monoids, plus exact rational spot checks.
-    from qpel.dist import (
-        all_distributions,
-        dmap,
-        mult,
-        strength,
-        strength_left_first,
-        strength_right_first,
-        unit,
-    )
-    from qpel.effects import boolean_monoid, boolean_square_monoid
+    # effect monoids.  The laws hold of the Kleisli backend's own
+    # composition: a state is a distribution, `apply_state` is bind, and a
+    # distribution is a point of D(A) as the frozen set of its weights.
+    from qpel.backends.points import UNIT_OB, PointBackend
+    from qpel.backends.setb import SetBackend
+    from qpel.effects import boolean_square_monoid
 
-    B, SQ = boolean_monoid(), boolean_square_monoid()
+    class BooleanSquareBackend(PointBackend):
+        name = "boolean square"
+        scalars = boolean_square_monoid()
 
-    for monoid, elems in ((B, list("abcd")), (SQ, list("ab"))):
-        for phi in all_distributions(monoid, elems):
-            assert mult(monoid, unit(monoid, phi)) == phi
-            assert mult(monoid, dmap(monoid, lambda x: unit(monoid, x), phi)) == phi
+    B, SQ = SetBackend(), BooleanSquareBackend()
 
-    level1 = all_distributions(SQ, list("ab"))
-    level2 = all_distributions(SQ, level1)
+    def kleisli(k, dom, f):
+        rows = {x: f(x) for x in dom}
+        return k._mk(tuple(dom), tuple(dict.fromkeys(y for r in rows.values() for y in r)), rows)
+
+    def unit(k, x):
+        return k.state_of_mor(k._map(UNIT_OB, (x,), lambda _: x))
+
+    def dmap(k, f, d):
+        return k.apply_state(k._map(tuple(d), tuple(dict.fromkeys(map(f, d))), f), d)
+
+    def bind(k, d, f):
+        return k.apply_state(kleisli(k, d, f), d)
+
+    def mult(k, dd):
+        return bind(k, dd, dict)
+
+    def strength(k, a, phi):
+        pa, f = k._map(UNIT_OB, (a,), lambda _: a), kleisli(k, UNIT_OB, lambda _: phi)
+        return k.state_of_mor(k.compose(k.tensor_mor(pa, f), k.unit_left_inv(UNIT_OB)))
+
+    def points(k, elements):
+        return [frozenset(d.items()) for d in k.enum_states(tuple(elements))]
+
+    for k, elems in ((B, "abcd"), (SQ, "ab")):
+        for phi in k.enum_states(tuple(elems)):
+            assert mult(k, unit(k, frozenset(phi.items()))) == phi
+            assert mult(k, dmap(k, lambda x: frozenset(unit(k, x).items()), phi)) == phi
+
+    level2 = points(SQ, points(SQ, "ab"))
     outer = []
     for i in range(len(level2)):
         for j in range(i + 1, len(level2)):
-            outer.extend(all_distributions(SQ, [level2[i], level2[j]]))
+            outer.extend(SQ.enum_states((level2[i], level2[j])))
     for ddd in outer:
         lhs = mult(SQ, mult(SQ, ddd))
-        rhs = mult(SQ, dmap(SQ, lambda dd: mult(SQ, dd), ddd))
+        rhs = mult(SQ, dmap(SQ, lambda dd: frozenset(mult(SQ, dict(dd)).items()), ddd))
         assert lhs == rhs
 
     # strength formula, verbatim table, exhaustive on carriers <= 4
-    for phi in all_distributions(SQ, list("uvwx")):
+    for phi in SQ.enum_states(tuple("uvwx")):
         t = strength(SQ, "c", phi)
         for b, w in phi.items():
-            assert t(("c", b)) == w
+            assert t[("c", b)] == w
 
     # commutativity of the two strength composites
-    das = all_distributions(SQ, list("ab"))
-    dbs = all_distributions(SQ, list("uv"))
+    das = SQ.enum_states(tuple("ab"))
+    dbs = SQ.enum_states(tuple("uv"))
     for da in das:
         for db in dbs:
-            assert strength_left_first(SQ, da, db) == strength_right_first(SQ, da, db)
+            left = bind(SQ, da, lambda a: strength(SQ, a, db))
+            right = dmap(SQ, lambda p: (p[1], p[0]), bind(SQ, db, lambda b: strength(SQ, b, da)))
+            assert left == right
     report(2, "monad unit/assoc + strength verified exhaustively (boolean & boolean-square scalars)")
 
 

@@ -42,39 +42,47 @@ def _set_obj(n):
     return tuple(f"p{i}" for i in range(n))
 
 
+def _subset(a, members):
+    """The set-backend predicate on a that is the subset `members`."""
+    return {x: int(x in members) for x in a}
+
+
 def test_set_triangle_laws_exhaustive():
     a = _set_obj(3)
     b = _set_obj(2)
-    fs = []
-    # all functions a -> b
+    # all functions a -> b, as tables and as deterministic morphisms
     import itertools
 
-    for images in itertools.product(b, repeat=len(a)):
-        from qpel.backends.setb import SetMor
-
-        fs.append(SetMor(a, b, dict(zip(a, images))))
-    for f in fs:
+    tables = [dict(zip(a, images)) for images in itertools.product(b, repeat=len(a))]
+    assert len(tables) == 8
+    for table in tables:
+        f = SB._map(a, b, table.__getitem__)
         # functoriality of the predicate transformer
         assert SB.apply_pred(SB.identity(b), SB.pred_one(b)) == SB.pred_one(b)
-        for q in SB.enum_preds(b):
+        preds = SB.enum_preds(b)
+        assert len(preds) == 4 and all(set(q.values()) <= {0, 1} for q in preds)
+        for q in preds:
             pulled = SB.apply_pred(f, q)
-            assert pulled == frozenset(x for x in a if f.table[x] in q)
+            # the subset pulled back is the preimage
+            assert pulled == {x: q[table[x]] for x in a}
             # hom conditions
             assert SB.apply_pred(f, SB.pred_orth(b, q)) == SB.pred_orth(a, pulled)
-        for s in SB.enum_states(a):
-            for q in SB.enum_preds(b):
+        states = SB.enum_states(a)
+        # the states are the points, as point masses
+        assert sorted(x for s in states for x in s) == sorted(a)
+        assert all(s == {x: 1} for s in states for x in s)
+        for s in states:
+            for q in preds:
                 assert check_validity_natural(SB, f, q, s)
 
 
 def test_set_meas_axioms():
     a = _set_obj(4)
-    preds = [frozenset({"p0"}), frozenset({"p1", "p2"}), frozenset({"p3"})]
+    preds = [_subset(a, {"p0"}), _subset(a, {"p1", "p2"}), _subset(a, {"p3"})]
     assert check_meas_permutation(SB, a, preds, (2, 3, 1))
     assert check_meas_zero(SB, a, preds)
     assert check_meas_merge(SB, a, preds[0], preds[1], [preds[2]])
-    from qpel.backends.setb import SetMor
-
-    f = SetMor(_set_obj(2), a, {"p0": "p1", "p1": "p3"})
+    f = SB._map(_set_obj(2), a, {"p0": "p1", "p1": "p3"}.__getitem__)
     assert check_meas_natural(SB, f, preds)
 
 
@@ -124,20 +132,24 @@ def test_stochastic_meas_axioms_exact():
 
 
 def test_boolean_embeds_into_stochastic():
-    rng = random.Random(23)
+    # the embedding of {0, 1} into [0, 1] is the identity on representations
     a, b = _set_obj(3), _set_obj(3)
     import itertools
 
-    from qpel.backends.setb import SetMor
-
+    g_table = {y: f"p{i % 2}" for i, y in enumerate(b)}
+    g = SB._map(b, _set_obj(2), g_table.__getitem__)
+    sg = ST._map(b, _set_obj(2), g_table.__getitem__)
+    assert ST.mor_eq(sg, g)
     for images in itertools.islice(itertools.product(b, repeat=len(a)), 10):
-        f = SetMor(a, b, dict(zip(a, images)))
-        sf = ST.from_set(f)
+        table = dict(zip(a, images))
+        f = SB._map(a, b, table.__getitem__)
+        sf = ST._map(a, b, table.__getitem__)
         for x in a:
-            assert sf.row(x) == {f.table[x]: Fraction(1)}
+            assert sf.rows[x] == f.rows[x] == {table[x]: Fraction(1)}
+        assert ST.mor_eq(sf, f)
         # composition commutes with the embedding
-        g = SetMor(b, _set_obj(2), {y: f"p{i % 2}" for i, y in enumerate(b)})
-        assert ST.mor_eq(ST.compose(ST.from_set(g), sf), ST.from_set(SB.compose(g, f)))
+        assert ST.mor_eq(ST.compose(g, f), SB.compose(g, f))
+        assert ST.mor_eq(ST.compose(sg, sf), SB.compose(g, f))
 
 
 def test_quantum_functoriality_and_validity():

@@ -1,9 +1,15 @@
+import importlib.util
+import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from qpel.backends.setb import SetBackend
+from qpel.backends.stochastic import StochasticBackend
 from qpel.effects import (
     MUTANTS,
     boolean_algebra,
@@ -85,6 +91,42 @@ def test_homomorphism_zero_preservation_is_derived():
                               samples=chain.elements)
     assert emb2.passed
     assert any(r.law == "hom-zero" and r.ok for r in emb2.results)
+
+
+def test_laws_hold_of_the_scalars_the_backends_compute_with():
+    """The set and stochastic backends compute with their class's `scalars`,
+    so the law harness checks the very operations the verifier runs."""
+    for cls, carrier in ((SetBackend, (0, 1)), (StochasticBackend, None)):
+        rep = check_effect_monoid_laws(cls.scalars)
+        assert rep.passed, rep.render_text()
+        assert {"ovee-associative", "orth-unique", "mul-dist-left", "mul-commutative"} <= {
+            r.law for r in rep.results
+        }
+        assert cls.scalars.algebra.elements == carrier
+        backend = cls()
+        assert backend._ovee is cls.scalars.algebra.ovee
+        assert backend._orth is cls.scalars.algebra.orth
+        assert backend._mul is cls.scalars.mul
+
+
+def test_law_report_script_passes_the_instances_and_rejects_the_mutants(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "law_report.py"
+    spec = importlib.util.spec_from_file_location("law_report", path)
+    law_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(law_report)
+    assert law_report.main(["--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    expected = {}
+    for rep in reports:
+        failed = [law["law"] for law in rep["laws"] if law["status"] == "fail"]
+        named = re.search(r"\[expected failure: (\S+)\]$", rep["instance"])
+        if named is None:
+            assert rep["passed"] and failed == [], rep
+        else:
+            assert not rep["passed"] and named.group(1) in failed, rep
+            expected[named.group(1)] = failed
+    assert len(reports) == 10
+    assert sorted(expected) == sorted(MUTANTS)
 
 
 def test_report_serialises():

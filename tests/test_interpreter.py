@@ -46,7 +46,7 @@ def test_variable_is_identity_after_unit_isos():
     g = Context((("x", II),))
     f = interp_term(SB, g, Var("x"), II)
     for p in SB.dom(f):
-        assert f.table[p] == p[1]
+        assert f.rows[p] == {p[1]: 1}
 
 
 def test_fair_coin_distribution():
@@ -112,7 +112,8 @@ def test_split_mor_is_an_iso_on_points():
     # bijective with the expected regrouping
     seen = set()
     for p in SB.dom(m):
-        out = m.table[p]
+        (out,) = m.rows[p]
+        assert m.rows[p][out] == 1
         assert out not in seen
         seen.add(out)
 

@@ -16,8 +16,7 @@ import pytest
 
 from qpel import interpreter
 from qpel.backends import make_backend
-from qpel.backends.setb import SetMor
-from qpel.backends.stochastic import StochMor
+from qpel.backends.points import PointMor
 from qpel.corpus import all_items
 from qpel.driver import run_paths
 from qpel.interpreter import backend_applicable, interp_effect, interp_term
@@ -49,11 +48,20 @@ GOLDEN_RECORDS = 4662
 GOLDEN_JUDGEMENTS = 2873
 
 
-def _canon(v) -> str:
-    if isinstance(v, SetMor):
-        return f"SetMor({_canon(v.dom)}, {_canon(v.cod)}, {_canon([v.table[x] for x in v.dom])})"
-    if isinstance(v, StochMor):
+def _canon(v, backend_name=None) -> str:
+    """The rendering the golden was taken with.  The set backend's
+    denotations are rendered in the form they had as functions and subsets:
+    each single-entry row as its point, and a {0, 1}-predicate as the subset
+    it weights 1."""
+    if isinstance(v, PointMor) and backend_name == "set":
+        points = [next(iter(v.rows[x])) for x in v.dom]
+        assert all(len(v.rows[x]) == 1 for x in v.dom)
+        return f"SetMor({_canon(v.dom)}, {_canon(v.cod)}, {_canon(points)})"
+    if isinstance(v, PointMor):
         return f"StochMor({_canon(v.dom)}, {_canon(v.cod)}, {_canon([v.rows[x] for x in v.dom])})"
+    if isinstance(v, dict) and backend_name == "set":
+        assert set(v.values()) <= {0, 1}
+        return _canon(frozenset(x for x, w in v.items() if w == 1))
     if isinstance(v, dict):
         return "{" + ", ".join(sorted(f"{_canon(k)}: {_canon(x)}" for k, x in v.items())) + "}"
     if isinstance(v, (set, frozenset)):
@@ -135,7 +143,7 @@ def test_fold_denotations_match_the_term_walk_golden():
                 continue
             for g, s, ty in _sides(j):
                 den = interp_effect(backend, g, s) if ty is None else interp_term(backend, g, s, ty)
-                records.append(_canon(den))
+                records.append(_canon(den, name))
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert (len(judgements), len(records), digest) == (
         GOLDEN_JUDGEMENTS, GOLDEN_RECORDS, GOLDEN_SHA256

@@ -53,6 +53,7 @@ class PointBackend(Backend):
     scalars: EffectMonoid
 
     def __init__(self):
+        super().__init__()
         alg = self.scalars.algebra
         self._ovee, self._orth, self._mul = alg.ovee, alg.orth, self.scalars.mul
         self._zero, self._one = alg.zero, alg.one

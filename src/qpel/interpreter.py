@@ -12,9 +12,28 @@ twice: the scrutinee type of let, case and caseE is the derivation's `ty`
 argument, and each zone is the context of its premise without the variables
 the premise binds.
 
+Each backend folds each judgement once.  `interpret` keeps every denotation
+it computes in the backend's `memo`, keyed by the derivation's conclusion
+and its scrutinee type, and `interp_type` keeps every object keyed by its
+type.  Judgement equality is alpha-equivalence on binders, so judgements
+that differ only in binder names share one entry.  The scrutinee type is in
+the key because judgements hold no ascriptions: two scrutinees whose erased
+ascriptions chose different sum types conclude one judgement.  A memo lives
+as long as its backend, and the driver makes its backends per file.  This is
+sound because the premises of a node are a function of its conclusion and
+scrutinee type (the checker is syntax-directed), and the fold reads only
+context positions, types and formation premises: binder names and
+inequality premises never reach a denotation.  A shared denotation is never
+written to: a backend operation may put its operands' blocks, rows or
+predicates into its result, but it writes only into what it allocated.
+Nothing configures the memo: it has no switch and no size bound.
+
 `evaluate` gives the state a closed term denotes.  In the quantum backend it
 is a second fold over the derivation whose carrier is a state over the live
-context factors, not a map on the whole context.
+context factors, not a map on the whole context.  Its states depend on the
+state it is given and are not kept; the measurement predicates it reads come
+from `interpret`, so a measurement whose branches are `proj(a, q)` and
+`bot(proj(a, q))` builds the projector once.
 
 `interp_term`, `interp_effect` and `judgement_true` take the derivations the
 type checker built.  Given a bare judgement instead, they derive it first
@@ -63,6 +82,13 @@ class InterpError(Exception):
 
 
 def interp_type(backend: Backend, ty):
+    ob = backend.memo.get(ty)
+    if ob is None:
+        ob = backend.memo[ty] = _object(backend, ty)
+    return ob
+
+
+def _object(backend: Backend, ty):
     match ty:
         case TUnit():
             return backend.unit_ob()
@@ -114,8 +140,19 @@ def _zone(d: Derivation, binders=0):
 
 def interpret(backend: Backend, d: Derivation):
     """The denotation of the conclusion of a formation derivation: a
-    computation for a typing, a predicate for an effect formation.  One case
-    per formation rule."""
+    computation for a typing, a predicate for an effect formation.  Folded
+    once per judgement and scrutinee type in each backend (see the module
+    docstring), and shared after that."""
+    key = (d.judgement, d.args.get("ty"))
+    den = backend.memo.get(key)
+    if den is None:
+        den = backend.memo[key] = _fold(backend, d)
+    return den
+
+
+def _fold(backend: Backend, d: Derivation):
+    """One case per formation rule, mapping the denotations of the premises
+    to the rule's construction."""
     j, ps = d.judgement, d.children
 
     def rec(p):

@@ -24,6 +24,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rules
 from .printer import print_context, print_effect, print_term, print_type
@@ -269,8 +270,7 @@ class SourceFile:
 _PUNCT = ["->", "<=", "==", "(", ")", "{", "}", "[", "]", ":", ";", ",", "|", "*", "+", ".", "/", "="]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, INT, EOF, or the punct text itself
     text: str
     line: int
@@ -393,15 +393,21 @@ class Parser:
 
     # -- token plumbing
 
+    # the last token is EOF and nothing advances past it, so the current
+    # token is always self.toks[self.pos]
+
     def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def at(self, kind, text=None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_word(self, word) -> bool:
-        return self.at("NAME", word)
+        t = self.toks[self.pos]
+        return t.kind == "NAME" and t.text == word
 
     def advance(self) -> Token:
         t = self.toks[self.pos]

@@ -28,6 +28,12 @@ class Backend(ABC):
     name: str
     has_qbit = False
 
+    def __init__(self):
+        # the interpreter's denotations of types and formation judgements,
+        # one entry each for as long as this backend lives (see
+        # `interpreter.interpret`); what it holds is shared, never written to
+        self.memo = {}
+
     # ---- scalars
     def s_eq(self, a, b):
         return a == b

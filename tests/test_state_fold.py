@@ -205,7 +205,8 @@ def test_large_clusters_check_within_the_absolute_tolerance(n, tmp_path, monkeyp
 
 def test_closed_checks_build_no_superoperator(tmp_path, monkeypatch):
     """A closed cluster composes and tensors no map; a chain composes only
-    for its measurements' predicates, two per step."""
+    for its measurements' predicates, one per step: `bot(proj(a, q))` reads
+    the projector of `proj(a, q)`, which the interpreter folded once."""
     calls = []
     for name in ("compose", "tensor_mor"):
         method = getattr(QuantumBackend, name)
@@ -218,7 +219,23 @@ def test_closed_checks_build_no_superoperator(tmp_path, monkeypatch):
     path.write_text(workloads._chain_decl("c", "plus", ["1/4"] * 5) + "\ncheck c\n",
                     encoding="utf-8")
     assert driver.run_paths([str(path)], verify=("quantum",))[1] == 0
-    assert set(calls) == {"compose"} and len(calls) == 5 * 2
+    assert set(calls) == {"compose"} and len(calls) == 5
+
+
+def test_a_measurement_builds_its_projector_once(tmp_path, monkeypatch):
+    angles = []
+    qbit_proj = QuantumBackend.qbit_proj
+    monkeypatch.setattr(QuantumBackend, "qbit_proj",
+                        lambda self, angle: angles.append(angle) or qbit_proj(self, angle))
+    path = tmp_path / "measure.qpel"
+    path.write_text(
+        "term m () : qbit =\n  let a = plus in\n"
+        "  measure { proj(a, 1/4) -> plus | bot(proj(a, 1/4)) -> X plus }\ncheck m\n",
+        encoding="utf-8",
+    )
+    out, code = driver.run_paths([str(path)], verify=("quantum",))
+    assert code == 0 and "check m: evaluated" in out, out
+    assert angles == [Fraction(1, 4)]
 
 
 def test_check_of_an_open_term_or_an_effect_is_a_type_error(tmp_path):

@@ -13,20 +13,28 @@ argument, and each zone is the context of its premise without the variables
 the premise binds.
 
 Each backend folds each judgement once.  `interpret` keeps every denotation
-it computes in the backend's `memo`, keyed by the derivation's conclusion
-and its scrutinee type, and `interp_type` keeps every object keyed by its
-type.  Judgement equality is alpha-equivalence on binders, so judgements
-that differ only in binder names share one entry.  The scrutinee type is in
-the key because judgements hold no ascriptions: two scrutinees whose erased
-ascriptions chose different sum types conclude one judgement.  A memo lives
-as long as its backend, and the driver makes its backends per file.  This is
-sound because the premises of a node are a function of its conclusion and
-scrutinee type (the checker is syntax-directed), and the fold reads only
-context positions, types and formation premises: binder names and
-inequality premises never reach a denotation.  A shared denotation is never
-written to: a backend operation may put its operands' blocks, rows or
-predicates into its result, but it writes only into what it allocated.
-Nothing configures the memo: it has no switch and no size bound.
+it computes in the backend's `memo`, keyed by the derivation's conclusion,
+and `interp_type` keeps every object keyed by its type.  Judgement equality
+is alpha-equivalence on binders, so judgements that differ only in binder
+names share one entry.  A memo lives as long as its backend, and the driver
+makes its backends per file.  Nothing configures the memo: it has no switch
+and no size bound.
+
+The memo is sound because equal judgements have equal denotations.  The
+checker is syntax-directed, so a judgement fixes its derivation but for the
+scrutinee types that erased ascriptions chose: `case (inl unit : I + I) of
+...` and `case (inl unit : I + (I + I)) of ...` conclude one judgement and
+read different sum types.  Such derivations are instances of one derivation
+with a type variable for each choice, which occurs in neither the context
+nor the conclusion's type.  Every rule's construction is natural in the
+types of its premises along total maps, and every object has a state, so
+there is a total map between any two choices; naturality along it makes the
+two denotations equal (in the quantum backend, up to the rounding its
+`mor_eq` tolerates).  The fold reads only context positions, types and
+formation premises: binder names and inequality premises never reach a
+denotation.  A shared denotation is never written to: a backend operation
+may put its operands' blocks, rows or predicates into its result, but it
+writes only into what it allocated.
 
 `evaluate` gives the state a closed term denotes.  In the quantum backend it
 is a second fold over the derivation whose carrier is a state over the live
@@ -141,12 +149,11 @@ def _zone(d: Derivation, binders=0):
 def interpret(backend: Backend, d: Derivation):
     """The denotation of the conclusion of a formation derivation: a
     computation for a typing, a predicate for an effect formation.  Folded
-    once per judgement and scrutinee type in each backend (see the module
-    docstring), and shared after that."""
-    key = (d.judgement, d.args.get("ty"))
-    den = backend.memo.get(key)
+    once per judgement in each backend (see the module docstring), and
+    shared after that."""
+    den = backend.memo.get(d.judgement)
     if den is None:
-        den = backend.memo[key] = _fold(backend, d)
+        den = backend.memo[d.judgement] = _fold(backend, d)
     return den
 
 

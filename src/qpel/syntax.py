@@ -55,7 +55,8 @@ class Syntax:
 
     Each constructor is a slotted dataclass whose fields `SHAPES` describes.
     Nodes are immutable, so each computes its nameless key (and the key's
-    hash) at most once and keeps it in a slot outside the dataclass fields;
+    hash) at most once and keeps it in a slot outside the dataclass fields,
+    where a walk over an enclosing tree may have put it already;
     `free_vars` is kept the same way, and `bound_names` on binding nodes.
     The cached hash depends on the process's string hashing, so a node must
     not be moved to another process with it.
@@ -281,7 +282,18 @@ def ovee_all(effs) -> Effect:
 
 @dataclass(frozen=True)
 class Context:
+    """A typing context.  Its hash is computed once, as a term's is, and
+    depends on the process's string hashing in the same way."""
+
     entries: tuple[tuple[str, Type], ...] = ()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.entries)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __post_init__(self):
         if len(self.entries) > 1 and len(dict(self.entries)) != len(self.entries):
@@ -455,13 +467,20 @@ def map_subterms(node, fn) -> dict:
 def nameless(s, under=()):
     """Locally nameless skeleton of a term or effect, for alpha-equality:
     its tag, its subterms' keys and its data; a bound variable is the depth
-    of its binder.
+    of its binder.  A subtree under no binder has its own key there, so the
+    walk reuses the key its node keeps, or keeps the one it computes; under
+    a binder the depths differ, and the subtree is walked.
 
     ``under`` names enclosing binders, so open subtrees can be compared as
     abstractions.
     """
 
     def go(node, env, depth):
+        if not depth:
+            try:
+                return node._nameless
+            except AttributeError:
+                pass
         cls = type(node)
         if cls is Var:
             x = node.name
@@ -483,6 +502,8 @@ def nameless(s, under=()):
                 key += (go(m, env, depth),)
         for f in data:
             key += (getattr(node, f),)
+        if not depth:
+            object.__setattr__(node, "_nameless", key)
         return key
 
     env0 = {x: i for i, x in enumerate(under)}

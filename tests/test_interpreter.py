@@ -1,16 +1,21 @@
 import random
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qpel.backends import make_backend
+from qpel.corpus import all_items
 from qpel.derivation import Env
 from qpel.interpreter import (
+    assume_checked,
     backend_applicable,
     ctx_ob,
     interp_effect,
     interp_term,
+    interpret,
     judgement_true,
     split_mor,
 )
@@ -31,8 +36,13 @@ from qpel.syntax import (
     Typing,
     Var,
     Zero,
+    map_subterms,
     one,
+    rebuilt,
+    shape,
+    Syntax,
     subst,
+    subst_many,
 )
 from qpel.typecheck import check_effect
 
@@ -119,36 +129,47 @@ def test_split_mor_is_an_iso_on_points():
 
 
 def test_interpretation_respects_alpha():
+    """The fold reads no binder name: a judgement and its copy with every
+    binder renamed, each folded by a backend of its own (so that neither
+    reads the other's memoised denotation), denote the same.  Over random
+    terms and the corpus judgements, on every backend that applies."""
     rng = random.Random(41)
-    for _ in range(20):
-        g = typed_context(rng, 2, qbit=False)
-        ty = typed_type(rng, 2, qbit=False)
-        m = typed_term(rng, g, ty)
-        m2 = _rename_binders(m)
-        assert m == m2
-        f1 = interp_term(ST, g, m, ty)
-        f2 = interp_term(ST, g, m2, ty)
-        assert ST.mor_eq(f1, f2)
+    judgements = []
+    for qbit in (False, True):
+        for _ in range(20):
+            g = typed_context(rng, 2, qbit=qbit)
+            ty = typed_type(rng, 2, qbit=qbit)
+            judgements.append(Typing(g, typed_term(rng, g, ty), ty))
+    judgements += [item.judgement for item in all_items()]
+    renamed = Counter()
+    for j in judgements:
+        syntax = {f.name: getattr(j, f.name) for f in fields(j)
+                  if isinstance(getattr(j, f.name), Syntax)}
+        copies = {f: _rename_binders(s) for f, s in syntax.items()}
+        j2 = replace(j, **copies)
+        assert j2 == j
+        for name in ("set", "stochastic", "quantum"):
+            first, second = make_backend(name), make_backend(name)
+            if not backend_applicable(first, j):
+                continue
+            renamed[name] += any(copies[f] is not syntax[f] for f in syntax)
+            for d1, d2 in zip(assume_checked(j), assume_checked(j2)):
+                f1, f2 = interpret(first, d1), interpret(second, d2)
+                same = first.mor_eq if isinstance(d1.judgement, Typing) else first.pred_eq
+                assert same(f1, f2), (name, j)
+    assert min(renamed.values()) >= 40, renamed
 
 
 def _rename_binders(t):
-    from qpel.syntax import Case, LetPair, subst_many
-
-    match t:
-        case LetPair(x=x, y=y, pair=p, body=b):
-            return LetPair(
-                x + "r", y + "r", _rename_binders(p),
-                subst_many(_rename_binders(b), {x: Var(x + "r"), y: Var(y + "r")}),
-            )
-        case Case(scrut=s, x=x, left=l, y=y, right=r):
-            return Case(
-                _rename_binders(s),
-                x + "r",
-                subst_many(_rename_binders(l), {x: Var(x + "r")}),
-                y + "r",
-                subst_many(_rename_binders(r), {y: Var(y + "r")}),
-            )
-    return t
+    """t with every binder renamed x -> xr."""
+    parts = map_subterms(t, lambda m, _: _rename_binders(m))
+    names = {}
+    for f, binders in shape(t).children:
+        if binders:
+            fresh = {b: getattr(t, b) + "r" for b in binders}
+            parts[f] = subst_many(parts[f], {getattr(t, b): Var(x) for b, x in fresh.items()})
+            names.update(fresh)
+    return rebuilt(t, **parts, **names)
 
 
 def test_validity_bilinearity():

@@ -168,6 +168,34 @@ def test_alpha_matches_oracle_on_random_effects():
         assert (a == b) == alpha_oracle(a, b)
 
 
+def _fresh(s):
+    """A copy of s that shares no node with it, so keeps no key yet."""
+    return dataclasses.replace(s, **syntax.map_subterms(s, lambda m, _: _fresh(m)))
+
+
+def _nodes(s):
+    yield s
+    for m, _ in syntax.subterms(s):
+        yield from _nodes(m)
+
+
+def test_keys_walks_keep_and_reuse_are_the_subtrees_own():
+    """A walk keeps the keys of the subtrees under no binder in their nodes,
+    and reuses the keys it finds there; either way, each key a node gives
+    is the key of its own tree.  Hashed from the root down, and from the
+    leaves up."""
+    rng = random.Random(8)
+    trees = [raw_term(rng, 4) for _ in range(150)] + [raw_effect(rng, 3) for _ in range(150)]
+    for tree in trees:
+        top_down, bottom_up = _fresh(tree), _fresh(tree)
+        hash(top_down)
+        for node in reversed(list(_nodes(bottom_up))):
+            hash(node)
+        for copy in (top_down, bottom_up):
+            for node in _nodes(copy):
+                assert node._key() == nameless(_fresh(node))
+
+
 def test_substitution_composition():
     # [P/y][N/x]M == [[P/y]N / x][P/y]M  when x != y and x not free in P
     rng = random.Random(7)

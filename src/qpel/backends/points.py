@@ -71,13 +71,14 @@ class PointBackend(Backend):
         """The morphism with the given rows, each checked to sum to one and
         to land in the codomain."""
         ovee, zero, one = self._ovee, self._zero, self._one
+        members = frozenset(cod)
         out = {}
         for x in dom:
             row, total = {}, zero
             for y, w in rows[x].items():
                 if w == zero:
                     continue
-                if y not in cod:
+                if y not in members:
                     raise BackendError(f"row lands outside the codomain: {y!r}")
                 total = ovee(total, w)
                 if total is None:
@@ -92,10 +93,11 @@ class PointBackend(Backend):
         """The deterministic morphism of a function on points: each row is a
         single weight one, which sums to one."""
         one = self._one
+        members = frozenset(cod)
         rows = {}
         for x in dom:
             y = f(x)
-            if y not in cod:
+            if y not in members:
                 raise BackendError(f"function lands outside its codomain: {y!r}")
             rows[x] = {y: one}
         return PointMor(dom, cod, rows)

@@ -11,19 +11,23 @@ too, so their messages are its user-facing ones.  The inequality schemas
 that the search tries have heads: the (low, high) effect classes a
 conclusion they match can have, by which the search indexes them.
 
-Pattern rules are data: a conclusion and premises over metavariables, which
-one interpreter matches and from whose conclusions their heads are read.
-They are the first-order rules zero-leq through comm, and case-cong,
-case-ovee, case-bot and case-times, whose conclusions bind: their
-metavariables stand for effects, for the scrutinee of caseE, for its binder
-names and, in premises, for the scrutinee's sum type.  The other search
-rules are code and declare their heads, since no pattern says what they do:
-case-mono and case-leq freshen their binders against the goal, the
-beta-plus-*-eff rules substitute in their conclusion, eta-plus-eff looks up
-the context, and qbit-x-proj, qbit-z-proj and qbit-xz-zx relate projection
-angles, which a `ProjPlus` checks when it is built, so no pattern can hold
-an angle metavariable.  leq-ref stays code for its heads: each effect
-class paired with itself, finer than the pair a pattern (phi, phi) gives.
+Pattern rules are data: a conclusion, one pattern for each field of a
+judgement form, and premises over metavariables, which one interpreter
+matches, which builds each reading's premises in one step, and from whose
+inequality conclusions the search reads their heads.  They are the formation
+rules unit, tensor, inl, inr and eff-0 through eff-mult, ref, sym and
+leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the inequality rules
+zero-leq through comm, case-cong, case-ovee, case-bot and case-times, whose
+conclusions bind, and the whole qubit pack.  Their metavariables stand for
+effects, terms, types, projection angles and binder names, and a side
+condition relates the angles of qbit-x-proj and qbit-z-proj.  The other
+rules are code, since no pattern says what they do: var, exch and
+eta-plus-eff read the context, the rules of let, case, caseE and measure
+freshen binders against the goal or count branches, the beta and commuting
+conversions substitute, trans and leq-trans take a `via`, measure-perm a
+`perm` and beta-iso its redex.  eta-tensor, eta-plus and eta-unit have
+fixed shapes too, but are still code.  The search rules among the code
+rules declare their heads.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -31,9 +35,8 @@ zones plus any fixed entries.  A zone name of "" demands the empty context.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple
 
 from .printer import print_type
@@ -57,7 +60,6 @@ from .syntax import (
     PauliZ,
     ProjPlus,
     SHAPES,
-    ScalarLit,
     SMul,
     Star,
     Syntax,
@@ -80,6 +82,7 @@ from .syntax import (
     ovee_all,
     subst,
     subst_many,
+    subterms,
 )
 
 
@@ -233,12 +236,6 @@ def fresh_pair(base1, base2, avoid):
     return x, y
 
 
-def need_type(ty, cls, what):
-    """A `what` must have a type of class cls."""
-    if not isinstance(ty, cls):
-        raise RuleMismatch(f"{what} cannot have type {print_type(ty)}")
-
-
 def alpha2(got, want, what):
     if got != want:
         raise RuleMismatch(lambda: f"{what}: expected {want!r}, found {got!r}")
@@ -273,20 +270,240 @@ def rule(name, pack="core", heads=None):
     return deco
 
 
+# ---- rules as patterns
+
+
+class Meta(NamedTuple):
+    """A metavariable of a rule pattern: it matches any node of class `cls`,
+    an effect, a term, a type, a data value (an angle) or, with `str`, the
+    name in a binder field.  A binder metavariable matches any name each
+    time, and `Var(X)` a variable bound by the binder X matched in scope;
+    each further occurrence of any other must be alpha-equal to its first.
+    One that a premise puts under binders (in its `ext`) is a body, which may
+    name the binders in scope: it is compared as an abstraction over the
+    binders in scope at each of the two occurrences."""
+
+    name: str
+    cls: type = Effect
+
+
+PHI, PSI, CHI = Meta("phi"), Meta("psi"), Meta("chi")
+PHI1, PHI2, PSI1, PSI2 = (Meta(n) for n in ("phi1", "phi2", "psi1", "psi2"))
+# terms, such as caseE's scrutinee, and binder names
+M, N, M2, N2 = Meta("m", Term), Meta("n", Term), Meta("m2", Term), Meta("n2", Term)
+X, Y = Meta("x", str), Meta("y", str)
+# types; in premises only, the sum type A + B of the scrutinee M, read from
+# the `ty` argument or synthesised, as `scrut_type` and `as_sum` read it
+AB, A, B = Meta("ab", Type), Meta("a", Type), Meta("b", Type)
+# projection angles
+P, Q = Meta("p", Fraction), Meta("q", Fraction)
+
+# the judgement forms, as a goal of another form is told it is not one
+FORMS = {Typing: "a typing", TermEq: "a term equality", EffForm: "an effect formation",
+         EffLeq: "an inequality"}
+
+
+def pattern(cls, *values):
+    """A pattern node of class cls, built without the checks its constructor
+    makes on data, which a metavariable would fail."""
+    node = object.__new__(cls)
+    for f, v in zip(fields(cls), values):
+        object.__setattr__(node, f.name, v)
+    return node
+
+
+def _paths(pat, path, scope=()):
+    """Each subpattern of pat with its attribute path and the paths of the
+    binder fields in scope at it, parents first, through the fields `SHAPES`
+    lists, or a type's fields; a binder field comes just before the subterm
+    it scopes over, and data fields come last."""
+    yield path, pat, scope
+    if isinstance(pat, Meta):
+        return
+    if isinstance(pat, Type):
+        children, data = [(f.name, ()) for f in fields(pat)], ()
+    else:
+        _, children, data = SHAPES[type(pat)]
+    for f, binders in children:
+        for b in binders:
+            yield f"{path}.{b}", getattr(pat, b), scope
+        yield from _paths(getattr(pat, f), f"{path}.{f}", scope + tuple(f"{path}.{b}" for b in binders))
+    for f in data:
+        if not isinstance(getattr(pat, f), Meta):
+            raise ValueError(f"pattern data {path}.{f} must be a metavariable")
+        yield f"{path}.{f}", getattr(pat, f), scope
+
+
+def _metas(pat):
+    """The metavariables in pat: a pattern, or a tuple of them and of data."""
+    if isinstance(pat, Meta):
+        return {pat}
+    if isinstance(pat, tuple):
+        return set().union(*map(_metas, pat))
+    if isinstance(pat, (Syntax, Type)):
+        return {p for _, p, _ in _paths(pat, "") if isinstance(p, Meta)}
+    return set()
+
+
+def _source(pat, where, names):
+    """Python source of an expression in the matched nodes `n` that builds
+    pat, an instance or a part of one, each metavariable replaced by the node
+    at its position in `where`, or None when pat has no metavariable; its
+    constructors, and its parts without metavariables (one object for every
+    instance, since nodes are immutable), are put in `names`."""
+    if isinstance(pat, Meta):
+        return f"n[{where[pat]}]"
+    if isinstance(pat, tuple):
+        parts = pat
+    elif isinstance(pat, (Syntax, Type)):
+        parts = [getattr(pat, f.name) for f in fields(pat)]
+    else:
+        return None
+    built = [_source(part, where, names) for part in parts]
+    if built.count(None) == len(built):
+        return None
+    for i, part in enumerate(parts):
+        if built[i] is None:
+            built[i] = f"c{len(names)}"
+            names[built[i]] = part
+    cls = type(pat)
+    names[cls.__name__] = cls
+    return f"{'' if cls is tuple else cls.__name__}({''.join(src + ', ' for src in built)})"
+
+
+def _reading(pats, sides, premises, zones, side):
+    """A conclusion read with its patterns against the goal fields `sides`
+    names, compiled once for the interpreter: its steps, its instance
+    builder, and the index of its first step on the goal's type.  A step
+    takes a field of an earlier node (the goal is node 0), which must hold
+    the step's class and, at a metavariable seen before, be alpha-equal to
+    the node of its first occurrence.  A body seen before under binders, a
+    variable that must be bound by a binder in scope, and the side condition
+    are checked by the builder instead, which then reads the scrutinee's
+    type if a premise names it but the conclusion does not, and gives None if
+    a check fails."""
+    steps, nodes, at, where, scopes, scoped, bound = [], {"": 0}, {}, {}, {}, [], []
+    type_at = None
+    bodies = set().union(*(_metas(p.shape) for p in premises if p.ext))
+    for name, pat in zip(sides, pats):
+        if name == "ty":
+            type_at = len(steps)
+        for path, p, scope in _paths(pat, name):
+            parent, _, field = path.rpartition(".")
+            here = nodes[path] = len(nodes)
+            at[path] = p
+            if not isinstance(p, Meta):
+                steps.append((nodes[parent], field, type(p), 0))
+                continue
+            binders = tuple(nodes[b] for b in scope)
+            first = where.setdefault(p, here)
+            scopes.setdefault(p, binders)
+            if p.cls is str and type(at[parent]) is Var:
+                # the innermost binder in scope that p matches must bind it
+                k = max(i for i, b in enumerate(scope) if at[b] == p)
+                bound.append((here, binders[k], binders[k + 1:]))
+                first = 0
+            elif first == here or p.cls is str:
+                first = 0
+            elif p in bodies and (binders or scopes[p]):
+                scoped.append((binders, here, scopes[p], first))
+                first = 0
+            steps.append((nodes[parent], field, p.cls, first))
+    typed = _metas(tuple(premises)) & {AB, A, B} - where.keys()
+    if typed:
+        scrut = where[M]
+        where.update({AB: len(nodes), A: len(nodes) + 1, B: len(nodes) + 2})
+    # the reading's instance, built from the nodes in one step, as the type
+    # checker applies the formation rules at each node it checks
+    instance = Instantiation(tuple(premises), tuple(zones))
+    names = {"instance": instance}
+    make = eval(f"lambda n, args, synth: {_source(instance, where, names) or 'instance'}", names)
+    if side:
+        fn, p, q = side
+        side = fn, where[p], where[q]
+    build = make
+    if scoped or bound or side or typed:
+        def build(nodes, args, synth):
+            for here, node, there, first in scoped:
+                if not abstraction_eq([nodes[i] for i in here], nodes[node],
+                                      [nodes[i] for i in there], nodes[first]):
+                    return None
+            for here, binder, inner in bound:
+                if nodes[here] != nodes[binder] or any(nodes[here] == nodes[i] for i in inner):
+                    return None
+            if side and side[0](nodes[side[1]]) != nodes[side[2]]:
+                return None
+            if typed:
+                ab = scrut_type(nodes[scrut], args, synth)
+                nodes += (ab, *as_sum(ab, "the case scrutinee"))
+            return make(nodes, args, synth)
+    return tuple(steps), build, len(steps) if type_at is None else type_at
+
+
+def _heads(low, high):
+    """The (low, high) classes of the goals a reading of an inequality
+    matches: a metavariable on both sides stands for alpha-equal effects,
+    which have one class."""
+    if isinstance(low, Meta) and low == high:
+        return [(c, c) for c in EFFECTS if issubclass(c, low.cls)]
+    return [tuple(p.cls if isinstance(p, Meta) else type(p) for p in (low, high))]
+
+
+def pattern_rule(name, conclusion, premises, message, form=EffLeq, pack="core", zones=("G",),
+                 type_message=None, side=None, both=False, extra=()):
+    """Register rule `name`, whose conclusion, a pattern for each field of a
+    `form` goal after its context, is read against the goal as written and,
+    for an inequality with `both`, with its sides swapped, after the `extra`
+    conclusions.  `side` is a condition on matched data: (f, P, Q) demands
+    that Q match f of what P matches.  A goal of another form is told so; a
+    goal that fits a conclusion but for its type gets `type_message`, in
+    which {} is the type, and one no reading fits gets `message`."""
+    sides = tuple(f.name for f in fields(form)[1:])
+    readings = [(pats, sides) for pats in (*extra, conclusion)]
+    if both:
+        readings.append((conclusion, sides[::-1]))
+    compiled = [_reading(pats, read, premises, zones, side) for pats, read in readings]
+    heads = None
+    if form is EffLeq:
+        heads = []
+        for pats, read in readings:
+            fit = dict(zip(read, pats))
+            heads += _heads(fit["low"], fit["high"])
+        heads = tuple(dict.fromkeys(heads))
+    wrong_form = f"conclusion is not {FORMS[form]}"
+
+    def match(goal, args, synth):
+        if type(goal) is not form:
+            raise RuleMismatch(wrong_form)
+        out = []
+        for steps, build, type_at in compiled:
+            nodes = [goal]
+            for parent, field, cls, first in steps:
+                node = getattr(nodes[parent], field)
+                if not isinstance(node, cls) or first and not node == nodes[first]:
+                    break
+                nodes.append(node)
+            else:
+                found = build(nodes, args, synth)
+                if found:
+                    out.append(found)
+                continue
+            if type_message and len(nodes) > type_at:  # a step on the type failed
+                raise RuleMismatch(lambda: type_message.format(print_type(goal.ty)))
+        if not out:
+            raise RuleMismatch(message)
+        return out
+
+    SCHEMAS[name] = Schema(name, pack, match, heads)
+
+
 # ---- structural
 
 
 @rule("exch")
 def _exch(goal, args, synth):
-    if isinstance(goal, Typing):
-        shape = ("ty", goal.term, goal.ty)
-    elif isinstance(goal, TermEq):
-        shape = ("eq", goal.lhs, goal.rhs, goal.ty)
-    elif isinstance(goal, EffForm):
-        shape = ("eff", goal.eff)
-    else:
-        shape = ("leq", goal.low, goal.high)
-    return [inst([Premise("G", shape)], ["G"])]
+    kind = {Typing: "ty", TermEq: "eq", EffForm: "eff", EffLeq: "leq"}[type(goal)]
+    return [inst([Premise("G", (kind, *[getattr(goal, f.name) for f in fields(goal)[1:]]))], ["G"])]
 
 
 # ---- term formation
@@ -306,12 +523,9 @@ def _var(goal, args, synth):
     return AXIOM
 
 
-@rule("tensor")
-def _tensor(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, Pair), "conclusion is not a pair typing")
-    need_type(goal.ty, TTensor, "a pair")
-    a, b = goal.ty.left, goal.ty.right
-    return [inst([p_ty("G", goal.term.left, a), p_ty("D", goal.term.right, b)], ["G", "D"])]
+pattern_rule("tensor", (Pair(M, N), TTensor(A, B)), [p_ty("G", M, A), p_ty("D", N, B)],
+             "conclusion is not a pair typing", Typing, zones=("G", "D"),
+             type_message="a pair cannot have type {}")
 
 
 @rule("let")
@@ -329,25 +543,12 @@ def _let(goal, args, synth):
     ]
 
 
-@rule("unit")
-def _unit(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, Star), "conclusion is not a unit typing")
-    need_type(goal.ty, TUnit, "unit value")
-    return AXIOM
-
-
-@rule("inl")
-def _inl(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, Inl), "conclusion is not an inl typing")
-    need_type(goal.ty, TSum, "inl")
-    return [inst([p_ty("G", goal.term.arg, goal.ty.left)], ["G"])]
-
-
-@rule("inr")
-def _inr(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, Inr), "conclusion is not an inr typing")
-    need_type(goal.ty, TSum, "inr")
-    return [inst([p_ty("G", goal.term.arg, goal.ty.right)], ["G"])]
+pattern_rule("unit", (Star(), TUnit()), [], "conclusion is not a unit typing", Typing,
+             type_message="unit value cannot have type {}")
+pattern_rule("inl", (Inl(M), TSum(A, B)), [p_ty("G", M, A)], "conclusion is not an inl typing", Typing,
+             type_message="inl cannot have type {}")
+pattern_rule("inr", (Inr(M), TSum(A, B)), [p_ty("G", M, B)], "conclusion is not an inr typing", Typing,
+             type_message="inr cannot have type {}")
 
 
 @rule("case")
@@ -381,17 +582,8 @@ def _measure(goal, args, synth):
 # ---- equality scaffolding
 
 
-@rule("ref")
-def _ref(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    need(goal.lhs == goal.rhs, "the two sides are not alpha-equal")
-    return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
-
-
-@rule("sym")
-def _sym(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    return [inst([p_eq("G", goal.rhs, goal.lhs, goal.ty)], ["G"])]
+pattern_rule("ref", (M, M, A), [p_ty("G", M, A)], "the two sides are not alpha-equal", TermEq)
+pattern_rule("sym", (M, N, A), [p_eq("G", N, M, A)], "conclusion is not a term equality", TermEq)
 
 
 @rule("trans")
@@ -409,22 +601,9 @@ def _trans(goal, args, synth):
 # ---- congruences
 
 
-@rule("tensor-eq")
-def _tensor_eq(goal, args, synth):
-    need(
-        isinstance(goal, TermEq) and isinstance(goal.lhs, Pair) and isinstance(goal.rhs, Pair),
-        "both sides must be pairs",
-    )
-    a, b = as_tensor(goal.ty, "a pair equality")
-    return [
-        inst(
-            [
-                p_eq("G", goal.lhs.left, goal.rhs.left, a),
-                p_eq("D", goal.lhs.right, goal.rhs.right, b),
-            ],
-            ["G", "D"],
-        )
-    ]
+pattern_rule("tensor-eq", (Pair(M, N), Pair(M2, N2), TTensor(A, B)),
+             [p_eq("G", M, M2, A), p_eq("D", N, N2, B)], "both sides must be pairs", TermEq,
+             zones=("G", "D"), type_message="a pair equality must have a tensor type, got {}")
 
 
 def freshen_binder(x, body, avoid):
@@ -492,24 +671,10 @@ def _let_eq(goal, args, synth):
     ]
 
 
-@rule("inl-eq")
-def _inl_eq(goal, args, synth):
-    need(
-        isinstance(goal, TermEq) and isinstance(goal.lhs, Inl) and isinstance(goal.rhs, Inl),
-        "both sides must be inl",
-    )
-    a, b = as_sum(goal.ty, "inl")
-    return [inst([p_eq("G", goal.lhs.arg, goal.rhs.arg, a)], ["G"])]
-
-
-@rule("inr-eq")
-def _inr_eq(goal, args, synth):
-    need(
-        isinstance(goal, TermEq) and isinstance(goal.lhs, Inr) and isinstance(goal.rhs, Inr),
-        "both sides must be inr",
-    )
-    a, b = as_sum(goal.ty, "inr")
-    return [inst([p_eq("G", goal.lhs.arg, goal.rhs.arg, b)], ["G"])]
+pattern_rule("inl-eq", (Inl(M), Inl(N), TSum(A, B)), [p_eq("G", M, N, A)], "both sides must be inl",
+             TermEq, type_message="inl must have a sum type, got {}")
+pattern_rule("inr-eq", (Inr(M), Inr(N), TSum(A, B)), [p_eq("G", M, N, B)], "both sides must be inr",
+             TermEq, type_message="inr must have a sum type, got {}")
 
 
 @rule("case-eq")
@@ -958,28 +1123,12 @@ def _measure_case(goal, args, synth):
 # ---- effect formation
 
 
-@rule("eff-0")
-def _eff_0(goal, args, synth):
-    need(isinstance(goal, EffForm) and isinstance(goal.eff, Zero), "conclusion is not `0 eff`")
-    return AXIOM
-
-
-@rule("eff-bot")
-def _eff_bot(goal, args, synth):
-    need(isinstance(goal, EffForm) and isinstance(goal.eff, Orth), "conclusion is not `bot(phi) eff`")
-    return [inst([p_eff("G", goal.eff.arg)], ["G"])]
-
-
-@rule("eff-ovee")
-def _eff_ovee(goal, args, synth):
-    need(isinstance(goal, EffForm) and isinstance(goal.eff, OSum), "conclusion is not a sum formation")
-    return [inst([p_leq("G", goal.eff.left, Orth(goal.eff.right))], ["G"])]
-
-
-@rule("eff-mult")
-def _eff_mult(goal, args, synth):
-    need(isinstance(goal, EffForm) and isinstance(goal.eff, SMul), "conclusion is not a product formation")
-    return [inst([p_eff("", goal.eff.scalar), p_eff("G", goal.eff.body)], ["G"])]
+pattern_rule("eff-0", (Zero(),), [], "conclusion is not `0 eff`", EffForm)
+pattern_rule("eff-bot", (Orth(PHI),), [p_eff("G", PHI)], "conclusion is not `bot(phi) eff`", EffForm)
+pattern_rule("eff-ovee", (OSum(PHI, PSI),), [p_leq("G", PHI, Orth(PSI))], "conclusion is not a sum formation",
+             EffForm)
+pattern_rule("eff-mult", (SMul(PHI, PSI),), [p_eff("", PHI), p_eff("G", PSI)],
+             "conclusion is not a product formation", EffForm)
 
 
 @rule("eff-case")
@@ -1004,11 +1153,7 @@ def _eff_case(goal, args, synth):
 # ---- derivability
 
 
-@rule("leq-ref", heads=[(c, c) for c in EFFECTS])
-def _leq_ref(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    need(goal.low == goal.high, "the two sides are not alpha-equal")
-    return [inst([p_eff("G", goal.low)], ["G"])]
+pattern_rule("leq-ref", (PHI, PHI), [p_eff("G", PHI)], "the two sides are not alpha-equal")
 
 
 @rule("leq-trans")
@@ -1018,143 +1163,7 @@ def _leq_trans(goal, args, synth):
     return [inst([p_leq("G", goal.low, mid), p_leq("G", mid, goal.high)], ["G"])]
 
 
-# ---- inequality rules, as patterns
-
-
-class Meta(NamedTuple):
-    """A metavariable of a rule pattern: it matches any node of class `cls`,
-    an effect, a term (a scrutinee) or, with `str`, the name in a binder
-    field.  A binder metavariable matches any name each time; each further
-    occurrence of any other must be alpha-equal to its first.  One that a
-    premise puts under binders (in its `ext`) is a body, which may name the
-    binders in scope: it is compared as an abstraction over the binders in
-    scope at each of the two occurrences."""
-
-    name: str
-    cls: type = Effect
-
-
-PHI, PSI, CHI = Meta("phi"), Meta("psi"), Meta("chi")
-# caseE's scrutinees and binders
-M, N, X, Y = Meta("m", Term), Meta("n", Term), Meta("x", str), Meta("y", str)
-# the sum type A + B of the scrutinee M, for premises: read from the `ty`
-# argument or synthesised, as `scrut_type` and `as_sum` read it
-AB, A, B = Meta("ab", Type), Meta("a", Type), Meta("b", Type)
-
-
-def _paths(pat, path, scope=()):
-    """Each subpattern of pat with its attribute path and the paths of the
-    binder fields in scope at it, parents first, through the fields `SHAPES`
-    lists; a binder field comes just before the subterm it scopes over."""
-    yield path, pat, scope
-    for f, binders in () if isinstance(pat, Meta) else SHAPES[type(pat)].children:
-        for b in binders:
-            yield f"{path}.{b}", getattr(pat, b), scope
-        yield from _paths(getattr(pat, f), f"{path}.{f}", scope + tuple(f"{path}.{b}" for b in binders))
-
-
-def _metas(pat):
-    """The metavariables in pat: a pattern, or a tuple of them and of data."""
-    if isinstance(pat, Meta):
-        return {pat}
-    if isinstance(pat, tuple):
-        return set().union(*map(_metas, pat))
-    if isinstance(pat, Syntax):
-        return {p for _, p, _ in _paths(pat, "") if isinstance(p, Meta)}
-    return set()
-
-
-def _builder(pat, where):
-    """A function of the matched nodes that builds pat, a premise's shape or
-    ext or the syntax in them, each metavariable replaced by the node at its
-    position in `where`.  Nodes are immutable, so a part without
-    metavariables is one object for every instance."""
-    if isinstance(pat, Meta):
-        return itemgetter(where[pat])
-    if not _metas(pat):
-        return lambda nodes: pat
-    if isinstance(pat, tuple):
-        parts = [_builder(p, where) for p in pat]
-        return lambda nodes: tuple([part(nodes) for part in parts])
-    cls, parts = type(pat), [_builder(getattr(pat, f), where) for f, _ in SHAPES[type(pat)].children]
-    return lambda nodes: cls(*[part(nodes) for part in parts])
-
-
-def _reading(low, high, sides, premises, zones):
-    """A conclusion read with its low and high patterns against the goal
-    fields `sides` names, compiled once: the (low, high) classes it admits,
-    and for the interpreter its steps and its instance builder.  A step takes
-    a field of an earlier node (the goal is node 0), which must hold the
-    step's class and, at a metavariable seen before, be alpha-equal to the
-    node of its first occurrence.  A body seen before under binders is
-    compared by the builder instead, which then reads the scrutinee's type if
-    a premise names it, and gives None if a body differs."""
-    steps, nodes, where, scopes, scoped = [], {"": 0}, {}, {}, []
-    bodies = set().union(*(_metas(p.shape) for p in premises if p.ext))
-    for side, pat in zip(sides, (low, high)):
-        for path, p, scope in _paths(pat, side):
-            parent, _, field = path.rpartition(".")
-            nodes[path] = here = len(nodes)
-            if not isinstance(p, Meta):
-                steps.append((nodes[parent], field, type(p), 0))
-                continue
-            scope = tuple(nodes[b] for b in scope)
-            first = where.setdefault(p, here)
-            scopes.setdefault(p, scope)
-            if first == here or p.cls is str:
-                first = 0
-            elif p in bodies and (scope or scopes[p]):
-                scoped.append((scope, here, scopes[p], first))
-                first = 0
-            steps.append((nodes[parent], field, p.cls, first))
-    typed = not _metas(tuple(premises)).isdisjoint((AB, A, B))
-    scrut = where[M] if typed else None
-    where.update({AB: len(nodes), A: len(nodes) + 1, B: len(nodes) + 2})
-    built = [(p.zone, _builder(p.shape, where), _builder(p.ext, where)) for p in premises]
-
-    def build(nodes, args, synth):
-        for here, node, there, first in scoped:
-            if not abstraction_eq([nodes[i] for i in here], nodes[node],
-                                  [nodes[i] for i in there], nodes[first]):
-                return None
-        if typed:
-            ab = scrut_type(nodes[scrut], args, synth)
-            nodes += (ab, *as_sum(ab, "the case scrutinee"))
-        return Instantiation(tuple([Premise(z, shape(nodes), ext(nodes)) for z, shape, ext in built]), zones)
-
-    roots = {field: cls for parent, field, cls, _ in steps if parent == 0}
-    return (roots["low"], roots["high"]), (tuple(steps), build)
-
-
-def pattern_rule(name, conclusion, premises, message, both=False, extra=(), zones=("G",)):
-    """Register core rule `name`, whose conclusion (low, high) is read
-    against an inequality goal as written and, with `both`, with the goal's
-    sides swapped, after the `extra` conclusions.  A goal no reading fits
-    gets `message`."""
-    readings = [_reading(lo, hi, ("low", "high"), premises, zones) for lo, hi in (*extra, conclusion)]
-    if both:
-        readings.append(_reading(*conclusion, ("high", "low"), premises, zones))
-    heads, compiled = zip(*readings)
-
-    def match(goal, args, synth):
-        if not isinstance(goal, EffLeq):
-            raise RuleMismatch("conclusion is not an inequality")
-        out = []
-        for steps, build in compiled:
-            nodes = [goal]
-            for parent, field, cls, first in steps:
-                node = getattr(nodes[parent], field)
-                if not isinstance(node, cls) or first and not node == nodes[first]:
-                    break
-                nodes.append(node)
-            else:
-                found = build(nodes, args, synth)
-                if found:
-                    out.append(found)
-        need(out, message)
-        return out
-
-    SCHEMAS[name] = Schema(name, "core", match, tuple(dict.fromkeys(heads)))
+# ---- inequality rules
 
 
 pattern_rule("zero-leq", (Zero(), PHI), [p_eff("G", PHI)], "left side must be 0")
@@ -1304,7 +1313,6 @@ def _eta_plus_eff(goal, args, synth):
     return out
 
 
-PHI1, PHI2, PSI1, PSI2 = (Meta(n) for n in ("phi1", "phi2", "psi1", "psi2"))
 pattern_rule("case-ovee", (CaseEff(M, X, OSum(PHI1, PHI2), Y, OSum(PSI1, PSI2)),
                            OSum(CaseEff(M, X, PHI1, Y, PSI1), CaseEff(M, X, PHI2, Y, PSI2))),
              [p_leq("G", PHI1, Orth(PHI2), ext=((X, A),)), p_leq("G", PSI1, Orth(PSI2), ext=((Y, B),)),
@@ -1347,146 +1355,39 @@ pattern_rule("case-times", (CaseEff(M, X, SMul(CHI, PHI), Y, SMul(CHI, PSI)),
 # ---- qubit pack
 
 
-@rule("qbit-new", pack="qubit")
-def _qbit_new(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, NewPlus), "conclusion is not a plus-state typing")
-    need(isinstance(goal.ty, TQbit), "plus is a qubit")
-    return AXIOM
-
-
-@rule("qbit-x", pack="qubit")
-def _qbit_x(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, PauliX), "conclusion is not an X typing")
-    need(isinstance(goal.ty, TQbit), "X produces a qubit")
-    return [inst([p_ty("G", goal.term.arg, TQbit())], ["G"])]
-
-
-@rule("qbit-z", pack="qubit")
-def _qbit_z(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, PauliZ), "conclusion is not a Z typing")
-    need(isinstance(goal.ty, TQbit), "Z produces a qubit")
-    return [inst([p_ty("G", goal.term.arg, TQbit())], ["G"])]
-
-
-@rule("qbit-cz", pack="qubit")
-def _qbit_cz(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, CZ), "conclusion is not a controlled-Z typing")
-    need(goal.ty == TTensor(TQbit(), TQbit()), "E produces a pair of qubits")
-    return [
-        inst(
-            [p_ty("G", goal.term.left, TQbit()), p_ty("D", goal.term.right, TQbit())],
-            ["G", "D"],
-        )
-    ]
-
-
-@rule("qbit-proj", pack="qubit")
-def _qbit_proj(goal, args, synth):
-    need(
-        isinstance(goal, EffForm) and isinstance(goal.eff, ProjPlus),
-        "conclusion is not a projection formation",
-    )
-    return [inst([p_ty("G", goal.eff.term, TQbit())], ["G"])]
-
-
-@rule("qbit-cz-x", pack="qubit")
-def _qbit_cz_x(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, CZ) and isinstance(l.left, PauliX),
-        "left side must be `E (X M) N`",
-    )
-    m, n = l.left.arg, l.right
-    avoid = free_vars(m) | free_vars(n) | set(goal.ctx.names())
-    x, y = fresh_pair("x", "y", avoid)
-    expected = LetPair(x, y, CZ(m, n), Pair(PauliX(Var(x)), PauliZ(Var(y))))
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst([p_ty("G", m, TQbit()), p_ty("D", n, TQbit())], ["G", "D"])
-    ]
-
-
-@rule("qbit-cz-z", pack="qubit")
-def _qbit_cz_z(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, CZ) and isinstance(l.left, PauliZ),
-        "left side must be `E (Z M) N`",
-    )
-    m, n = l.left.arg, l.right
-    avoid = free_vars(m) | free_vars(n) | set(goal.ctx.names())
-    x, y = fresh_pair("x", "y", avoid)
-    expected = LetPair(x, y, CZ(m, n), Pair(PauliZ(Var(x)), Var(y)))
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst([p_ty("G", m, TQbit()), p_ty("D", n, TQbit())], ["G", "D"])
-    ]
-
-
-@rule("qbit-x-proj", pack="qubit", heads=[(ProjPlus, ProjPlus)])
-def _qbit_x_proj(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, ProjPlus) and isinstance(a.term, PauliX) and isinstance(b, ProjPlus)):
-            continue
-        if b.term != a.term.arg or b.angle != angle_neg(a.angle):
-            continue
-        out.append(inst([p_ty("G", a.term.arg, TQbit())], ["G"]))
-    need(out, "conclusion must reflect a projection angle through X")
-    return out
-
-
-@rule("qbit-z-proj", pack="qubit", heads=[(ProjPlus, ProjPlus)])
-def _qbit_z_proj(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, ProjPlus) and isinstance(a.term, PauliZ) and isinstance(b, ProjPlus)):
-            continue
-        if b.term != a.term.arg or b.angle != angle_minus_pi(a.angle):
-            continue
-        out.append(inst([p_ty("G", a.term.arg, TQbit())], ["G"]))
-    need(out, "conclusion must shift a projection angle through Z")
-    return out
-
-
-@rule("qbit-xx", pack="qubit")
-def _qbit_xx(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(isinstance(l, PauliX) and isinstance(l.arg, PauliX), "left side must be X (X M)")
-    alpha2(goal.rhs, l.arg.arg, "right side")
-    return [inst([p_ty("G", goal.rhs, TQbit())], ["G"])]
-
-
-@rule("qbit-zz", pack="qubit")
-def _qbit_zz(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(isinstance(l, PauliZ) and isinstance(l.arg, PauliZ), "left side must be Z (Z M)")
-    alpha2(goal.rhs, l.arg.arg, "right side")
-    return [inst([p_ty("G", goal.rhs, TQbit())], ["G"])]
-
-
-@rule("qbit-xz-zx", pack="qubit", heads=[(ProjPlus, ProjPlus)])
-def _qbit_xz_zx(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, ProjPlus) and isinstance(b, ProjPlus) and a.angle == b.angle):
-            continue
-        if not (isinstance(a.term, PauliX) and isinstance(a.term.arg, PauliZ)):
-            continue
-        if not (isinstance(b.term, PauliZ) and isinstance(b.term.arg, PauliX)):
-            continue
-        if a.term.arg.arg != b.term.arg.arg:
-            continue
-        out.append(inst([p_ty("G", a.term.arg.arg, TQbit())], ["G"]))
-    need(out, "conclusion must exchange X Z with Z X under a projection")
-    return out
+pattern_rule("qbit-new", (NewPlus(), TQbit()), [], "conclusion is not a plus-state typing", Typing, "qubit",
+             type_message="plus is a qubit")
+pattern_rule("qbit-x", (PauliX(M), TQbit()), [p_ty("G", M, TQbit())], "conclusion is not an X typing", Typing,
+             "qubit", type_message="X produces a qubit")
+pattern_rule("qbit-z", (PauliZ(M), TQbit()), [p_ty("G", M, TQbit())], "conclusion is not a Z typing", Typing,
+             "qubit", type_message="Z produces a qubit")
+pattern_rule("qbit-cz", (CZ(M, N), TTensor(TQbit(), TQbit())), [p_ty("G", M, TQbit()), p_ty("D", N, TQbit())],
+             "conclusion is not a controlled-Z typing", Typing, "qubit", zones=("G", "D"),
+             type_message="E produces a pair of qubits")
+pattern_rule("qbit-proj", (pattern(ProjPlus, M, P),), [p_ty("G", M, TQbit())],
+             "conclusion is not a projection formation", EffForm, "qubit")
+pattern_rule("qbit-cz-x",
+             (CZ(PauliX(M), N), LetPair(X, Y, CZ(M, N), Pair(PauliX(Var(X)), PauliZ(Var(Y)))), A),
+             [p_ty("G", M, TQbit()), p_ty("D", N, TQbit())],
+             "conclusion must be `E (X M) N = let x * y = E M N in X x * Z y`", TermEq, "qubit",
+             zones=("G", "D"))
+pattern_rule("qbit-cz-z", (CZ(PauliZ(M), N), LetPair(X, Y, CZ(M, N), Pair(PauliZ(Var(X)), Var(Y))), A),
+             [p_ty("G", M, TQbit()), p_ty("D", N, TQbit())],
+             "conclusion must be `E (Z M) N = let x * y = E M N in Z x * y`", TermEq, "qubit",
+             zones=("G", "D"))
+pattern_rule("qbit-x-proj", (pattern(ProjPlus, PauliX(M), P), pattern(ProjPlus, M, Q)),
+             [p_ty("G", M, TQbit())], "conclusion must reflect a projection angle through X", pack="qubit",
+             side=(angle_neg, P, Q), both=True)
+pattern_rule("qbit-z-proj", (pattern(ProjPlus, PauliZ(M), P), pattern(ProjPlus, M, Q)),
+             [p_ty("G", M, TQbit())], "conclusion must shift a projection angle through Z", pack="qubit",
+             side=(angle_minus_pi, P, Q), both=True)
+pattern_rule("qbit-xx", (PauliX(PauliX(M)), M, A), [p_ty("G", M, TQbit())],
+             "conclusion must be `X (X M) = M`", TermEq, "qubit")
+pattern_rule("qbit-zz", (PauliZ(PauliZ(M)), M, A), [p_ty("G", M, TQbit())],
+             "conclusion must be `Z (Z M) = M`", TermEq, "qubit")
+pattern_rule("qbit-xz-zx", (pattern(ProjPlus, PauliX(PauliZ(M)), P), pattern(ProjPlus, PauliZ(PauliX(M)), P)),
+             [p_ty("G", M, TQbit())], "conclusion must exchange X Z with Z X under a projection",
+             pack="qubit", both=True)
 
 
 # ---- beta-iso pack
@@ -1495,15 +1396,16 @@ def _qbit_xz_zx(goal, args, synth):
 def _extract_at_var(body, x, filled):
     """The term standing at x's free positions when `filled` is [R/x]body.
 
-    Walks the two trees in parallel with binder alignment; returns None when
-    the shapes disagree or the occurrences collect different terms.
+    Walks the two trees in parallel through `subterms`, aligning binders and
+    comparing data fields; returns None when the shapes or data disagree or
+    the occurrences collect different terms.
     """
 
     found = []
 
     def walk(b, f, pairs):
         # pairs: aligned binder names (body side, filled side), innermost last
-        if isinstance(b, Var):
+        if type(b) is Var:
             n = b.name
             if n == x and all(n != bb for bb, _ in pairs):
                 # candidate redex; its free vars must not be captured here
@@ -1519,41 +1421,12 @@ def _extract_at_var(body, x, filled):
             if any(f.name == ff for _, ff in pairs):
                 return False
             return f.name == n
-        if type(b) is not type(f):
+        if type(b) is not type(f) or any(getattr(b, d) != getattr(f, d) for d in SHAPES[type(b)].data):
             return False
-        match b:
-            case Pair() | CZ():
-                return walk(b.left, f.left, pairs) and walk(b.right, f.right, pairs)
-            case OSum():
-                return walk(b.left, f.left, pairs) and walk(b.right, f.right, pairs)
-            case SMul():
-                return walk(b.scalar, f.scalar, pairs) and walk(b.body, f.body, pairs)
-            case LetPair():
-                return walk(b.pair, f.pair, pairs) and walk(
-                    b.body, f.body, pairs + [(b.x, f.x), (b.y, f.y)]
-                )
-            case Star() | NewPlus() | Zero():
-                return True
-            case Inl() | Inr() | PauliX() | PauliZ() | Orth():
-                return walk(b.arg, f.arg, pairs)
-            case Case() | CaseEff():
-                return (
-                    walk(b.scrut, f.scrut, pairs)
-                    and walk(b.left, f.left, pairs + [(b.x, f.x)])
-                    and walk(b.right, f.right, pairs + [(b.y, f.y)])
-                )
-            case Measure():
-                if len(b.branches) != len(f.branches):
-                    return False
-                return all(
-                    walk(be, fe, pairs) and walk(bt, ft, pairs)
-                    for (be, bt), (fe, ft) in zip(b.branches, f.branches)
-                )
-            case ScalarLit():
-                return b.value == f.value
-            case ProjPlus():
-                return b.angle == f.angle and walk(b.term, f.term, pairs)
-        return False
+        bs, fs = subterms(b), subterms(f)
+        return len(bs) == len(fs) and all(
+            walk(bm, fm, pairs + list(zip(bnames, fnames))) for (bm, bnames), (fm, fnames) in zip(bs, fs)
+        )
 
     if not walk(body, filled, []) or not found:
         return None

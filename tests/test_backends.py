@@ -14,6 +14,7 @@ from qpel.backends.setb import SetBackend
 from qpel.backends.stochastic import StochasticBackend
 from qpel.triangle import (
     Backend,
+    BackendError,
     check_meas_merge,
     check_meas_natural,
     check_meas_permutation,
@@ -84,6 +85,20 @@ def test_set_meas_axioms():
     assert check_meas_merge(SB, a, preds[0], preds[1], [preds[2]])
     f = SB._map(_set_obj(2), a, {"p0": "p1", "p1": "p3"}.__getitem__)
     assert check_meas_natural(SB, f, preds)
+
+
+@pytest.mark.parametrize("backend", [SB, ST], ids=["set", "stochastic"])
+def test_points_outside_the_codomain_are_refused(backend):
+    """Both constructors of a point morphism check that each row lands in the
+    codomain, whose members are looked up rather than scanned."""
+    a, b = _set_obj(2), _set_obj(3)
+    one = backend.scalars.algebra.one
+    f = backend._map(a, b, {"p0": "p2", "p1": "p0"}.__getitem__)
+    assert f.rows == {"p0": {"p2": one}, "p1": {"p0": one}}
+    with pytest.raises(BackendError, match="function lands outside its codomain: 'p3'"):
+        backend._map(a, b, {"p0": "p2", "p1": "p3"}.__getitem__)
+    with pytest.raises(BackendError, match="row lands outside the codomain: 'q'"):
+        backend._mk(a, b, {"p0": {"p1": one}, "p1": {"q": one}})
 
 
 def test_meas_single_outcome_is_terminal():

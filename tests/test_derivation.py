@@ -20,6 +20,7 @@ from qpel.parser import parse_term_text as T
 from qpel.rules import ALL_RULE_NAMES, SCHEMAS, p_equiv, p_leq
 from qpel.syntax import (
     Context,
+    EffForm,
     EffLeq,
     Measure,
     Orth,
@@ -31,11 +32,12 @@ from qpel.syntax import (
     TSum,
     TTensor,
     TUnit,
+    Typing,
     Var,
     Zero,
     one,
 )
-from qpel.typecheck import check_judgement
+from qpel.typecheck import QpelTypeError, check_judgement, check_term
 
 QCTX = Context((("x", TQbit()),))
 PHI = E("proj(x, 0)")
@@ -243,6 +245,109 @@ def test_pattern_rule_mismatch_gives_the_rule_message(name, low, high):
     with pytest.raises(DerivationError) as exc:
         check_script(EffLeq(QCTX, E(low), E(high)), ScriptNode(name), env())
     assert str(exc.value) == f"{name}: schema mismatch: {PATTERN_RULE_MESSAGES[name]}"
+
+
+QQ = Context((("x", TQbit()), ("y", TQbit())))
+QUBITS = TTensor(TQbit(), TQbit())
+
+
+def _typing(term, ty):
+    return Typing(QQ, T(term), ty)
+
+
+def _equation(lhs, rhs, ty=TQbit()):
+    return TermEq(QQ, T(lhs), T(rhs), ty)
+
+
+def _formation(eff):
+    return EffForm(QQ, E(eff))
+
+
+def _inequality(low, high):
+    return EffLeq(QQ, E(low), E(high))
+
+
+# for each rule written as a pattern of fixed shape, goals it mismatches and
+# its message there: at a goal of another judgement form, at one of its form
+# and another shape, and at one of its shape and another type
+FIXED_SHAPE_MESSAGES = [
+    ("unit", _typing("x", TUnit()), "conclusion is not a unit typing"),
+    ("unit", _typing("unit", TQbit()), "unit value cannot have type qbit"),
+    ("tensor", _formation("0"), "conclusion is not a typing"),
+    ("tensor", _typing("x", QUBITS), "conclusion is not a pair typing"),
+    ("tensor", _typing("x * y", TQbit()), "a pair cannot have type qbit"),
+    ("inl", _typing("inr x", TSum(TQbit(), TQbit())), "conclusion is not an inl typing"),
+    ("inl", _typing("inl x", TQbit()), "inl cannot have type qbit"),
+    ("inr", _typing("inl x", TSum(TQbit(), TQbit())), "conclusion is not an inr typing"),
+    ("inr", _typing("inr x", TQbit()), "inr cannot have type qbit"),
+    ("ref", _equation("x", "X x"), "the two sides are not alpha-equal"),
+    ("sym", _typing("x", TQbit()), "conclusion is not a term equality"),
+    ("tensor-eq", _typing("x * y", QUBITS), "conclusion is not a term equality"),
+    ("tensor-eq", _equation("x * y", "x", QUBITS), "both sides must be pairs"),
+    ("tensor-eq", _equation("x * y", "x * y"), "a pair equality must have a tensor type, got qbit"),
+    ("inl-eq", _equation("inl x", "inr x"), "both sides must be inl"),
+    ("inl-eq", _equation("inl x", "inl x"), "inl must have a sum type, got qbit"),
+    ("inr-eq", _equation("inr x", "inl x"), "both sides must be inr"),
+    ("inr-eq", _equation("inr x", "inr x"), "inr must have a sum type, got qbit"),
+    ("eff-0", _inequality("0", "0"), "conclusion is not an effect formation"),
+    ("eff-0", _formation("bot(0)"), "conclusion is not `0 eff`"),
+    ("eff-bot", _formation("0"), "conclusion is not `bot(phi) eff`"),
+    ("eff-ovee", _formation("0"), "conclusion is not a sum formation"),
+    ("eff-mult", _formation("0"), "conclusion is not a product formation"),
+    ("leq-ref", _inequality("proj(x, 0)", "proj(y, 0)"), "the two sides are not alpha-equal"),
+    ("qbit-new", _typing("x", TQbit()), "conclusion is not a plus-state typing"),
+    ("qbit-new", _typing("plus", TUnit()), "plus is a qubit"),
+    ("qbit-x", _typing("Z x", TQbit()), "conclusion is not an X typing"),
+    ("qbit-x", _typing("X x", TUnit()), "X produces a qubit"),
+    ("qbit-z", _typing("X x", TQbit()), "conclusion is not a Z typing"),
+    ("qbit-z", _typing("Z x", TUnit()), "Z produces a qubit"),
+    ("qbit-cz", _typing("x * y", QUBITS), "conclusion is not a controlled-Z typing"),
+    ("qbit-cz", _typing("E x y", TQbit()), "E produces a pair of qubits"),
+    ("qbit-proj", _formation("0"), "conclusion is not a projection formation"),
+    ("qbit-cz-x", _equation("E (X x) y", "let a * b = E x y in X a * X b", QUBITS),
+     "conclusion must be `E (X M) N = let x * y = E M N in X x * Z y`"),
+    ("qbit-cz-x", _equation("E (X x) y", "let a * a = E x y in X a * Z a", QUBITS),
+     "conclusion must be `E (X M) N = let x * y = E M N in X x * Z y`"),
+    ("qbit-cz-z", _equation("E (Z x) y", "let a * b = E x x in Z a * b", QUBITS),
+     "conclusion must be `E (Z M) N = let x * y = E M N in Z x * y`"),
+    ("qbit-x-proj", _formation("proj(X x, 1/2)"), "conclusion is not an inequality"),
+    ("qbit-x-proj", _inequality("proj(X x, 1/2)", "proj(x, 1/2)"),
+     "conclusion must reflect a projection angle through X"),
+    ("qbit-z-proj", _inequality("proj(Z x, 1/2)", "proj(x, 1/2)"),
+     "conclusion must shift a projection angle through Z"),
+    ("qbit-xx", _equation("X (X x)", "X x"), "conclusion must be `X (X M) = M`"),
+    ("qbit-zz", _equation("Z (Z x)", "y"), "conclusion must be `Z (Z M) = M`"),
+    ("qbit-xz-zx", _inequality("proj(X (Z x), 1/2)", "proj(Z (X x), 0)"),
+     "conclusion must exchange X Z with Z X under a projection"),
+]
+
+
+@pytest.mark.parametrize("name, goal, message", FIXED_SHAPE_MESSAGES)
+def test_fixed_shape_rule_mismatch_gives_its_message(name, goal, message):
+    with pytest.raises(DerivationError) as exc:
+        check_script(goal, ScriptNode(name), env())
+    assert str(exc.value) == f"{name}: schema mismatch: {message}"
+
+
+# the formation rules' messages as the type checker gives them: it picks
+# the rule by the term's constructor, so only the type can mismatch
+TYPE_CHECKER_MESSAGES = [
+    ("unit", TQbit(), "unit value cannot have type qbit"),
+    ("x * y", TQbit(), "a pair cannot have type qbit"),
+    ("inl x", TQbit(), "inl cannot have type qbit"),
+    ("inr x", QUBITS, "inr cannot have type qbit * qbit"),
+    ("plus", TUnit(), "plus is a qubit"),
+    ("X x", TUnit(), "X produces a qubit"),
+    ("Z x", QUBITS, "Z produces a qubit"),
+    ("E x y", TTensor(TQbit(), TUnit()), "E produces a pair of qubits"),
+]
+
+
+@pytest.mark.parametrize("term, ty, message", TYPE_CHECKER_MESSAGES)
+def test_formation_rule_type_mismatch_gives_its_message(term, ty, message):
+    with pytest.raises(QpelTypeError) as exc:
+        check_term(QQ, T(term), ty, Env().resolver())
+    assert str(exc.value) == message
 
 
 def test_permutation_side_condition():

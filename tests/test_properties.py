@@ -1,5 +1,6 @@
 """Property-based checks with hypothesis over seeded generators."""
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +8,18 @@ from hypothesis import strategies as st
 from qpel.derivation import literal_value
 from qpel.parser import parse_effect_text, parse_term_text
 from qpel.printer import print_effect, print_term
-from qpel.randgen import raw_effect, raw_term
+from qpel.randgen import NAMES, raw_effect, raw_term
+from qpel.rules import _extract_at_var
 from qpel.syntax import (
     Context,
+    Measure,
     Orth,
     OSum,
+    ProjPlus,
     ScalarLit,
     SMul,
+    Star,
+    Var,
     Zero,
     free_vars,
     one,
@@ -56,6 +62,32 @@ def test_subst_of_fresh_variable_is_identity(seed):
     rng = random.Random(seed)
     m = raw_term(rng, 3)
     assert subst(m, "zz_not_there", raw_term(rng, 1)) == m
+
+
+@given(seed=seeds)
+@settings(max_examples=300, deadline=None)
+def test_extract_at_var_inverts_substitution(seed):
+    """beta-iso reads the redex R back from [R/x]psi: it is R when x is free
+    in psi, and there is none when x is not."""
+    rng = random.Random(seed)
+    psi, r = raw_effect(rng, 3), raw_term(rng, 2)
+    # a free variable of psi half the time, when it has one
+    free = sorted(free_vars(psi))
+    x = rng.choice(free) if free and rng.random() < 0.5 else rng.choice(NAMES)
+    found = _extract_at_var(psi, x, subst(psi, x, r))
+    if x in free_vars(psi):
+        assert found == r
+    else:
+        assert found is None
+
+
+def test_extract_at_var_refuses_other_branch_counts_and_data():
+    x = Var("x")
+    psi = ProjPlus(Measure(((one(), x), (Zero(), Star()))), Fraction(0))
+    assert _extract_at_var(psi, "x", subst(psi, "x", Star())) == Star()
+    wider = ProjPlus(Measure(((one(), Star()), (Zero(), Star()), (Zero(), Star()))), Fraction(0))
+    assert _extract_at_var(psi, "x", wider) is None
+    assert _extract_at_var(ProjPlus(x, Fraction(0)), "x", ProjPlus(Star(), Fraction(1, 2))) is None
 
 
 LIT = st.fractions(min_value=0, max_value=1, max_denominator=16)

@@ -16,7 +16,7 @@ invalidation and its formation failures.
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -38,24 +38,38 @@ from qpel.derivation import (
 from qpel.driver import EXIT_PROOF, process_file
 from qpel.interpreter import backend_applicable, judgement_true
 from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse, parse_effect_text
-from qpel.randgen import raw_effect
+from qpel.randgen import ANGLES, NAMES, raw_effect, raw_term, raw_type
 from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
 from qpel.syntax import (
+    CZ,
     CaseEff,
     Context,
     EffForm,
     EffLeq,
     Effect,
+    Inl,
+    Inr,
+    LetPair,
+    NewPlus,
     Orth,
     OSum,
+    Pair,
+    PauliX,
+    PauliZ,
     ProjPlus,
+    ScalarLit,
     SMul,
+    Star,
     Syntax,
+    TermEq,
     TQbit,
     TSum,
+    TTensor,
     TUnit,
+    Typing,
     Var,
     Zero,
+    erase_ascriptions,
     nameless,
     one,
 )
@@ -291,10 +305,24 @@ PATTERN_HEADS = {
     "case-ovee": ((CaseEff, OSum), (OSum, CaseEff)),
     "case-bot": ((CaseEff, Orth), (Orth, CaseEff)),
     "case-times": ((CaseEff, SMul), (SMul, CaseEff)),
+    # a metavariable on both sides: alpha-equal sides, of one class
+    "leq-ref": ((Zero, Zero), (OSum, OSum), (Orth, Orth), (SMul, SMul), (CaseEff, CaseEff),
+                (ScalarLit, ScalarLit), (ProjPlus, ProjPlus)),
+    "qbit-x-proj": ((ProjPlus, ProjPlus),),
+    "qbit-z-proj": ((ProjPlus, ProjPlus),),
+    "qbit-xz-zx": ((ProjPlus, ProjPlus),),
 }
 # the rules above that push an effect operation through `caseE`
 CASE_RULES = ("case-cong", "case-ovee", "case-bot", "case-times")
-FIRST_ORDER_RULES = tuple(name for name in PATTERN_HEADS if name not in CASE_RULES)
+# the fixed-shape rules of every judgement form that became patterns after
+# the inequality rules above, the last four of which are among them
+FIXED_SHAPE_RULES = (
+    "unit", "tensor", "inl", "inr", "ref", "sym", "tensor-eq", "inl-eq", "inr-eq",
+    "eff-0", "eff-bot", "eff-ovee", "eff-mult", "leq-ref", "qbit-new", "qbit-x", "qbit-z",
+    "qbit-cz", "qbit-proj", "qbit-cz-x", "qbit-cz-z", "qbit-x-proj", "qbit-z-proj",
+    "qbit-xx", "qbit-zz", "qbit-xz-zx",
+)
+FIRST_ORDER_RULES = tuple(name for name in PATTERN_HEADS if name not in CASE_RULES + FIXED_SHAPE_RULES)
 
 # sha256 of the newline-joined records of `_instance_records`, and their
 # count, taken from the hand-written matchers these rules had before they
@@ -308,7 +336,7 @@ CASE_INSTANCE_COUNT = 13980
 
 def test_pattern_rule_heads_are_those_of_their_conclusions():
     assert {name: SCHEMAS[name].heads for name in PATTERN_HEADS} == PATTERN_HEADS
-    assert sum(map(len, PATTERN_HEADS.values())) == 30
+    assert sum(map(len, PATTERN_HEADS.values())) == 40
 
 
 def _case_eff(angle, tag):
@@ -351,9 +379,9 @@ def _instance_records(names, cases, texts=False):
     each premise's zone, kind, the nameless keys of its syntax, its types and
     its ext, then the conclusion zones and fixed entries."""
     records = []
+    keys = [_goal_key(goal) + (f" {args!r}" if args else "") for goal, args in cases]
     for name in names:
-        for goal, args in cases:
-            key = _goal_key(goal) + (f" {args!r}" if args else "")
+        for (goal, args), key in zip(cases, keys):
             try:
                 instns = SCHEMAS[name].match(goal, args, partial(synth_type, goal.ctx))
             except RuleMismatch as e:
@@ -367,7 +395,10 @@ def _instance_records(names, cases, texts=False):
 
 
 def _goal_key(goal):
-    return repr((goal.ctx.entries, nameless(goal.low), nameless(goal.high)))
+    """The goal's context entries, and the nameless key of each syntax field
+    after it, or the field itself (a type)."""
+    parts = [getattr(goal, f.name) for f in fields(goal)[1:]]
+    return repr((goal.ctx.entries, *[nameless(p) if isinstance(p, Syntax) else p for p in parts]))
 
 
 def test_pattern_rule_instances_match_the_golden(monkeypatch):
@@ -437,6 +468,115 @@ def test_case_rule_instances_match_the_golden(monkeypatch):
     records = _instance_records(CASE_RULES, cases, texts=True)
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (CASE_INSTANCE_COUNT, CASE_INSTANCE_SHA256)
+
+
+# the sha256 and count of the `_instance_records`, with MISMATCH verdicts,
+# of the fixed-shape rules, taken from their hand-written matchers
+FIXED_SHAPE_SHA256 = "9b4ad90fb66e331c8046e0849102e9957b8f1eaebbe9349e5278b2060c3891c4"
+FIXED_SHAPE_COUNT = 362414
+
+
+def _corpus_match_goals(monkeypatch):
+    """Every goal a schema is matched against while the corpus files are
+    checked, and the judgements and mutants of the rule-instance corpus with
+    their ascriptions erased, as the checker erases them before any rule
+    sees them."""
+    goals = set()
+    with monkeypatch.context() as mp:
+        for name, schema in list(SCHEMAS.items()):
+            def recording(goal, args, synth, match=schema.match):
+                goals.add(goal)
+                return match(goal, args, synth)
+
+            mp.setitem(SCHEMAS, name, replace(schema, match=recording))
+        for name in _corpus_files():
+            _check_file(name)
+    for item in all_items():
+        for j in (item.judgement, item.mutant):
+            goals.add(type(j)(j.ctx, *[erase_ascriptions(p) if isinstance(p, Syntax) else p
+                                       for p in (getattr(j, f.name) for f in fields(j)[1:])]))
+    return goals
+
+
+def _random_goals(rng, count):
+    """`count` seeded random goals of each judgement form: arbitrary trees,
+    and near-instances of the fixed-shape rules, whose parts agree or not
+    with what the rule relates, their binder names drawn from two so that
+    they shadow, and their angles related or not."""
+    g = Context(tuple((n, raw_type(rng, 1)) for n in NAMES))
+    term = partial(raw_term, rng, 2)
+    pick = rng.choice
+
+    def ty():
+        return pick([raw_type(rng, 2), TQbit(), TTensor(TQbit(), TQbit()), TTensor(TQbit(), TUnit())])
+
+    def same_or(m):
+        return m if rng.random() < 0.7 else term()
+
+    def var():
+        return Var(pick("xy"))
+
+    def typing():
+        m, n = term(), term()
+        return pick([Star(), NewPlus(), Pair(m, n), Inl(m), Inr(m), PauliX(m), PauliZ(m), CZ(m, n), m])
+
+    def equation():
+        m, n = pick([term(), var()]), term()
+        x, y = pick("xy"), pick("xy")
+        # the let's binders, or two names drawn afresh
+        a, b = (Var(x), Var(y)) if rng.random() < 0.5 else (var(), var())
+        return pick([
+            (m, same_or(m)),
+            (Pair(m, n), Pair(same_or(m), same_or(n))),
+            (Inl(m), pick([Inl(same_or(m)), Inr(m)])),
+            (Inr(m), pick([Inr(same_or(m)), Inl(m)])),
+            (CZ(PauliX(m), n), LetPair(x, y, CZ(same_or(m), same_or(n)), Pair(PauliX(a), PauliZ(b)))),
+            (CZ(PauliZ(m), n), LetPair(x, y, CZ(same_or(m), same_or(n)), Pair(PauliZ(a), b))),
+            (CZ(pick([PauliX, PauliZ])(m), n), LetPair(x, y, CZ(m, n), Pair(pick([PauliX, PauliZ])(a), b))),
+            (PauliX(PauliX(m)), same_or(m)),
+            (PauliZ(PauliZ(m)), same_or(m)),
+            (pick([PauliX, PauliZ])(pick([PauliX, PauliZ])(m)), m),
+        ])
+
+    def inequality():
+        m = term()
+        p, q = pick(PROJ_ANGLES), pick(PROJ_ANGLES)
+        gate = partial(pick, [PauliX, PauliZ])
+        phi = raw_effect(rng, 2)
+        return pick([
+            (phi, raw_effect(rng, 2)),
+            (phi, phi),
+            (ProjPlus(gate()(m), p), ProjPlus(same_or(m), pick([q, (-p) % 2, (p - 1) % 2]))),
+            (ProjPlus(gate()(gate()(m)), p), ProjPlus(gate()(gate()(same_or(m))), pick([p, q]))),
+        ])
+
+    goals = []
+    for _ in range(count):
+        goals.append(Typing(g, typing(), ty()))
+        lhs, rhs = equation()
+        goals += [TermEq(g, lhs, rhs, ty()), TermEq(g, rhs, lhs, ty())]
+        goals.append(EffForm(g, raw_effect(rng, 2)))
+        lo, hi = inequality()
+        goals += [EffLeq(g, lo, hi), EffLeq(g, hi, lo)]
+    return goals
+
+
+# projection angles: those of `randgen` and their images under the maps
+# qbit-x-proj and qbit-z-proj relate
+PROJ_ANGLES = sorted({a for q in ANGLES for a in (q, (-q) % 2, (q - 1) % 2)})
+
+
+def test_fixed_shape_rule_instances_match_the_golden(monkeypatch):
+    """Each fixed-shape rule gives the instances, or the mismatch, that its
+    hand-written matcher gave: reading for reading, with the same premises,
+    zones and ext, at every goal a schema meets while the corpus is checked,
+    at the rule-instance corpus and its mutants, and at 2,000 to 4,000
+    random goals of each judgement form."""
+    goals = sorted(_corpus_match_goals(monkeypatch), key=_goal_key)
+    goals += _random_goals(random.Random(11), 2000)
+    records = _instance_records(FIXED_SHAPE_RULES, [(goal, {}) for goal in goals])
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (FIXED_SHAPE_COUNT, FIXED_SHAPE_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

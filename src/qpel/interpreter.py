@@ -165,10 +165,10 @@ def _fold(backend: Backend, d: Derivation):
     def rec(p):
         return interpret(backend, p)
 
-    def split(first):
-        # the iso from the context object to the zone of the first premise
-        # tensored with the rest
-        return split_mor(backend, j.ctx, [name for name, _ in _zone(first)])
+    def split(first, binders=0):
+        # the iso from the context object to the zone of the first premise,
+        # which binds `binders` variables, tensored with the rest
+        return split_mor(backend, j.ctx, [name for name, _ in _zone(first, binders)])
 
     def summands(ty):
         return interp_type(backend, ty.left), interp_type(backend, ty.right)
@@ -262,7 +262,7 @@ def _fold(backend: Backend, d: Derivation):
                 backend,
                 backend.dist_right(gbo, ta, tb),
                 backend.tensor_mor(backend.identity(gbo), rec(m)),
-                split(l),
+                split(l, 1),
             )
             paired = backend.pred_pair(
                 backend.tensor_ob(gbo, ta), backend.tensor_ob(gbo, tb), rec(l), rec(r)

@@ -15,19 +15,23 @@ Pattern rules are data: a conclusion, one pattern for each field of a
 judgement form, and premises over metavariables, which one interpreter
 matches, which builds each reading's premises in one step, and from whose
 inequality conclusions the search reads their heads.  They are the formation
-rules unit, tensor, inl, inr and eff-0 through eff-mult, ref, sym and
-leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the inequality rules
-zero-leq through comm, case-cong, case-ovee, case-bot and case-times, whose
-conclusions bind, and the whole qubit pack.  Their metavariables stand for
-effects, terms, types, projection angles and binder names, and a side
-condition relates the angles of qbit-x-proj and qbit-z-proj.  The other
-rules are code, since no pattern says what they do: var, exch and
-eta-plus-eff read the context, the rules of let, case, caseE and measure
-freshen binders against the goal or count branches, the beta and commuting
-conversions substitute, trans and leq-trans take a `via`, measure-perm a
-`perm` and beta-iso its redex.  eta-tensor, eta-plus and eta-unit have
-fixed shapes too, but are still code.  The search rules among the code
-rules declare their heads.
+rules unit, tensor, let, inl, inr, case and eff-0 through eff-case, ref, sym
+and leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the eta rules
+eta-tensor, eta-unit and eta-plus, the inequality rules zero-leq through
+comm, case-cong, case-ovee, case-bot and case-times, and the whole qubit
+pack.  Their metavariables stand for effects, terms, types, projection
+angles and binder names, and a side condition relates the angles of
+qbit-x-proj and qbit-z-proj.  A premise binds the conclusion's binders as
+they are named there; `Premise.to_judgement` is the one place that renames
+them, away from the names of the premise's zone.  The other rules are code,
+since no pattern says what they do: var, exch and eta-plus-eff read the
+context; case-leq relates a case effect to an effect outside its binders,
+whose free variables a renamed premise binder would rename too; case-mono,
+let-eq and case-eq rename the binders of their two sides to shared fresh
+names; the measure rules range over branches; the beta and commuting
+conversions substitute; trans and leq-trans take a `via`, measure-perm a
+`perm` and beta-iso its redex.  The search rules among the code rules
+declare their heads.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -122,9 +126,12 @@ class Premise(NamedTuple):
 
     def to_judgement(self, zone_ctx: Context):
         """The premise judgement over `zone_ctx`; an "equiv" premise gives its
-        forward inequality.  An `ext` binder that clashes with a zone name is
-        renamed in the shape, so the binder shadows as it does in the
-        conclusion."""
+        forward inequality.  This is the one place where the binders of a
+        premise are renamed, and `typecheck._premise_need` relies on the same
+        invariant: the `ext` binds over every term and effect of the shape.
+        An `ext` binder that clashes with a zone name is renamed in them, so
+        the binder shadows as it does in the conclusion, and one that a later
+        `ext` binder shadows is renamed alone."""
         shape, g = self.shape, zone_ctx
         if self.ext:
             try:
@@ -143,16 +150,19 @@ class Premise(NamedTuple):
 
     def _rebind(self, taken):
         """The shape and ext with each ext binder in taken renamed, in the
-        terms and effects of the shape, where ext binds."""
+        terms and effects of the shape, where ext binds, and each ext binder
+        that a later one shadows renamed in ext alone."""
         parts = self.shape[1 : 1 + SYNTAX_SLOTS[self.shape[0]]]
         avoid = set(taken) | {n for n, _ in self.ext}
         avoid |= frozenset().union(*(free_vars(s) for s in parts))
         renames, ext = {}, []
-        for n, t in self.ext:
-            if n in taken:
+        for i, (n, t) in enumerate(self.ext):
+            shadowed = any(n == later for later, _ in self.ext[i + 1 :])
+            if n in taken or shadowed:
                 n2 = fresh(n, avoid)
                 avoid.add(n2)
-                renames[n] = Var(n2)
+                if not shadowed:
+                    renames[n] = Var(n2)
                 n = n2
             ext.append((n, t))
         parts = tuple(subst_many(s, renames) for s in parts)
@@ -292,9 +302,10 @@ PHI1, PHI2, PSI1, PSI2 = (Meta(n) for n in ("phi1", "phi2", "psi1", "psi2"))
 # terms, such as caseE's scrutinee, and binder names
 M, N, M2, N2 = Meta("m", Term), Meta("n", Term), Meta("m2", Term), Meta("n2", Term)
 X, Y = Meta("x", str), Meta("y", str)
-# types; in premises only, the sum type A + B of the scrutinee M, read from
-# the `ty` argument or synthesised, as `scrut_type` and `as_sum` read it
-AB, A, B = Meta("ab", Type), Meta("a", Type), Meta("b", Type)
+# types, C for a conclusion's; in premises only, the type AB of the
+# scrutinee M, read from the `ty` argument or synthesised, as `scrut_type`
+# reads it: A * B for a let's scrutinee, A + B for a case's
+AB, A, B, C = Meta("ab", Type), Meta("a", Type), Meta("b", Type), Meta("c", Type)
 # projection angles
 P, Q = Meta("p", Fraction), Meta("q", Fraction)
 
@@ -381,7 +392,9 @@ def _reading(pats, sides, premises, zones, side):
     variable that must be bound by a binder in scope, and the side condition
     are checked by the builder instead, which then reads the scrutinee's
     type if a premise names it but the conclusion does not, and gives None if
-    a check fails."""
+    a check fails.  A premise must bind its `ext` over every metavariable of
+    its terms and effects where the conclusion first matches it, since
+    `Premise.to_judgement` renames a binder throughout them."""
     steps, nodes, at, where, scopes, scoped, bound = [], {"": 0}, {}, {}, {}, [], []
     type_at = None
     bodies = set().union(*(_metas(p.shape) for p in premises if p.ext))
@@ -409,9 +422,18 @@ def _reading(pats, sides, premises, zones, side):
                 scoped.append((binders, here, scopes[p], first))
                 first = 0
             steps.append((nodes[parent], field, p.cls, first))
+    for p in premises:
+        binders = {where[x] for x, _ in p.ext}
+        for m in _metas(p.shape[1 : 1 + SYNTAX_SLOTS[p.shape[0]]]):
+            if m.cls is not str and not binders <= set(scopes[m]):
+                raise ValueError(f"a premise binds over {m.name}, which the conclusion matches"
+                                 " outside its binders")
     typed = _metas(tuple(premises)) & {AB, A, B} - where.keys()
     if typed:
         scrut = where[M]
+        path = next(path for path, i in nodes.items() if i == scrut)
+        components, what = ((as_tensor, "the let scrutinee") if type(at[path.rpartition(".")[0]]) is LetPair
+                            else (as_sum, "the case scrutinee"))
         where.update({AB: len(nodes), A: len(nodes) + 1, B: len(nodes) + 2})
     # the reading's instance, built from the nodes in one step, as the type
     # checker applies the formation rules at each node it checks
@@ -435,7 +457,7 @@ def _reading(pats, sides, premises, zones, side):
                 return None
             if typed:
                 ab = scrut_type(nodes[scrut], args, synth)
-                nodes += (ab, *as_sum(ab, "the case scrutinee"))
+                nodes += (ab, *components(ab, what))
             return make(nodes, args, synth)
     return tuple(steps), build, len(steps) if type_at is None else type_at
 
@@ -528,19 +550,8 @@ pattern_rule("tensor", (Pair(M, N), TTensor(A, B)), [p_ty("G", M, A), p_ty("D", 
              type_message="a pair cannot have type {}")
 
 
-@rule("let")
-def _let(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, LetPair), "conclusion is not a let typing")
-    t = goal.term
-    ab = scrut_type(t.pair, args, synth)
-    a, b = as_tensor(ab, "the let scrutinee")
-    x, y, body = _freshen2(t.x, t.y, t.body, goal.ctx.names())
-    return [
-        inst(
-            [p_ty("G", t.pair, ab), p_ty("D", body, goal.ty, ext=((x, a), (y, b)))],
-            ["G", "D"],
-        )
-    ]
+pattern_rule("let", (LetPair(X, Y, M, N), C), [p_ty("G", M, AB), p_ty("D", N, C, ext=((X, A), (Y, B)))],
+             "conclusion is not a let typing", Typing, zones=("G", "D"))
 
 
 pattern_rule("unit", (Star(), TUnit()), [], "conclusion is not a unit typing", Typing,
@@ -551,23 +562,9 @@ pattern_rule("inr", (Inr(M), TSum(A, B)), [p_ty("G", M, B)], "conclusion is not 
              type_message="inr cannot have type {}")
 
 
-@rule("case")
-def _case(goal, args, synth):
-    need(isinstance(goal, Typing) and isinstance(goal.term, Case), "conclusion is not a case typing")
-    t = goal.term
-    ab = scrut_type(t.scrut, args, synth)
-    a, b = as_sum(ab, "the case scrutinee")
-    x, left, y, right = _freshen_branches(t, goal.ctx.names())
-    return [
-        inst(
-            [
-                p_ty("G", t.scrut, ab),
-                p_ty("D", left, goal.ty, ext=((x, a),)),
-                p_ty("D", right, goal.ty, ext=((y, b),)),
-            ],
-            ["G", "D"],
-        )
-    ]
+pattern_rule("case", (Case(M, X, N, Y, N2), C),
+             [p_ty("G", M, AB), p_ty("D", N, C, ext=((X, A),)), p_ty("D", N2, C, ext=((Y, B),))],
+             "conclusion is not a case typing", Typing, zones=("G", "D"))
 
 
 @rule("measure")
@@ -612,22 +609,6 @@ def freshen_binder(x, body, avoid):
         x2 = fresh(x, set(avoid) | free_vars(body) | bound_names(body))
         return x2, subst(body, x, Var(x2))
     return x, body
-
-
-def _freshen2(x, y, body, avoid):
-    avoid = set(avoid)
-    x2, body = freshen_binder(x, body, avoid)
-    y2, body = freshen_binder(y, body, avoid | {x2})
-    return x2, y2, body
-
-
-def _freshen_branches(c, avoid):
-    """The binders and branches of a case or caseE, renamed away from avoid
-    and the second binder away from the first."""
-    avoid = set(avoid)
-    x, left = freshen_binder(c.x, c.left, avoid)
-    y, right = freshen_binder(c.y, c.right, avoid | {x})
-    return x, left, y, right
 
 
 def _align_let(l: LetPair, r: LetPair, avoid):
@@ -793,36 +774,14 @@ def _beta_plus_2(goal, args, synth):
 # ---- eta conversions
 
 
-@rule("eta-tensor")
-def _eta_tensor(goal, args, synth):
-    need(isinstance(goal, TermEq) and isinstance(goal.ty, TTensor), "needs a tensor-typed equality")
-    r = goal.rhs
-    need(isinstance(r, LetPair), "right side must be `let x * y = M in x * y`")
-    need(r.body == Pair(Var(r.x), Var(r.y)), "let body must repack its binders")
-    alpha2(r.pair, goal.lhs, "let scrutinee")
-    return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
-
-
-@rule("eta-unit")
-def _eta_unit(goal, args, synth):
-    need(
-        isinstance(goal, TermEq) and isinstance(goal.ty, TUnit) and isinstance(goal.rhs, Star),
-        "conclusion must equate a unit-typed term with `unit`",
-    )
-    return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
-
-
-@rule("eta-plus")
-def _eta_plus(goal, args, synth):
-    need(isinstance(goal, TermEq) and isinstance(goal.ty, TSum), "needs a sum-typed equality")
-    r = goal.rhs
-    need(isinstance(r, Case), "right side must be an identity case")
-    need(
-        r.left == Inl(Var(r.x)) and r.right == Inr(Var(r.y)),
-        "case branches must re-inject their binders",
-    )
-    alpha2(r.scrut, goal.lhs, "case scrutinee")
-    return [inst([p_ty("G", goal.lhs, goal.ty)], ["G"])]
+pattern_rule("eta-tensor", (M, LetPair(X, Y, M, Pair(Var(X), Var(Y))), TTensor(A, B)),
+             [p_ty("G", M, TTensor(A, B))], "conclusion must be `M = let x * y = M in x * y`", TermEq,
+             type_message="needs a tensor-typed equality, got {}")
+pattern_rule("eta-unit", (M, Star(), TUnit()), [p_ty("G", M, TUnit())],
+             "conclusion must equate a unit-typed term with `unit`", TermEq)
+pattern_rule("eta-plus", (M, Case(M, X, Inl(Var(X)), Y, Inr(Var(Y))), TSum(A, B)),
+             [p_ty("G", M, TSum(A, B))], "conclusion must be `M = case M of inl x -> inl x | inr y -> inr y`",
+             TermEq, type_message="needs a sum-typed equality, got {}")
 
 
 # ---- commuting conversions
@@ -1131,23 +1090,9 @@ pattern_rule("eff-mult", (SMul(PHI, PSI),), [p_eff("", PHI), p_eff("G", PSI)],
              "conclusion is not a product formation", EffForm)
 
 
-@rule("eff-case")
-def _eff_case(goal, args, synth):
-    need(isinstance(goal, EffForm) and isinstance(goal.eff, CaseEff), "conclusion is not a case formation")
-    e = goal.eff
-    ab = scrut_type(e.scrut, args, synth)
-    a, b = as_sum(ab, "the case scrutinee")
-    x, left, y, right = _freshen_branches(e, goal.ctx.names())
-    return [
-        inst(
-            [
-                p_eff("G", left, ext=((x, a),)),
-                p_eff("G", right, ext=((y, b),)),
-                p_ty("D", e.scrut, ab),
-            ],
-            ["G", "D"],
-        )
-    ]
+pattern_rule("eff-case", (CaseEff(M, X, PHI, Y, PSI),),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_ty("D", M, AB)],
+             "conclusion is not a case formation", EffForm, zones=("G", "D"))
 
 
 # ---- derivability

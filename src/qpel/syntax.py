@@ -312,7 +312,8 @@ class Context:
         return Context(self.entries + ((name, ty),))
 
     def same_multiset(self, other: "Context") -> bool:
-        return sorted(self.entries, key=repr) == sorted(other.entries, key=repr)
+        # names are unique in a context, so its entries are a map
+        return dict(self.entries) == dict(other.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -373,16 +374,19 @@ def equiv(g: Context, phi: Effect, psi: Effect) -> tuple[EffLeq, EffLeq]:
 
 
 def judgement_up_to_exchange(a: Judgement, b: Judgement) -> bool:
-    """Equality of judgements modulo reordering the context."""
-    if type(a) is not type(b) or not a.ctx.same_multiset(b.ctx):
+    """Equality of judgements modulo reordering the context; the syntax and
+    types are compared first, as they tell most judgements apart."""
+    if type(a) is not type(b):
         return False
     if isinstance(a, Typing):
-        return a.term == b.term and a.ty == b.ty
-    if isinstance(a, TermEq):
-        return a.lhs == b.lhs and a.rhs == b.rhs and a.ty == b.ty
-    if isinstance(a, EffForm):
-        return a.eff == b.eff
-    return a.low == b.low and a.high == b.high
+        same = a.term == b.term and a.ty == b.ty
+    elif isinstance(a, TermEq):
+        same = a.lhs == b.lhs and a.rhs == b.rhs and a.ty == b.ty
+    elif isinstance(a, EffForm):
+        same = a.eff == b.eff
+    else:
+        same = a.low == b.low and a.high == b.high
+    return same and a.ctx.same_multiset(b.ctx)
 
 
 # ------------------------------------------------------- constructor shapes

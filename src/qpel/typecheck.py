@@ -5,12 +5,13 @@ as a convenience for scrutinee positions (sum injections cannot be inferred;
 write a ``(M : A)`` ascription there).
 
 The formation rules are stated once, as schemas in `rules`: unit, tensor,
-inl, inr, eff-0 through eff-mult and qbit-new through qbit-proj as patterns,
-which also name the message for a term of the wrong type, and var, let,
-case, measure and eff-case as code, as they read the context, freshen
-binders or range over branches.  Each term and effect constructor names its
-rule (`TERM_RULES`, `EFFECT_RULES`); `_derive` instantiates that schema at
-the goal, splits the goal context among the schema's zones with
+let, inl, inr, case, eff-0 through eff-case and qbit-new through qbit-proj
+as patterns, which also name the message for a term of the wrong type, and
+var and measure as code, as they read the context or range over branches.
+A premise that binds (of let, case and caseE) is renamed away from its
+zone by `Premise.to_judgement` alone.  Each term and effect constructor
+names its rule (`TERM_RULES`, `EFFECT_RULES`); `_derive` instantiates that
+schema at the goal, splits the goal context among the schema's zones with
 `split_zones`, the split the derivation checker and the search use too, and
 discharges the premises in order: typing and formation premises by
 recursion, inequality premises through the `Resolver`.  Each

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,25 @@ from qpel.derivation import (
 from qpel.parser import ScriptNode, UseNode
 from qpel.parser import parse_effect_text as E
 from qpel.parser import parse_term_text as T
-from qpel.rules import ALL_RULE_NAMES, SCHEMAS, p_equiv, p_leq
+from qpel.rules import (
+    ALL_RULE_NAMES,
+    SCHEMAS,
+    A,
+    AB,
+    B,
+    CHI,
+    M,
+    PHI as PHI_,
+    PSI,
+    X,
+    Y,
+    p_equiv,
+    p_leq,
+    p_ty,
+    pattern_rule,
+)
 from qpel.syntax import (
+    CaseEff,
     Context,
     EffForm,
     EffLeq,
@@ -37,7 +55,7 @@ from qpel.syntax import (
     Zero,
     one,
 )
-from qpel.typecheck import QpelTypeError, check_judgement, check_term
+from qpel.typecheck import QpelTypeError, check_judgement, check_term, split_zones, synth_type
 
 QCTX = Context((("x", TQbit()),))
 PHI = E("proj(x, 0)")
@@ -249,6 +267,9 @@ def test_pattern_rule_mismatch_gives_the_rule_message(name, low, high):
 
 QQ = Context((("x", TQbit()), ("y", TQbit())))
 QUBITS = TTensor(TQbit(), TQbit())
+SUM = TSum(TQbit(), TQbit())
+ETA_TENSOR = "conclusion must be `M = let x * y = M in x * y`"
+ETA_PLUS = "conclusion must be `M = case M of inl x -> inl x | inr y -> inr y`"
 
 
 def _typing(term, ty):
@@ -319,6 +340,33 @@ FIXED_SHAPE_MESSAGES = [
     ("qbit-zz", _equation("Z (Z x)", "y"), "conclusion must be `Z (Z M) = M`"),
     ("qbit-xz-zx", _inequality("proj(X (Z x), 1/2)", "proj(Z (X x), 0)"),
      "conclusion must exchange X Z with Z X under a projection"),
+    ("let", _formation("0"), "conclusion is not a typing"),
+    ("let", _typing("x", TQbit()), "conclusion is not a let typing"),
+    ("let", _typing("let a * b = x in a", TQbit()), "the let scrutinee must have a tensor type, got TQbit()"),
+    ("let", _typing("let a * b = inl x in a", TQbit()),
+     "cannot infer the type of Inl(arg=Var(name='x')); supply the 'ty' argument"),
+    ("case", _formation("0"), "conclusion is not a typing"),
+    ("case", _typing("x", TQbit()), "conclusion is not a case typing"),
+    ("case", _typing("case x * y of inl a -> a | inr b -> b", TQbit()),
+     "the case scrutinee must have a sum type, got TTensor(left=TQbit(), right=TQbit())"),
+    ("eff-case", _typing("x", TQbit()), "conclusion is not an effect formation"),
+    ("eff-case", _formation("0"), "conclusion is not a case formation"),
+    ("eff-case", _formation("caseE x of inl a -> 0 | inr b -> 0"),
+     "the case scrutinee must have a sum type, got TQbit()"),
+    ("eta-unit", _formation("0"), "conclusion is not a term equality"),
+    ("eta-unit", _equation("x", "unit"), "conclusion must equate a unit-typed term with `unit`"),
+    ("eta-unit", _equation("x", "x", TUnit()), "conclusion must equate a unit-typed term with `unit`"),
+    ("eta-tensor", _formation("0"), "conclusion is not a term equality"),
+    ("eta-tensor", _equation("x * y", "let a * b = y * x in a * b", QUBITS), ETA_TENSOR),
+    ("eta-tensor", _equation("x * y", "let a * b = x * y in b * a", QUBITS), ETA_TENSOR),
+    # the body's two a are the second binder's
+    ("eta-tensor", _equation("x * y", "let a * a = x * y in a * a", QUBITS), ETA_TENSOR),
+    ("eta-tensor", _equation("x * y", "let a * b = x * y in a * b"), "needs a tensor-typed equality, got qbit"),
+    ("eta-plus", _formation("0"), "conclusion is not a term equality"),
+    ("eta-plus", _equation("inl x", "case inl x of inl a -> inr a | inr b -> inr b", SUM), ETA_PLUS),
+    ("eta-plus", _equation("inl x", "case inr x of inl a -> inl a | inr b -> inr b", SUM), ETA_PLUS),
+    ("eta-plus", _equation("inl x", "case inl x of inl a -> inl a | inr b -> inr b"),
+     "needs a sum-typed equality, got qbit"),
 ]
 
 
@@ -397,3 +445,36 @@ def test_premise_binder_is_renamed_away_from_its_zone():
     assert j.high == E("caseE c1 of inl b -> 0 | inr d -> bot(proj(b1, 0))")
     fwd = p_equiv("G", low, Zero(), ext=ext[:1]).to_judgement(zone)
     assert fwd == EffLeq(Context(zone.entries + (("b1", TUnit()),)), E("proj(b1, 0)"), Zero())
+
+
+def test_the_second_of_two_like_named_let_binders_is_the_bodys():
+    """In `let x * x = M in N` the body's x is the pair's second component,
+    whether or not the context has an x of its own."""
+    term = T("let x * x = plus * unit in x")
+    for g in (Context(), Context((("x", TUnit()),))):
+        d = check_term(g, term, TUnit(), Env().resolver())
+        assert [t for _, t in d.children[1].judgement.ctx][-2:] == [TQbit(), TUnit()]
+        with pytest.raises(QpelTypeError, match="expected qbit"):
+            check_term(g, term, TQbit(), Env().resolver())
+
+
+def test_a_premise_binds_only_over_what_the_conclusion_binds():
+    """Renaming a premise binder renames it throughout the premise's terms
+    and effects.  case-leq's chi lies outside the binders of its case
+    effect, so written as a pattern its premises would rename chi's free
+    variables of a binder's name too, and registering it raises.  As code,
+    its premise at this goal keeps chi's x apart from the binder x, where a
+    renaming of both would make it an instance of leq-ref."""
+    with pytest.raises(ValueError, match="chi"):
+        pattern_rule("case-leq-pattern", (CaseEff(M, X, PHI_, Y, PSI), CHI),
+                     [p_ty("G", M, AB), p_leq("D", PHI_, CHI, ext=((X, A),)),
+                      p_leq("D", PSI, CHI, ext=((Y, B),))],
+                     "left side must be a case effect", zones=("G", "D"))
+    assert "case-leq-pattern" not in SCHEMAS
+    g = Context((("x", TQbit()), ("s", TSum(TUnit(), TUnit()))))
+    goal = EffLeq(g, E("caseE s of inl x -> proj(x, 0) | inr y -> 0"), PHI)
+    (instn,) = SCHEMAS["case-leq"].match(goal, {}, partial(synth_type, g))
+    premise = instn.premises[1].to_judgement(split_zones(g, instn)["D"])
+    assert premise.low != premise.high
+    with pytest.raises(DerivationError):
+        check_script(premise, ScriptNode("leq-ref"), env())

@@ -25,6 +25,7 @@ from qpel.randgen import typed_context, typed_effect, typed_term, typed_type
 from qpel.syntax import (
     Ascribe,
     Context,
+    EffForm,
     EffLeq,
     Measure,
     Orth,
@@ -32,6 +33,7 @@ from qpel.syntax import (
     TermEq,
     TQbit,
     TSum,
+    TTensor,
     TUnit,
     Typing,
     Var,
@@ -132,7 +134,9 @@ def test_interpretation_respects_alpha():
     """The fold reads no binder name: a judgement and its copy with every
     binder renamed, each folded by a backend of its own (so that neither
     reads the other's memoised denotation), denote the same.  Over random
-    terms and the corpus judgements, on every backend that applies."""
+    terms, the corpus judgements and let, case and caseE whose binders reuse
+    a context name of the other zone or of their own, on every backend that
+    applies."""
     rng = random.Random(41)
     judgements = []
     for qbit in (False, True):
@@ -141,6 +145,18 @@ def test_interpretation_respects_alpha():
             ty = typed_type(rng, 2, qbit=qbit)
             judgements.append(Typing(g, typed_term(rng, g, ty), ty))
     judgements += [item.judgement for item in all_items()]
+    pair = Context((("x", TTensor(TUnit(), II)), ("u", II)))
+    sums = Context((("x", II), ("u", II)))
+    nested = Context((("x", TSum(II, II)), ("u", II)))
+    judgements += [
+        Typing(pair, T("let x * y = x in y"), II),
+        Typing(pair, T("let u * y = x in y"), II),
+        Typing(sums, T("case x of inl x -> u | inr y -> inr y"), II),
+        Typing(sums, T("case x of inl u -> inl u | inr y -> inr y"), II),
+        EffForm(Context((("x", II),)), E("caseE x of inl x -> bot(0) | inr y -> 0")),
+        EffForm(nested, E("caseE x of inl x -> bot(0) | inr u -> caseE u of inl a -> 0 | inr b -> bot(0)")),
+        EffForm(sums, E("caseE u of inl x -> bot(0) | inr y -> caseE x of inl a -> 0 | inr b -> bot(0)")),
+    ]
     renamed = Counter()
     for j in judgements:
         syntax = {f.name: getattr(j, f.name) for f in fields(j)

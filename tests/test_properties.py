@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qpel.derivation import literal_value
 from qpel.parser import parse_effect_text, parse_term_text
 from qpel.printer import print_effect, print_term
-from qpel.randgen import NAMES, raw_effect, raw_term
+from qpel.randgen import NAMES, raw_effect, raw_term, typed_context, typed_type
 from qpel.rules import _extract_at_var
 from qpel.syntax import (
     Context,
@@ -42,6 +42,27 @@ def test_term_roundtrip(seed):
 def test_effect_roundtrip(seed):
     e = raw_effect(random.Random(seed), 3)
     assert parse_effect_text(print_effect(e)) == e
+
+
+@given(seed=seeds)
+@settings(max_examples=200, deadline=None)
+def test_same_multiset_compares_the_entries_sorted(seed):
+    """`Context.same_multiset` agrees with comparing the two contexts'
+    entries sorted by their repr: at a permutation of a random context, and
+    at one with an entry dropped, renamed or retyped, then permuted."""
+    rng = random.Random(seed)
+    g = typed_context(rng, rng.randrange(6), qbit=True)
+    entries = list(g.entries)
+    rng.shuffle(entries)
+    assert g.same_multiset(Context(tuple(entries)))
+    if entries:
+        i = rng.randrange(len(entries))
+        name, ty = entries[i]
+        changed = [[], [(rng.choice(["x", name]), ty)], [(name, typed_type(rng, 1, qbit=True))]]
+        entries[i : i + 1] = rng.choice(changed)
+        rng.shuffle(entries)
+    h = Context(tuple(entries))
+    assert g.same_multiset(h) == (sorted(g.entries, key=repr) == sorted(h.entries, key=repr))
 
 
 @given(seed=seeds)

@@ -41,7 +41,9 @@ from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse, parse_effe
 from qpel.randgen import ANGLES, NAMES, raw_effect, raw_term, raw_type
 from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
 from qpel.syntax import (
+    Ascribe,
     CZ,
+    Case,
     CaseEff,
     Context,
     EffForm,
@@ -78,6 +80,7 @@ from qpel.typecheck import (
     QpelTypeError,
     check_effect,
     show_judgement,
+    split_zones,
     synth_type,
 )
 
@@ -577,6 +580,118 @@ def test_fixed_shape_rule_instances_match_the_golden(monkeypatch):
     records = _instance_records(FIXED_SHAPE_RULES, [(goal, {}) for goal in goals])
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (FIXED_SHAPE_COUNT, FIXED_SHAPE_SHA256)
+
+
+# the rules whose premises bind the binders of their conclusion, and the eta
+# rules, and the sha256 and count of their `_premise_records`, taken from
+# their hand-written matchers
+BINDER_RULES = ("let", "case", "eff-case", "eta-tensor", "eta-unit", "eta-plus")
+BINDER_SHA256 = "b94118e05893b232ffaee443620c9a7591134cd245b4c1371a0db02c23cfdbc7"
+BINDER_COUNT = 137634
+
+
+def _judgement_key(j):
+    """j up to the names in its context, as `test_typecheck_golden` keys it:
+    the entries' types and the nameless key of each field over the names."""
+    names = tuple(j.ctx.names())
+    parts = [getattr(j, f.name) for f in fields(j)[1:]]
+    return (type(j).__name__, tuple(repr(t) for _, t in j.ctx),
+            *[nameless(p, names) if isinstance(p, Syntax) else repr(p) for p in parts])
+
+
+def _premise_records(names, cases):
+    """For each rule of names and each (goal, args) case: MISMATCH, or for
+    each instance in order, the `split_zones` error or each premise's zone,
+    that zone's context and the premise judgement over it up to the names
+    of its binders, then the conclusion zones and fixed entries.  With a
+    `ty` argument the rule gets no synthesis, as in the type checker."""
+    records = []
+    keys = [_goal_key(goal) + (f" {args!r}" if args else "") for goal, args in cases]
+    for name in names:
+        for (goal, args), key in zip(cases, keys):
+            synth = None if "ty" in args else partial(synth_type, goal.ctx)
+            try:
+                instns = SCHEMAS[name].match(goal, args, synth)
+            except RuleMismatch:
+                records.append(f"{name} {key} MISMATCH")
+                continue
+            shown = []
+            for i in instns:
+                try:
+                    zones = split_zones(goal.ctx, i)
+                except QpelTypeError as e:
+                    shown.append(f"SPLIT {e}")
+                    continue
+                shown.append(([(p.zone, zones[p.zone].entries, _judgement_key(p.to_judgement(zones[p.zone])))
+                               for p in i.premises], i.zones, i.fixed))
+            records.append(f"{name} {key} {shown!r}")
+    return records
+
+
+def _binder_goals(rng, count):
+    """`count` seeded goals of each kind these rules relate: let and case
+    typings, caseE formations and both sides of near-instances of the eta
+    equations, each with no `ty` argument and with one of a tensor, of a sum
+    and of neither.  Their scrutinees are context variables, ascribed or
+    not, random terms or an unbound name, their binders reuse the names of
+    the context or not, and their bodies use the binders and the context."""
+    qbit, unit = TQbit(), TUnit()
+    pick = rng.choice
+    types = [TSum(qbit, unit), TSum(unit, unit), TTensor(qbit, qbit), TTensor(unit, qbit), qbit, unit]
+
+    def ty():
+        return pick(types + [raw_type(rng, 2)])
+
+    def same_or(m, other):
+        return m if rng.random() < 0.7 else other
+
+    goals = []
+    for _ in range(count):
+        g = Context(tuple((n, ty()) for n in rng.sample(NAMES, rng.randrange(1, 5))))
+        names = g.names()
+        v = pick(names)
+        scrut = pick([Var(v), Var(v), Ascribe(Var(v), g.lookup(v)), raw_term(rng, 1), Var("z")])
+        # a let's two binders differ (`let x * x` is tested on its own); a
+        # case's two may share a name
+        x, y = rng.sample(names + ["p", "q"], 2)
+        vx, vy = Var(x), Var(y)
+
+        def body(*bound):
+            used = [Var(n) for n in bound + (pick(names),)]
+            return pick([*used, Pair(pick(used), pick(used)), raw_term(rng, 1), PauliX(pick(used))])
+
+        goals += [
+            Typing(g, LetPair(x, y, scrut, body(x, y)), ty()),
+            Typing(g, Case(scrut, x, body(x), pick([y, x]), body(y)), ty()),
+            EffForm(g, CaseEff(scrut, x, pick([ProjPlus(body(x), Fraction(0)), raw_effect(rng, 1)]), pick([y, x]),
+                               pick([Orth(ProjPlus(body(y), Fraction(1))), Zero()]))),
+        ]
+        m = pick([Var(v), scrut, raw_term(rng, 1)])
+        for lhs, rhs, t in [
+            (m, same_or(Star(), m), same_or(unit, ty())),
+            (m, LetPair(x, y, same_or(m, scrut), pick([Pair(vx, vy), Pair(vy, vx), Pair(vx, vx), body(x, y)])),
+             same_or(TTensor(ty(), ty()), ty())),
+            (m, Case(same_or(m, scrut), x, pick([Inl(vx), Inl(vy), Inr(vx)]), pick([y, x]),
+                     pick([Inr(vy), Inr(vx), Inl(vy)])), same_or(TSum(ty(), ty()), ty())),
+        ]:
+            goals += [TermEq(g, lhs, rhs, t), TermEq(g, rhs, lhs, t)]
+    args = [{}, {"ty": TTensor(qbit, unit)}, {"ty": TSum(unit, qbit)}, {"ty": qbit}]
+    return [(goal, a) for goal in goals for a in args]
+
+
+def test_binder_rule_premises_match_the_golden(monkeypatch):
+    """Each rule of `BINDER_RULES` gives the instances, or the mismatch, that
+    its hand-written matcher gave, reading for reading, with the same zones
+    and premise judgements up to the names of their binders: at every goal
+    a schema meets while the corpus is checked, at the rule-instance corpus
+    and its mutants, at 500 random goals of each judgement form and at 500
+    goals of each kind these rules relate."""
+    cases = [(goal, {}) for goal in sorted(_corpus_match_goals(monkeypatch), key=_goal_key)]
+    cases += [(goal, {}) for goal in _random_goals(random.Random(11), 500)]
+    cases += _binder_goals(random.Random(12), 500)
+    records = _premise_records(BINDER_RULES, cases)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (BINDER_COUNT, BINDER_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

@@ -20,6 +20,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -72,8 +73,11 @@ from qpel.syntax import (
     Var,
     Zero,
     erase_ascriptions,
+    free_vars,
+    fresh,
     nameless,
     one,
+    subst,
 )
 from qpel.typecheck import (
     ObligationError,
@@ -495,10 +499,13 @@ def _corpus_match_goals(monkeypatch):
         for name in _corpus_files():
             _check_file(name)
     for item in all_items():
-        for j in (item.judgement, item.mutant):
-            goals.add(type(j)(j.ctx, *[erase_ascriptions(p) if isinstance(p, Syntax) else p
-                                       for p in (getattr(j, f.name) for f in fields(j)[1:])]))
+        goals.update(map(_erased, (item.judgement, item.mutant)))
     return goals
+
+
+def _erased(j):
+    return type(j)(j.ctx, *[erase_ascriptions(p) if isinstance(p, Syntax) else p
+                            for p in (getattr(j, f.name) for f in fields(j)[1:])])
 
 
 def _random_goals(rng, count):
@@ -599,17 +606,18 @@ def _judgement_key(j):
             *[nameless(p, names) if isinstance(p, Syntax) else repr(p) for p in parts])
 
 
-def _premise_records(names, cases):
+def _premise_records(names, cases, typed=("ty",)):
     """For each rule of names and each (goal, args) case: MISMATCH, or for
     each instance in order, the `split_zones` error or each premise's zone,
     that zone's context and the premise judgement over it up to the names
-    of its binders, then the conclusion zones and fixed entries.  With a
-    `ty` argument the rule gets no synthesis, as in the type checker."""
+    of its binders, then the conclusion zones and fixed entries.  With every
+    type argument of `typed` given the rule gets no synthesis, as in the
+    type checker."""
     records = []
     keys = [_goal_key(goal) + (f" {args!r}" if args else "") for goal, args in cases]
     for name in names:
         for (goal, args), key in zip(cases, keys):
-            synth = None if "ty" in args else partial(synth_type, goal.ctx)
+            synth = None if all(k in args for k in typed) else partial(synth_type, goal.ctx)
             try:
                 instns = SCHEMAS[name].match(goal, args, synth)
             except RuleMismatch:
@@ -692,6 +700,143 @@ def test_binder_rule_premises_match_the_golden(monkeypatch):
     records = _premise_records(BINDER_RULES, cases)
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (BINDER_COUNT, BINDER_SHA256)
+
+
+# the commuting conversions, and the sha256 and count of their
+# `_premise_records`, taken from their hand-written matchers
+COMMUTING_RULES = ("let-commute", "let-case", "let-tensor", "case-commute", "case-tensor")
+COMMUTING_SHA256 = "03fed27148b9c5932678ad0fa8483cc030c0f28c3ff26c3a4925c65199f0d561"
+COMMUTING_COUNT = 39845
+
+
+class Parts(NamedTuple):
+    """The parts of a commuting conversion: scrutinees m, n and n2, the
+    bodies r and r2 that move across binders, and the binder names."""
+    m: object
+    n: object
+    n2: object
+    r: object
+    r2: object
+    x: str
+    y: str
+    x2: str
+    y2: str
+
+
+# each rule's two sides over its parts, and on the right side, the parts
+# under each binder that stay under it
+COMMUTING_SIDES = {
+    "let-commute": (lambda p: LetPair(p.x, p.y, p.m, LetPair(p.x2, p.y2, p.n, p.r)),
+                    lambda p: LetPair(p.x2, p.y2, LetPair(p.x, p.y, p.m, p.n), p.r),
+                    {"x": "n", "y": "n", "x2": "r", "y2": "r"}),
+    "let-case": (lambda p: LetPair(p.x2, p.y2, Case(p.m, p.x, p.n, p.y, p.n2), p.r),
+                 lambda p: Case(p.m, p.x, LetPair(p.x2, p.y2, p.n, p.r), p.y, LetPair(p.x2, p.y2, p.n2, p.r)),
+                 {"x": "n", "y": "n2", "x2": "r", "y2": "r"}),
+    "let-tensor": (lambda p: Pair(LetPair(p.x, p.y, p.m, p.n), p.r),
+                   lambda p: LetPair(p.x, p.y, p.m, Pair(p.n, p.r)),
+                   {"x": "n", "y": "n"}),
+    "case-commute": (lambda p: Case(p.m, p.x, Case(p.n, p.x2, p.r, p.y2, p.r2), p.y,
+                                    Case(p.n2, p.x2, p.r, p.y2, p.r2)),
+                     lambda p: Case(Case(p.m, p.x, p.n, p.y, p.n2), p.x2, p.r, p.y2, p.r2),
+                     {"x": "n", "y": "n2", "x2": "r", "y2": "r2"}),
+    "case-tensor": (lambda p: Pair(Case(p.m, p.x, p.n, p.y, p.n2), p.r),
+                    lambda p: Case(p.m, p.x, Pair(p.n, p.r), p.y, Pair(p.n2, p.r)),
+                    {"x": "n", "y": "n2"}),
+}
+
+
+def _commuting_goals(rng, count):
+    """`count` seeded near-instances of each commuting conversion, each as
+    written and with its sides swapped, with no type argument, `ty`, `ty2`
+    and both, each right or not.  The right side is the left one's
+    conversion, with its binders renamed or not, or has one part changed.
+    Scrutinees are context variables, ascribed or not, random terms or an
+    unbound name, and binders reuse context names or not, but never a name
+    free in a body that moves across them: there the rules used to capture."""
+    qbit, unit = TQbit(), TUnit()
+    pick = rng.choice
+    types = [TSum(qbit, unit), TSum(unit, unit), TSum(TTensor(qbit, qbit), qbit), TTensor(qbit, qbit),
+             TTensor(unit, qbit), TTensor(TSum(unit, unit), qbit), qbit, unit]
+    cases = []
+    for rule, (lhs, rhs, stay) in COMMUTING_SIDES.items():
+        for _ in range(count):
+            g = Context(tuple((n, pick(types)) for n in rng.sample(NAMES, rng.randrange(2, 5))))
+            names = g.names()
+            pool = names + ["p", "q", "t"]
+
+            def body(*bound):
+                used = [Var(n) for n in bound + (pick(names),)]
+                return pick([*used, Pair(pick(used), pick(used)), raw_term(rng, 1), PauliX(pick(used)),
+                             Ascribe(pick([Inl, Inr])(pick(used)), pick(types[:3]))])
+
+            def scrut(cls, *bound):
+                """A term often of a type of class cls: a tensor or a sum."""
+                of = [Var(n) for n in names if isinstance(g.lookup(n), cls)] or [body(*bound)]
+                used = [Var(n) for n in bound] + of
+                made = Pair(pick(used), pick(used)) if cls is TTensor else Ascribe(Inl(pick(used)), types[0])
+                return pick([pick(of), made, body(*bound)])
+
+            # a let's two binders differ; a case's two may share a name
+            x2, y2 = rng.sample(pool, 2)
+            r, r2 = {"let-commute": (body(x2, y2), None), "let-case": (body(x2, y2), None),
+                     "case-commute": (body(x2), body(y2))}.get(rule, (body(), None))
+            free = free_vars(r) | (free_vars(r2) if r2 else frozenset())
+            x, y = rng.sample([n for n in pool if n not in free] + ["k1", "k2"], 2)
+            if rule.startswith("case"):
+                y = pick([y, x])
+            v = pick(names)
+            outer, second = {"let-commute": (TTensor, TTensor), "let-case": (TSum, TTensor),
+                             "let-tensor": (TTensor, None), "case-commute": (TSum, TSum)}.get(rule, (TSum, None))
+            m = pick([scrut(outer), scrut(outer), Ascribe(Var(v), g.lookup(v)), raw_term(rng, 1), Var("z")])
+            inner = (x, y) if rule in ("let-commute", "let-tensor") else (x,)
+            n, n2 = (scrut(second, *inner), scrut(second, y)) if second else (body(*inner), body(y))
+            p = q = Parts(m, n, n2, r, r2, x, y, x2, y2)
+            change = rng.random()
+            if change < 0.25:
+                # the right side's binders renamed, in the parts they stay over
+                for b in rng.sample(sorted(stay), rng.randrange(1, len(stay) + 1)):
+                    part = getattr(q, stay[b])
+                    avoid = free | free_vars(part) | {getattr(q, c) for c in stay}
+                    new = pick([n for n in pool if n not in avoid] + [fresh("k", avoid)])
+                    q = q._replace(**{b: new, stay[b]: subst(part, getattr(q, b), Var(new))})
+            elif change < 0.55:
+                field = pick(Parts._fields)
+                if field in stay:
+                    q = q._replace(**{field: pick(pool)})
+                else:
+                    q = q._replace(**{field: pick([body(x, y), raw_term(rng, 1), m])})
+            ty = pick(types)
+            if rule.endswith("tensor") and rng.random() < 0.7:
+                ty = TTensor(pick(types), pick(types))
+            goal = TermEq(g, lhs(p), rhs(q), ty)
+            if rng.random() < 0.2:
+                goal = TermEq(g, goal.rhs, goal.lhs, ty)
+
+            def guess(term, extra=()):
+                t = synth_type(g, term, extra)
+                return t if t is not None and rng.random() < 0.7 else pick(types)
+
+            t1 = guess(m)
+            a, b = (t1.left, t1.right) if isinstance(t1, (TTensor, TSum)) else (unit, unit)
+            t2 = guess(p.n, ((x, a), (y, b))[:len(inner)])
+            cases += [(goal, args) for args in ({}, {"ty": t1}, {"ty2": t2}, {"ty": t1, "ty2": t2})]
+    return cases
+
+
+def test_commuting_conversion_premises_match_the_golden(monkeypatch):
+    """Each commuting conversion gives the instances, or the mismatch, that
+    its hand-written matcher gave, with the same zones and premise
+    judgements up to the names of their binders: at every goal a schema
+    meets while the corpus is checked, at the rule-instance corpus and its
+    mutants with their scripts' arguments, and at 300 near-instances of
+    each rule in four variants of arguments."""
+    cases = [(goal, {}) for goal in sorted(_corpus_match_goals(monkeypatch), key=_goal_key)]
+    cases += [(_erased(j), item.script.args) for item in all_items() if item.rule in COMMUTING_RULES
+              for j in (item.judgement, item.mutant)]
+    cases += _commuting_goals(random.Random(13), 300)
+    records = _premise_records(COMMUTING_RULES, cases, typed=("ty", "ty2"))
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (COMMUTING_COUNT, COMMUTING_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .printer import print_type
+from .printer import print_term, print_type
 from .syntax import (
     Case,
     CaseEff,
@@ -224,31 +224,25 @@ def scrut_type(m, args, synth, extra=(), key="ty"):
         return args[key]
     t = synth(m, extra)
     if t is None:
-        raise RuleMismatch(lambda: f"cannot infer the type of {m!r}; supply the {key!r} argument")
+        raise RuleMismatch(lambda: f"cannot infer the type of {print_term(m)}; supply the {key!r} argument")
     return t
 
 
 def as_sum(t, what):
     if not isinstance(t, TSum):
-        raise RuleMismatch(lambda: f"{what} must have a sum type, got {t!r}")
+        raise RuleMismatch(lambda: f"{what} must have a sum type, got {print_type(t)}")
     return t.left, t.right
 
 
 def as_tensor(t, what):
     if not isinstance(t, TTensor):
-        raise RuleMismatch(lambda: f"{what} must have a tensor type, got {t!r}")
+        raise RuleMismatch(lambda: f"{what} must have a tensor type, got {print_type(t)}")
     return t.left, t.right
-
-
-def fresh_pair(base1, base2, avoid):
-    x = fresh(base1, avoid)
-    y = fresh(base2, set(avoid) | {x})
-    return x, y
 
 
 def alpha2(got, want, what):
     if got != want:
-        raise RuleMismatch(lambda: f"{what}: expected {want!r}, found {got!r}")
+        raise RuleMismatch(lambda: f"{what}: expected {print_term(want)}, found {print_term(got)}")
 
 
 def both_readings(goal: EffLeq):
@@ -287,11 +281,11 @@ class Meta(NamedTuple):
     """A metavariable of a rule pattern: it matches any node of class `cls`,
     an effect, a term, a type, a data value (an angle) or, with `str`, the
     name in a binder field.  A binder metavariable matches any name each
-    time, and `Var(X)` a variable bound by the binder X matched in scope;
-    each further occurrence of any other must be alpha-equal to its first.
-    One that a premise puts under binders (in its `ext`) is a body, which may
-    name the binders in scope: it is compared as an abstraction over the
-    binders in scope at each of the two occurrences."""
+    time, and `Var(X)` a variable bound by the binder X matched in scope.
+    Each further occurrence of any other must be alpha-equal to its first up
+    to the binder metavariables in scope at both, and may name no binder in
+    scope at only one of the two: so a subterm that a rule moves under a
+    binder, or out from under one, keeps its meaning."""
 
     name: str
     cls: type = Effect
@@ -299,13 +293,19 @@ class Meta(NamedTuple):
 
 PHI, PSI, CHI = Meta("phi"), Meta("psi"), Meta("chi")
 PHI1, PHI2, PSI1, PSI2 = (Meta(n) for n in ("phi1", "phi2", "psi1", "psi2"))
-# terms, such as caseE's scrutinee, and binder names
+# terms, such as caseE's scrutinee, the bodies R and R2 that the commuting
+# conversions move across binders, and binder names
 M, N, M2, N2 = Meta("m", Term), Meta("n", Term), Meta("m2", Term), Meta("n2", Term)
-X, Y = Meta("x", str), Meta("y", str)
-# types, C for a conclusion's; in premises only, the type AB of the
-# scrutinee M, read from the `ty` argument or synthesised, as `scrut_type`
-# reads it: A * B for a let's scrutinee, A + B for a case's
-AB, A, B, C = Meta("ab", Type), Meta("a", Type), Meta("b", Type), Meta("c", Type)
+R, R2 = Meta("r", Term), Meta("r2", Term)
+X, Y, X2, Y2 = Meta("x", str), Meta("y", str), Meta("x2", str), Meta("y2", str)
+# types, C and D for a conclusion's; in premises only, the type AB of a
+# scrutinee, read from the `ty` argument or synthesised, as `scrut_type`
+# reads it: A * B when A types a let's binder, A + B when a case's; and the
+# type AB2 of a second scrutinee, with A2 and B2, read from `ty2` or
+# synthesised under the binders of the premise that types it
+AB, A, B, C, D = (Meta(n, Type) for n in ("ab", "a", "b", "c", "d"))
+AB2, A2, B2 = (Meta(n, Type) for n in ("ab2", "a2", "b2"))
+SCRUTINEES = ((AB, A, B, "ty"), (AB2, A2, B2, "ty2"))
 # projection angles
 P, Q = Meta("p", Fraction), Meta("q", Fraction)
 
@@ -382,22 +382,34 @@ def _source(pat, where, names):
     return f"{'' if cls is tuple else cls.__name__}({''.join(src + ', ' for src in built)})"
 
 
+def _in_scope(nodes, scope, common):
+    """The names the binders of scope, (metavariable, node) pairs outermost
+    first, bind over a node: for each metavariable of common, the name of
+    its innermost binder, or None where an inner binder shadows that name;
+    and the names whose innermost binder is of another metavariable."""
+    inner = {nodes[i]: meta for meta, i in scope}
+    last = {meta: nodes[i] for meta, i in scope}
+    under = tuple(last[c] if inner[last[c]] == c else None for c in common)
+    return under, {x for x, meta in inner.items() if meta not in common}
+
+
 def _reading(pats, sides, premises, zones, side):
     """A conclusion read with its patterns against the goal fields `sides`
     names, compiled once for the interpreter: its steps, its instance
     builder, and the index of its first step on the goal's type.  A step
     takes a field of an earlier node (the goal is node 0), which must hold
-    the step's class and, at a metavariable seen before, be alpha-equal to
-    the node of its first occurrence.  A body seen before under binders, a
-    variable that must be bound by a binder in scope, and the side condition
-    are checked by the builder instead, which then reads the scrutinee's
-    type if a premise names it but the conclusion does not, and gives None if
-    a check fails.  A premise must bind its `ext` over every metavariable of
-    its terms and effects where the conclusion first matches it, since
-    `Premise.to_judgement` renames a binder throughout them."""
-    steps, nodes, at, where, scopes, scoped, bound = [], {"": 0}, {}, {}, {}, [], []
+    the step's class and, at a metavariable seen before under no binder
+    metavariable in scope at both, be alpha-equal to the node of its first
+    occurrence.  A node seen before with binders in scope, a variable that
+    must be bound by a binder in scope, and the side condition are checked
+    by the builder instead, which then reads the type of each scrutinee a
+    premise names but the conclusion does not, and gives None if a check
+    fails.  A premise must bind its `ext` over every metavariable of its
+    terms and effects where the conclusion first matches it, since
+    `Premise.to_judgement` renames a binder throughout them, and must bind
+    each binder in scope at all its occurrences, which it may name."""
+    steps, nodes, at, where, scopes, scoped, bound, binds = [], {"": 0}, {}, {}, {}, [], [], {}
     type_at = None
-    bodies = set().union(*(_metas(p.shape) for p in premises if p.ext))
     for name, pat in zip(sides, pats):
         if name == "ty":
             type_at = len(steps)
@@ -408,37 +420,52 @@ def _reading(pats, sides, premises, zones, side):
             if not isinstance(p, Meta):
                 steps.append((nodes[parent], field, type(p), 0))
                 continue
-            binders = tuple(nodes[b] for b in scope)
+            binders = tuple((at[b], nodes[b]) for b in scope)
             first = where.setdefault(p, here)
-            scopes.setdefault(p, binders)
+            scopes.setdefault(p, []).append(binders)
             if p.cls is str and type(at[parent]) is Var:
                 # the innermost binder in scope that p matches must bind it
                 k = max(i for i, b in enumerate(scope) if at[b] == p)
-                bound.append((here, binders[k], binders[k + 1:]))
+                bound.append((here, binders[k][1], [i for _, i in binders[k + 1:]]))
                 first = 0
-            elif first == here or p.cls is str:
+            elif p.cls is str:
+                binds.setdefault(p, type(at[parent]))
                 first = 0
-            elif p in bodies and (binders or scopes[p]):
-                scoped.append((binders, here, scopes[p], first))
+            elif first != here and (binders or scopes[p][0]):
+                there = scopes[p][0]
+                common = tuple(dict.fromkeys(m for m, _ in there if m in dict(binders)))
+                scoped.append((here, binders, first, there, common))
+                first = 0 if common else first
+            elif first == here:
                 first = 0
             steps.append((nodes[parent], field, p.cls, first))
     for p in premises:
-        binders = {where[x] for x, _ in p.ext}
+        ext = {x for x, _ in p.ext}
         for m in _metas(p.shape[1 : 1 + SYNTAX_SLOTS[p.shape[0]]]):
-            if m.cls is not str and not binders <= set(scopes[m]):
+            if not {where[x] for x in ext} <= {i for _, i in scopes[m][0]}:
                 raise ValueError(f"a premise binds over {m.name}, which the conclusion matches"
                                  " outside its binders")
-    typed = _metas(tuple(premises)) & {AB, A, B} - where.keys()
-    if typed:
-        scrut = where[M]
-        path = next(path for path, i in nodes.items() if i == scrut)
-        components, what = ((as_tensor, "the let scrutinee") if type(at[path.rpartition(".")[0]]) is LetPair
+            if set.intersection(*({x for x, _ in s} for s in scopes[m])) - ext:
+                raise ValueError(f"a premise leaves {m.name} under a binder in scope at each of"
+                                 " its occurrences")
+    # the scrutinees whose types the premises name: the first premise that
+    # names a type gives its scrutinee and the binders it is read under
+    names, typed = {}, []
+    for ab, a, b, key in SCRUTINEES:
+        if not _metas(tuple(premises)) & {ab, a, b} - where.keys():
+            continue
+        scrut, ext = next((p.shape[1], p.ext) for p in premises if ab in _metas(p.shape))
+        binder = next(x for p in premises for x, t in p.ext if t == a)
+        components, what = ((as_tensor, "the let scrutinee") if binds[binder] is LetPair
                             else (as_sum, "the case scrutinee"))
-        where.update({AB: len(nodes), A: len(nodes) + 1, B: len(nodes) + 2})
+        extra = eval(f"lambda n: {_source(ext, where, names) or '()'}", names)
+        typed.append((where[scrut], extra, key, components, what))
+        where.update({ab: len(nodes) + 3 * len(typed) - 3, a: len(nodes) + 3 * len(typed) - 2,
+                      b: len(nodes) + 3 * len(typed) - 1})
     # the reading's instance, built from the nodes in one step, as the type
     # checker applies the formation rules at each node it checks
     instance = Instantiation(tuple(premises), tuple(zones))
-    names = {"instance": instance}
+    names["instance"] = instance
     make = eval(f"lambda n, args, synth: {_source(instance, where, names) or 'instance'}", names)
     if side:
         fn, p, q = side
@@ -446,17 +473,20 @@ def _reading(pats, sides, premises, zones, side):
     build = make
     if scoped or bound or side or typed:
         def build(nodes, args, synth):
-            for here, node, there, first in scoped:
-                if not abstraction_eq([nodes[i] for i in here], nodes[node],
-                                      [nodes[i] for i in there], nodes[first]):
+            for here, scope, first, there, common in scoped:
+                under, hidden = _in_scope(nodes, scope, common)
+                under2, hidden2 = _in_scope(nodes, there, common)
+                node, node2 = nodes[here], nodes[first]
+                if (hidden and free_vars(node) & hidden or hidden2 and free_vars(node2) & hidden2
+                        or common and not abstraction_eq(under, node, under2, node2)):
                     return None
             for here, binder, inner in bound:
                 if nodes[here] != nodes[binder] or any(nodes[here] == nodes[i] for i in inner):
                     return None
             if side and side[0](nodes[side[1]]) != nodes[side[2]]:
                 return None
-            if typed:
-                ab = scrut_type(nodes[scrut], args, synth)
+            for scrut, extra, key, components, what in typed:
+                ab = scrut_type(nodes[scrut], args, synth, extra(nodes), key)
                 nodes += (ab, *components(ab, what))
             return make(nodes, args, synth)
     return tuple(steps), build, len(steps) if type_at is None else type_at
@@ -614,7 +644,8 @@ def freshen_binder(x, body, avoid):
 def _align_let(l: LetPair, r: LetPair, avoid):
     """Rename both lets to shared fresh binders; returns (x, y, bodyL, bodyR)."""
     avoid = set(avoid) | free_vars(l) | free_vars(r) | bound_names(l) | bound_names(r)
-    x, y = fresh_pair(l.x, l.y, avoid)
+    x = fresh(l.x, avoid)
+    y = fresh(l.y, avoid | {x})
     bl = subst_many(l.body, {l.x: Var(x), l.y: Var(y)})
     br = subst_many(r.body, {r.x: Var(x), r.y: Var(y)})
     return x, y, bl, br
@@ -787,176 +818,35 @@ pattern_rule("eta-plus", (M, Case(M, X, Inl(Var(X)), Y, Inr(Var(Y))), TSum(A, B)
 # ---- commuting conversions
 
 
-@rule("let-commute")
-def _let_commute(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, LetPair) and isinstance(l.body, LetPair),
-        "left side must be `let x*y = M in let t*u = N in P`",
-    )
-    inner = l.body
-    m, n, p = l.pair, inner.pair, inner.body
-    ab = scrut_type(m, args, synth)
-    a, b = as_tensor(ab, "the outer scrutinee")
-    cd = scrut_type(n, args, synth, extra=((l.x, a), (l.y, b)), key="ty2")
-    c, d = as_tensor(cd, "the inner scrutinee")
-    expected = _mk_let(inner.x, inner.y, _mk_let(l.x, l.y, m, n), p)
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, ab),
-                p_ty("D", n, cd, ext=((l.x, a), (l.y, b))),
-                p_ty("T", p, goal.ty, ext=((inner.x, c), (inner.y, d))),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
-
-
-def _mk_let(x, y, pair, body):
-    """LetPair that freshens binders against the scrutinee's free variables."""
-    clash = free_vars(pair) & {x, y}
-    if clash:
-        avoid = free_vars(pair) | free_vars(body) | bound_names(body) | {x, y}
-        x2, y2 = fresh_pair(x, y, avoid)
-        body = subst_many(body, {x: Var(x2), y: Var(y2)})
-        x, y = x2, y2
-    return LetPair(x, y, pair, body)
-
-
-def _mk_case(scrut, x, left, y, right):
-    clash = free_vars(scrut) & {x, y}
-    if clash:
-        avoid = free_vars(scrut) | free_vars(left) | free_vars(right) | bound_names(left) | bound_names(right) | {x, y}
-        x2 = fresh(x, avoid)
-        y2 = fresh(y, avoid | {x2})
-        left = subst(left, x, Var(x2))
-        right = subst(right, y, Var(y2))
-        x, y = x2, y2
-    return Case(scrut, x, left, y, right)
-
-
-@rule("let-case")
-def _let_case(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, LetPair) and isinstance(l.pair, Case),
-        "left side must be `let z*t = case M of ... in Q`",
-    )
-    cs = l.pair
-    m, n, p, q = cs.scrut, cs.left, cs.right, l.body
-    ab = scrut_type(m, args, synth)
-    a, b = as_sum(ab, "the case scrutinee")
-    cd = scrut_type(n, args, synth, extra=((cs.x, a),), key="ty2")
-    c, d = as_tensor(cd, "the case branches")
-    expected = _mk_case(
-        m, cs.x, _mk_let(l.x, l.y, n, q), cs.y, _mk_let(l.x, l.y, p, q)
-    )
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, ab),
-                p_ty("D", n, cd, ext=((cs.x, a),)),
-                p_ty("D", p, cd, ext=((cs.y, b),)),
-                p_ty("T", q, goal.ty, ext=((l.x, c), (l.y, d))),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
-
-
-@rule("let-tensor")
-def _let_tensor(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, Pair) and isinstance(l.left, LetPair),
-        "left side must be `(let x*y = M in N) * P`",
-    )
-    lt, p = l.left, l.right
-    c, d = as_tensor(goal.ty, "the conclusion")
-    ab = scrut_type(lt.pair, args, synth)
-    a, b = as_tensor(ab, "the let scrutinee")
-    expected = _mk_let(lt.x, lt.y, lt.pair, Pair(lt.body, p))
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst(
-            [
-                p_ty("G", lt.pair, ab),
-                p_ty("D", lt.body, c, ext=((lt.x, a), (lt.y, b))),
-                p_ty("T", p, d),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
-
-
-@rule("case-commute")
-def _case_commute(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, Case) and isinstance(l.left, Case) and isinstance(l.right, Case),
-        "left side must be a case of cases",
-    )
-    m = l.scrut
-    inl_case, inr_case = l.left, l.right
-    n, p = inl_case.scrut, inr_case.scrut
-    q, r = inl_case.left, inl_case.right
-    need(
-        abstraction_eq([inr_case.x], inr_case.left, [inl_case.x], q)
-        and abstraction_eq([inr_case.y], inr_case.right, [inl_case.y], r),
-        "the two inner cases must share their branches",
-    )
-    ab = scrut_type(m, args, synth)
-    a, b = as_sum(ab, "the outer scrutinee")
-    cd = scrut_type(n, args, synth, extra=((l.x, a),), key="ty2")
-    c, d = as_sum(cd, "the inner scrutinee")
-    expected = _mk_case(_mk_case(m, l.x, n, l.y, p), inl_case.x, q, inl_case.y, r)
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, ab),
-                p_ty("D", n, cd, ext=((l.x, a),)),
-                p_ty("D", p, cd, ext=((l.y, b),)),
-                p_ty("T", q, goal.ty, ext=((inl_case.x, c),)),
-                p_ty("T", r, goal.ty, ext=((inl_case.y, d),)),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
-
-
-@rule("case-tensor")
-def _case_tensor(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, Pair) and isinstance(l.left, Case),
-        "left side must be `(case Q of ...) * P`",
-    )
-    cs, p = l.left, l.right
-    c, d = as_tensor(goal.ty, "the conclusion")
-    ab = scrut_type(cs.scrut, args, synth)
-    a, b = as_sum(ab, "the case scrutinee")
-    expected = _mk_case(cs.scrut, cs.x, Pair(cs.left, p), cs.y, Pair(cs.right, p))
-    alpha2(goal.rhs, expected, "right side")
-    return [
-        inst(
-            [
-                p_ty("G", cs.scrut, ab),
-                p_ty("D", cs.left, c, ext=((cs.x, a),)),
-                p_ty("D", cs.right, c, ext=((cs.y, b),)),
-                p_ty("T", p, d),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
+# the bodies the commuting conversions move keep their meaning: the pattern
+# engine refuses one that names a binder in scope at only one of its places
+pattern_rule("let-commute", (LetPair(X, Y, M, LetPair(X2, Y2, N, R)), LetPair(X2, Y2, LetPair(X, Y, M, N), R), C),
+             [p_ty("G", M, AB), p_ty("D", N, AB2, ext=((X, A), (Y, B))), p_ty("T", R, C, ext=((X2, A2), (Y2, B2)))],
+             "conclusion must be `let x * y = M in let z * t = N in P = let z * t = (let x * y = M in N) in P`",
+             TermEq, zones=("G", "D", "T"))
+pattern_rule("let-case", (LetPair(X2, Y2, Case(M, X, N, Y, N2), R),
+                          Case(M, X, LetPair(X2, Y2, N, R), Y, LetPair(X2, Y2, N2, R)), C),
+             [p_ty("G", M, AB), p_ty("D", N, AB2, ext=((X, A),)), p_ty("D", N2, AB2, ext=((Y, B),)),
+              p_ty("T", R, C, ext=((X2, A2), (Y2, B2)))],
+             "conclusion must be `let z * t = (case M of inl x -> N | inr y -> N') in P"
+             " = case M of inl x -> let z * t = N in P | inr y -> let z * t = N' in P`",
+             TermEq, zones=("G", "D", "T"))
+pattern_rule("let-tensor", (Pair(LetPair(X, Y, M, N), R), LetPair(X, Y, M, Pair(N, R)), TTensor(C, D)),
+             [p_ty("G", M, AB), p_ty("D", N, C, ext=((X, A), (Y, B))), p_ty("T", R, D)],
+             "conclusion must be `(let x * y = M in N) * P = let x * y = M in N * P`", TermEq,
+             zones=("G", "D", "T"), type_message="the conclusion must have a tensor type, got {}")
+pattern_rule("case-commute", (Case(M, X, Case(N, X2, R, Y2, R2), Y, Case(N2, X2, R, Y2, R2)),
+                              Case(Case(M, X, N, Y, N2), X2, R, Y2, R2), C),
+             [p_ty("G", M, AB), p_ty("D", N, AB2, ext=((X, A),)), p_ty("D", N2, AB2, ext=((Y, B),)),
+              p_ty("T", R, C, ext=((X2, A2),)), p_ty("T", R2, C, ext=((Y2, B2),))],
+             "conclusion must be `case M of inl x -> (case N of inl z -> P | inr t -> Q) | inr y -> (case N'"
+             " of inl z -> P | inr t -> Q) = case (case M of inl x -> N | inr y -> N') of inl z -> P | inr t -> Q`",
+             TermEq, zones=("G", "D", "T"))
+pattern_rule("case-tensor", (Pair(Case(M, X, N, Y, N2), R), Case(M, X, Pair(N, R), Y, Pair(N2, R)), TTensor(C, D)),
+             [p_ty("G", M, AB), p_ty("D", N, C, ext=((X, A),)), p_ty("D", N2, C, ext=((Y, B),)), p_ty("T", R, D)],
+             "conclusion must be `(case M of inl x -> N | inr y -> N') * P = case M of inl x -> N * P"
+             " | inr y -> N' * P`", TermEq, zones=("G", "D", "T"),
+             type_message="the conclusion must have a tensor type, got {}")
 
 
 # ---- measurement equations
@@ -1039,43 +929,27 @@ def _measure_plus(goal, args, synth):
 def _measure_case(goal, args, synth):
     need(isinstance(goal, TermEq) and isinstance(goal.lhs, Measure), "left side must be a measure")
     bs = goal.lhs.branches
-    need(
-        all(isinstance(phi, CaseEff) for phi, _ in bs),
-        "every branch effect must be a case effect",
-    )
-    first = bs[0][0]
-    m, x, y = first.scrut, first.x, first.y
-    phis, psis = [], []
-    for phi, _ in bs:
-        need(phi.scrut == m, "branch effects must share one scrutinee")
-        # realigning a branch binder to x/y is only alpha when no conflation
-        need(
-            phi.x == x or x not in free_vars(phi.left),
-            f"branch binder {phi.x} cannot be aligned to {x}",
-        )
-        need(
-            phi.y == y or y not in free_vars(phi.right),
-            f"branch binder {phi.y} cannot be aligned to {y}",
-        )
-        phis.append(subst(phi.left, phi.x, Var(x)) if phi.x != x else phi.left)
-        psis.append(subst(phi.right, phi.y, Var(y)) if phi.y != y else phi.right)
+    need(all(isinstance(phi, CaseEff) for phi, _ in bs), "every branch effect must be a case effect")
+    m = bs[0][0].scrut
+    need(all(phi.scrut == m for phi, _ in bs), "branch effects must share one scrutinee")
+    r = goal.rhs
+    need(isinstance(r, Case) and r.scrut == m and isinstance(r.left, Measure) and isinstance(r.right, Measure)
+         and len(r.left.branches) == len(r.right.branches) == len(bs),
+         "right side must be a case on the shared scrutinee of a measure in each branch")
+    for (phi, t), (left, tl), (right, tr) in zip(bs, r.left.branches, r.right.branches):
+        need(abstraction_eq([r.x], left, [phi.x], phi.left) and abstraction_eq([r.y], right, [phi.y], phi.right)
+             and tl == t and tr == t, "right side must split each branch effect with its term")
+        # the branch terms move under the case binders
+        need(not free_vars(t) & {r.x, r.y},
+             lambda t=t: f"a case binder of the right side would capture a variable of {print_term(t)}")
     ab = scrut_type(m, args, synth)
     a, b = as_sum(ab, "the shared scrutinee")
-    terms = [t for _, t in bs]
-    expected = _mk_case(
-        m,
-        x,
-        Measure(tuple(zip(phis, terms))),
-        y,
-        Measure(tuple(zip(psis, terms))),
-    )
-    alpha2(goal.rhs, expected, "right side")
     prem = [
-        p_leq("G", one(), ovee_all(phis), ext=((x, a),)),
-        p_leq("G", one(), ovee_all(psis), ext=((y, b),)),
+        p_leq("G", one(), ovee_all([phi for phi, _ in r.left.branches]), ext=((r.x, a),)),
+        p_leq("G", one(), ovee_all([psi for psi, _ in r.right.branches]), ext=((r.y, b),)),
         p_ty("D", m, ab),
     ]
-    prem += [p_ty("T", t, goal.ty) for t in terms]
+    prem += [p_ty("T", t, goal.ty) for _, t in bs]
     return [inst(prem, ["G", "D", "T"])]
 
 
@@ -1247,6 +1121,8 @@ def _eta_plus_eff(goal, args, synth):
             continue
         if rhs.right != subst(phi, z, Inr(Var(rhs.y))):
             continue
+        if free_vars(phi) - {z} & {rhs.x, rhs.y}:
+            continue  # a case binder would capture a variable of phi
         out.append(
             inst(
                 [p_eff("G", phi, ext=((z, zty),))],

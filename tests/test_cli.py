@@ -334,3 +334,44 @@ CLASHING_BINDER = (
 def test_premise_binder_clashing_with_its_zone(text):
     code, out = check_in_process(text, "--verify", "all")
     assert code == 0 and "quantum=true" in out, out
+
+
+def test_python_m_qpel_runs_the_command_line():
+    out = subprocess.run([sys.executable, "-m", "qpel", "check", "corpus/intro.qpel"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "[ok  ]" in out.stdout
+
+
+# False lemmas that a rule once proved by moving a subterm under a binder, or
+# out from under one, that captures its variable x (or a, for measure-case)
+CAPTURES = {
+    "let-tensor": "(p : (I + I) * (I + I), x : I + I) : (let x * y = p in y) * x = let x * y = p in y * x"
+                  " : (I + I) * (I + I) by { let-tensor }",
+    "case-tensor": "(s : (I + I) + (I + I), x : I + I) : (case s of inl x -> unit | inr y -> unit) * x"
+                   " = case s of inl x -> unit * x | inr y -> unit * x : I * (I + I) by { case-tensor }",
+    "let-commute": "(p : (I + I) * (I + I), q : I * I, x : I + I) : let x * y = p in let t * u = q in x"
+                   " = let t * u = let x * y = p in q in x : I + I by { let-commute }",
+    "let-case": "(s : (I + I) + (I + I), w : I, x : I + I) : let z * t = case s of inl x -> unit * w"
+                " | inr y -> unit * w in x = case s of inl x -> let z * t = unit * w in x"
+                " | inr y -> let z * t = unit * w in x : I + I by { let-case }",
+    "case-commute": "(s : (I + I) + (I + I), x : I + I) : case s of inl x -> case (inl unit : I + I) of"
+                    " inl z -> x | inr t -> x | inr y -> case (inl unit : I + I) of inl z -> x | inr t -> x"
+                    " = case (case s of inl x -> (inl unit : I + I) | inr y -> (inl unit : I + I) : I + I)"
+                    " of inl z -> x | inr t -> x : I + I by { case-commute[ty = (I + I) + (I + I), ty2 = I + I] }",
+    "measure-case": "(s : (I + I) + (I + I), a : I + I) : measure { caseE s of inl a -> bot(0)"
+                    " | inr b -> bot(0) -> a } = case s of inl a -> measure { bot(0) -> a }"
+                    " | inr b -> measure { bot(0) -> a } : I + I requires { leq-trans[via = caseE s of"
+                    " inl a -> bot(0) | inr b -> bot(0)](eta-plus-eff; leq-ref); auto; auto } by { measure-case }",
+    "eta-plus-eff": "(z : (I + I) + (I + I), x : I + I) : caseE x of inl a -> bot(0) | inr b -> 0"
+                    " <= caseE z of inl x -> (caseE x of inl a -> bot(0) | inr b -> 0)"
+                    " | inr y -> (caseE x of inl a -> bot(0) | inr b -> 0) by { eta-plus-eff }",
+}
+
+
+@pytest.mark.parametrize("rule", [*CAPTURES, "auto"])
+def test_a_binder_that_would_capture_is_refused(rule):
+    text = CAPTURES.get(rule, CAPTURES["eta-plus-eff"].replace("{ eta-plus-eff }", "{ auto }"))
+    code, out = check_in_process(f"lemma probe {text}\n")
+    assert code == 4, out
+    assert f"[FAIL] lemma probe: typechecked -- {rule}: " in out, out

@@ -342,17 +342,17 @@ FIXED_SHAPE_MESSAGES = [
      "conclusion must exchange X Z with Z X under a projection"),
     ("let", _formation("0"), "conclusion is not a typing"),
     ("let", _typing("x", TQbit()), "conclusion is not a let typing"),
-    ("let", _typing("let a * b = x in a", TQbit()), "the let scrutinee must have a tensor type, got TQbit()"),
+    ("let", _typing("let a * b = x in a", TQbit()), "the let scrutinee must have a tensor type, got qbit"),
     ("let", _typing("let a * b = inl x in a", TQbit()),
-     "cannot infer the type of Inl(arg=Var(name='x')); supply the 'ty' argument"),
+     "cannot infer the type of inl x; supply the 'ty' argument"),
     ("case", _formation("0"), "conclusion is not a typing"),
     ("case", _typing("x", TQbit()), "conclusion is not a case typing"),
     ("case", _typing("case x * y of inl a -> a | inr b -> b", TQbit()),
-     "the case scrutinee must have a sum type, got TTensor(left=TQbit(), right=TQbit())"),
+     "the case scrutinee must have a sum type, got qbit * qbit"),
     ("eff-case", _typing("x", TQbit()), "conclusion is not an effect formation"),
     ("eff-case", _formation("0"), "conclusion is not a case formation"),
     ("eff-case", _formation("caseE x of inl a -> 0 | inr b -> 0"),
-     "the case scrutinee must have a sum type, got TQbit()"),
+     "the case scrutinee must have a sum type, got qbit"),
     ("eta-unit", _formation("0"), "conclusion is not a term equality"),
     ("eta-unit", _equation("x", "unit"), "conclusion must equate a unit-typed term with `unit`"),
     ("eta-unit", _equation("x", "x", TUnit()), "conclusion must equate a unit-typed term with `unit`"),
@@ -367,6 +367,24 @@ FIXED_SHAPE_MESSAGES = [
     ("eta-plus", _equation("inl x", "case inr x of inl a -> inl a | inr b -> inr b", SUM), ETA_PLUS),
     ("eta-plus", _equation("inl x", "case inl x of inl a -> inl a | inr b -> inr b"),
      "needs a sum-typed equality, got qbit"),
+    # the commuting conversions, each at a goal where the x that moves across
+    # a binder x would change its meaning
+    ("let-tensor", _equation("(let x * b = y in b) * x", "let x * b = y in b * x", QUBITS),
+     "conclusion must be `(let x * y = M in N) * P = let x * y = M in N * P`"),
+    ("case-tensor", _equation("(case y of inl x -> unit | inr b -> unit) * x",
+                              "case y of inl x -> unit * x | inr b -> unit * x", TTensor(TUnit(), TQbit())),
+     "conclusion must be `(case M of inl x -> N | inr y -> N') * P = case M of inl x -> N * P | inr y -> N' * P`"),
+    ("let-commute", _equation("let x * b = y in let c * d = y in x", "let c * d = let x * b = y in y in x"),
+     "conclusion must be `let x * y = M in let z * t = N in P = let z * t = (let x * y = M in N) in P`"),
+    ("let-case", _equation("let c * d = case y of inl x -> x * x | inr b -> b * b in x",
+                           "case y of inl x -> let c * d = x * x in x | inr b -> let c * d = b * b in x"),
+     "conclusion must be `let z * t = (case M of inl x -> N | inr y -> N') in P"
+     " = case M of inl x -> let z * t = N in P | inr y -> let z * t = N' in P`"),
+    ("case-commute", _equation("case y of inl x -> case x of inl c -> x | inr d -> x"
+                               " | inr b -> case b of inl c -> x | inr d -> x",
+                               "case (case y of inl x -> x | inr b -> b) of inl c -> x | inr d -> x"),
+     "conclusion must be `case M of inl x -> (case N of inl z -> P | inr t -> Q) | inr y -> (case N' of"
+     " inl z -> P | inr t -> Q) = case (case M of inl x -> N | inr y -> N') of inl z -> P | inr t -> Q`"),
 ]
 
 

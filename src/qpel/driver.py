@@ -154,7 +154,7 @@ def _verify_lemma(checked, backends, report: DeclReport):
     """Verify each (judgement, component derivations) pair in each backend."""
     for backend in backends:
         backend_name = backend.name
-        applicable = all(backend_applicable(backend, j) for j, _ in checked)
+        applicable = all(backend_applicable(backend, j, ds) for j, ds in checked)
         if not applicable:
             report.backends[backend_name] = "skipped"
             continue
@@ -264,7 +264,7 @@ def _process_check(decl: CheckDecl, terms, backends) -> DeclReport:
         rep.status, rep.message = "type-error", derivation
         return rep
     for backend in backends:
-        if not backend_applicable(backend, derivation.judgement):
+        if not backend_applicable(backend, derivation.judgement, (derivation,)):
             rep.backends[backend.name] = "skipped"
             continue
         rep.backends[backend.name] = render_state(backend.name, evaluate(backend, derivation))
@@ -287,7 +287,7 @@ def eval_decl(sf: SourceFile, name: str, backend_name: str, *, depth=6):
             if len(decl.ctx):
                 raise QpelTypeError(f"declaration {name} is not closed")
             d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-            if not backend_applicable(backend, d.judgement):
+            if not backend_applicable(backend, d.judgement, (d,)):
                 raise QpelTypeError(f"the {backend_name} backend cannot interpret {name}")
             return evaluate(backend, d), decl.ty
     raise QpelTypeError(f"no term declaration named {name!r}")

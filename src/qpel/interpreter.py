@@ -492,9 +492,17 @@ def judgement_features(j: Judgement) -> frozenset:
     return frozenset(acc)
 
 
-def backend_applicable(backend: Backend, j: Judgement) -> bool:
+def _reads_qbit(d) -> bool:
+    """Whether a typing derivation reads a scrutinee type with a qubit in
+    it, which an ascription erased from its judgement may have chosen."""
+    return _type_has_qbit(d.args.get("ty")) or any(map(_reads_qbit, d.children + d.formations))
+
+
+def backend_applicable(backend: Backend, j: Judgement, derivations=()) -> bool:
+    """Whether the backend can interpret j, whose components have the
+    typing derivations given, if any."""
     feats = judgement_features(j)
-    if "qbit" in feats and not backend.has_qbit:
+    if not backend.has_qbit and ("qbit" in feats or any(map(_reads_qbit, derivations))):
         return False
     if "literal" in feats and backend.name == "set":
         return False

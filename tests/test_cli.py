@@ -375,3 +375,15 @@ def test_a_binder_that_would_capture_is_refused(rule):
     code, out = check_in_process(f"lemma probe {text}\n")
     assert code == 4, out
     assert f"[FAIL] lemma probe: typechecked -- {rule}: " in out, out
+
+
+def test_a_qubit_only_an_ascription_names_is_not_verified_where_there_are_none():
+    # the ascription, which the checker erases, alone says the scrutinee's
+    # type has a qubit; the set and stochastic backends have none
+    text = ("lemma p () : case (inr unit : qbit + I) of inl x -> unit | inr y -> y = unit : I\n"
+            "  by { beta-plus-2[ty = qbit + I] }\n\n"
+            "term t () : I = case (inr unit : qbit + I) of inl x -> unit | inr y -> y\n\ncheck t\n")
+    code, out = check_in_process(text, "--verify", "all")
+    assert code == 0, out
+    assert "lemma p: backend-verified (quantum=true, set=skipped, stochastic=skipped)" in out
+    assert "check t: evaluated (quantum=block 0: [[1]], set=skipped, stochastic=skipped)" in out

@@ -17,20 +17,24 @@ matches, which builds each reading's premises in one step, and from whose
 inequality conclusions the search reads their heads.  They are the formation
 rules unit, tensor, let, inl, inr, case and eff-0 through eff-case, ref, sym
 and leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the eta rules
-eta-tensor, eta-unit and eta-plus, the inequality rules zero-leq through
-comm, case-cong, case-ovee, case-bot and case-times, and the whole qubit
-pack.  Their metavariables stand for effects, terms, types, projection
-angles and binder names, and a side condition relates the angles of
-qbit-x-proj and qbit-z-proj.  A premise binds the conclusion's binders as
-they are named there; `Premise.to_judgement` is the one place that renames
-them, away from the names of the premise's zone.  The other rules are code,
-since no pattern says what they do: var, exch and eta-plus-eff read the
-context; case-leq relates a case effect to an effect outside its binders,
-whose free variables a renamed premise binder would rename too; case-mono,
-let-eq and case-eq rename the binders of their two sides to shared fresh
-names; the measure rules range over branches; the beta and commuting
-conversions substitute; trans and leq-trans take a `via`, measure-perm a
-`perm` and beta-iso its redex.  The search rules among the code rules
+eta-tensor, eta-unit and eta-plus, the commuting conversions let-commute,
+let-case, let-tensor, case-commute and case-tensor, the inequality rules
+zero-leq through comm, case-cong, case-ovee, case-bot and case-times, and
+the whole qubit pack: 58 of the 80.  Their metavariables stand for
+effects, terms, types, projection angles and binder names, and a side
+condition relates the angles of qbit-x-proj and qbit-z-proj.  A
+metavariable that occurs again matches what it matched first up to the
+binders in scope at both places, and names no binder in scope at only one
+of them, so no pattern rule captures a variable.  A premise binds the
+conclusion's binders as they are named there; `Premise.to_judgement` is the
+one place that renames them, away from the names of the premise's zone.
+The other rules are code, since no pattern says what they do: var, exch and
+eta-plus-eff read the context; case-leq relates a case effect to an effect
+outside its binders, whose free variables a renamed premise binder would
+rename too; case-mono, let-eq and case-eq rename the binders of their two
+sides to shared fresh names; the measure rules range over branches; the
+beta conversions substitute; trans and leq-trans take a `via`, measure-perm
+a `perm` and beta-iso its redex.  The search rules among the code rules
 declare their heads.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
@@ -431,13 +435,13 @@ def _reading(pats, sides, premises, zones, side):
             elif p.cls is str:
                 binds.setdefault(p, type(at[parent]))
                 first = 0
-            elif first != here and (binders or scopes[p][0]):
+            elif first == here:
+                first = 0
+            elif binders or scopes[p][0]:
                 there = scopes[p][0]
                 common = tuple(dict.fromkeys(m for m, _ in there if m in dict(binders)))
                 scoped.append((here, binders, first, there, common))
                 first = 0 if common else first
-            elif first == here:
-                first = 0
             steps.append((nodes[parent], field, p.cls, first))
     for p in premises:
         ext = {x for x, _ in p.ext}
@@ -459,9 +463,9 @@ def _reading(pats, sides, premises, zones, side):
         components, what = ((as_tensor, "the let scrutinee") if binds[binder] is LetPair
                             else (as_sum, "the case scrutinee"))
         extra = eval(f"lambda n: {_source(ext, where, names) or '()'}", names)
+        i = len(nodes) + 3 * len(typed)
         typed.append((where[scrut], extra, key, components, what))
-        where.update({ab: len(nodes) + 3 * len(typed) - 3, a: len(nodes) + 3 * len(typed) - 2,
-                      b: len(nodes) + 3 * len(typed) - 1})
+        where.update({ab: i, a: i + 1, b: i + 2})
     # the reading's instance, built from the nodes in one step, as the type
     # checker applies the formation rules at each node it checks
     instance = Instantiation(tuple(premises), tuple(zones))

@@ -24,8 +24,11 @@ from qpel.rules import (
     A,
     AB,
     B,
+    C,
     CHI,
     M,
+    M2,
+    N,
     PHI as PHI_,
     PSI,
     X,
@@ -40,9 +43,11 @@ from qpel.syntax import (
     Context,
     EffForm,
     EffLeq,
+    LetPair,
     Measure,
     Orth,
     OSum,
+    Pair,
     ScalarLit,
     Star,
     TermEq,
@@ -496,3 +501,14 @@ def test_a_premise_binds_only_over_what_the_conclusion_binds():
     assert premise.low != premise.high
     with pytest.raises(DerivationError):
         check_script(premise, ScriptNode("leq-ref"), env())
+
+
+def test_a_premise_binds_each_binder_in_scope_wherever_its_syntax_occurs():
+    """A metavariable under the same binder at each of its occurrences may
+    name that binder, which a premise over it must then bind, or the name
+    would be free there: registering such a rule raises."""
+    with pytest.raises(ValueError, match="leaves n under a binder"):
+        pattern_rule("let-tensor-unbound", (Pair(LetPair(X, Y, M, N), M2), LetPair(X, Y, M, Pair(N, M2)), C),
+                     [p_ty("G", M, AB), p_ty("D", N, C), p_ty("T", M2, C)], "no message", TermEq,
+                     zones=("G", "D", "T"))
+    assert "let-tensor-unbound" not in SCHEMAS

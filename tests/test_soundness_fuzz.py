@@ -6,7 +6,6 @@ not enumerate: random contexts, nested subterms, and searched inequalities.
 """
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 

@@ -78,6 +78,7 @@ from qpel.syntax import (
     nameless,
     one,
     subst,
+    subst_many,
 )
 from qpel.typecheck import (
     ObligationError,
@@ -841,6 +842,79 @@ def test_commuting_conversion_premises_match_the_golden(monkeypatch):
     records = _premise_records(COMMUTING_RULES, cases, typed=("ty", "ty2"))
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
     assert (len(records), digest) == (COMMUTING_COUNT, COMMUTING_SHA256)
+
+
+# the beta conversions, and the sha256 and count of their `_premise_records`,
+# taken from their hand-written matchers
+BETA_RULES = ("beta-tensor", "beta-plus-1", "beta-plus-2", "beta-plus-1-eff", "beta-plus-2-eff")
+BETA_SHA256 = "b5842fc9f9282b9a35d46a6cd2560c05e145aec77b5435026d2f7bd5d50f233e"
+BETA_COUNT = 94845
+
+
+def _beta_goals(rng, count):
+    """`count` seeded near-instances of each beta conversion: a let over a
+    pair, and a case and a caseE over inl and over inr, whose other side is
+    the reduct, the body unreduced or another term, an inequality in both
+    directions, each with no `ty` argument and with a tensor, a sum and
+    qbit.  The injected or paired terms are context variables, ascribed or
+    not, random terms or an unbound name, and the binders reuse the names
+    of the context or not."""
+    qbit, unit = TQbit(), TUnit()
+    pick = rng.choice
+    types = [TSum(qbit, unit), TSum(unit, unit), TTensor(qbit, qbit), TTensor(unit, qbit), qbit, unit]
+    goals = []
+    for _ in range(count):
+        g = Context(tuple((n, pick(types)) for n in rng.sample(NAMES, rng.randrange(1, 5))))
+        names = g.names()
+        v = pick(names)
+        m, n = (pick([Var(v), Ascribe(Var(v), g.lookup(v)), Var(pick(names)), raw_term(rng, 1), Var("z")])
+                for _ in range(2))
+
+        def body(*bound):
+            used = [Var(b) for b in bound + (pick(names),)]
+            return pick([*used, Pair(pick(used), pick(used)), raw_term(rng, 1), PauliX(pick(used))])
+
+        def effect(*bound):
+            used = [Var(b) for b in bound + (pick(names),)]
+            return pick([ProjPlus(pick(used), pick(ANGLES)), Orth(ProjPlus(body(*bound), Fraction(1))),
+                         SMul(ProjPlus(pick(used), Fraction(0)), one()), raw_effect(rng, 1), Zero()])
+
+        def other(reduct, body, another):
+            return pick([reduct, reduct, body, another])
+
+        # a let's two binders differ; a case's two may share a name
+        x, y = rng.sample(names + ["p", "q"], 2)
+        y2 = pick([y, x])
+        r = body(x, y)
+        goals.append(TermEq(g, LetPair(x, y, Pair(m, n), r), other(subst_many(r, {x: m, y: n}), r, body()),
+                            pick(types)))
+        left, right = body(x), body(y2)
+        phi, psi = effect(x), effect(y2)
+        for inj, binder, branch, eff in ((Inl, x, left, phi), (Inr, y2, right, psi)):
+            goals.append(TermEq(g, Case(inj(m), x, left, y2, right),
+                                other(subst(branch, binder, m), branch, body()), pick(types)))
+            lhs = CaseEff(inj(m), x, phi, y2, psi)
+            rhs = other(subst(eff, binder, m), eff, effect())
+            goals += [EffLeq(g, lhs, rhs), EffLeq(g, rhs, lhs)]
+    args = [{}, {"ty": TTensor(qbit, unit)}, {"ty": TSum(unit, qbit)}, {"ty": qbit}]
+    return [(goal, a) for goal in goals for a in args]
+
+
+def test_beta_conversion_premises_match_the_golden(monkeypatch):
+    """Each beta conversion gives the instances, or the mismatch, that its
+    hand-written matcher gave, with the same zones and premise judgements up
+    to the names of their binders: at every goal a schema meets while the
+    corpus is checked, at the rule-instance corpus and its mutants with
+    their scripts' arguments, at 500 random goals of each judgement form and
+    at 500 near-instances of each rule in four variants of `ty`."""
+    cases = [(goal, {}) for goal in sorted(_corpus_match_goals(monkeypatch), key=_goal_key)]
+    cases += [(_erased(j), item.script.args) for item in all_items() if item.rule in BETA_RULES
+              for j in (item.judgement, item.mutant)]
+    cases += [(goal, {}) for goal in _random_goals(random.Random(11), 500)]
+    cases += _beta_goals(random.Random(14), 500)
+    records = _premise_records(BETA_RULES, cases)
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert (len(records), digest) == (BETA_COUNT, BETA_SHA256)
 
 
 def test_search_budget_ends_a_deep_search(monkeypatch):

@@ -16,26 +16,31 @@ judgement form, and premises over metavariables, which one interpreter
 matches, which builds each reading's premises in one step, and from whose
 inequality conclusions the search reads their heads.  They are the formation
 rules unit, tensor, let, inl, inr, case and eff-0 through eff-case, ref, sym
-and leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the eta rules
-eta-tensor, eta-unit and eta-plus, the commuting conversions let-commute,
-let-case, let-tensor, case-commute and case-tensor, the inequality rules
-zero-leq through comm, case-cong, case-ovee, case-bot and case-times, and
-the whole qubit pack: 58 of the 80.  Their metavariables stand for
-effects, terms, types, projection angles and binder names, and a side
-condition relates the angles of qbit-x-proj and qbit-z-proj.  A
-metavariable that occurs again matches what it matched first up to the
-binders in scope at both places, and names no binder in scope at only one
-of them, so no pattern rule captures a variable.  A premise binds the
+and leq-ref, the congruences tensor-eq, inl-eq and inr-eq, the beta
+conversions beta-tensor, beta-plus-1, beta-plus-2, beta-plus-1-eff and
+beta-plus-2-eff, the eta rules eta-tensor, eta-unit and eta-plus, the
+commuting conversions let-commute, let-case, let-tensor, case-commute and
+case-tensor, the inequality rules zero-leq through comm, case-cong,
+case-ovee, case-bot and case-times, and the whole qubit pack: 63 of the 80.
+Their metavariables stand for effects, terms, types, projection angles and
+binder names.  A side condition (f, (P, ...), Q) demands that Q match f
+applied to what the Ps match, a binder metavariable giving its name: it
+relates the angles of qbit-x-proj and qbit-z-proj, and substitutes into the
+body of a beta conversion to give its reduct.  A metavariable that occurs
+again matches what it matched first up to the binders in scope at both
+places, and names no binder in scope at only one of them, so no pattern
+rule captures a variable.  A premise binds the
 conclusion's binders as they are named there; `Premise.to_judgement` is the
 one place that renames them, away from the names of the premise's zone.
-The other rules are code, since no pattern says what they do: var, exch and
-eta-plus-eff read the context; case-leq relates a case effect to an effect
-outside its binders, whose free variables a renamed premise binder would
-rename too; case-mono, let-eq and case-eq rename the binders of their two
-sides to shared fresh names; the measure rules range over branches; the
-beta conversions substitute; trans and leq-trans take a `via`, measure-perm
-a `perm` and beta-iso its redex.  The search rules among the code rules
-declare their heads.
+The other 17 rules are code, since no pattern says what they do: `var`,
+`exch` and `eta-plus-eff` read the context; `case-leq` relates a case
+effect to an effect outside its binders, whose free variables a renamed
+premise binder would rename too; `case-mono`, `let-eq` and `case-eq` rename
+the binders of their two sides to shared fresh names; the measure rules
+`measure`, `measure-eq`, `measure-perm`, `measure-0`, `measure-1`,
+`measure-plus` and `measure-case` range over branches; `trans` and
+`leq-trans` take a `via`, `measure-perm` a `perm` and `beta-iso` its redex.
+The search rules among the code rules declare their heads.
 
 Premise shapes use zone variables: a premise context is one zone plus bound
 extensions, and the conclusion context is the disjoint union of the listed
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-from .printer import print_term, print_type
+from .printer import print_effect, print_term, print_type
 from .syntax import (
     Case,
     CaseEff,
@@ -244,9 +249,16 @@ def as_tensor(t, what):
     return t.left, t.right
 
 
+def differs(what, want, got):
+    """The mismatch of a part of a conclusion that is not what a rule
+    expects there, printed as a term or an effect."""
+    show = print_effect if isinstance(want, Effect) else print_term
+    return RuleMismatch(lambda: f"{what}: expected {show(want)}, found {show(got)}")
+
+
 def alpha2(got, want, what):
     if got != want:
-        raise RuleMismatch(lambda: f"{what}: expected {print_term(want)}, found {print_term(got)}")
+        raise differs(what, want, got)
 
 
 def both_readings(goal: EffLeq):
@@ -313,6 +325,8 @@ SCRUTINEES = ((AB, A, B, "ty"), (AB2, A2, B2, "ty2"))
 # projection angles
 P, Q = Meta("p", Fraction), Meta("q", Fraction)
 
+# the sides of an equation or an inequality, as a side condition names them
+WHOLE_SIDES = {"lhs": "left side", "low": "left side", "rhs": "right side", "high": "right side"}
 # the judgement forms, as a goal of another form is told it is not one
 FORMS = {Typing: "a typing", TermEq: "a term equality", EffForm: "an effect formation",
          EffLeq: "an inequality"}
@@ -408,10 +422,12 @@ def _reading(pats, sides, premises, zones, side):
     must be bound by a binder in scope, and the side condition are checked
     by the builder instead, which then reads the type of each scrutinee a
     premise names but the conclusion does not, and gives None if a check
-    fails.  A premise must bind its `ext` over every metavariable of its
-    terms and effects where the conclusion first matches it, since
-    `Premise.to_judgement` renames a binder throughout them, and must bind
-    each binder in scope at all its occurrences, which it may name."""
+    fails, or the mismatch naming the side when the side condition fails
+    and its Q is a whole side of the goal.  A premise must bind its `ext`
+    over every metavariable of its terms and effects where the conclusion
+    first matches it, since `Premise.to_judgement` renames a binder
+    throughout them, and must bind each binder in scope at all its
+    occurrences, which it may name."""
     steps, nodes, at, where, scopes, scoped, bound, binds = [], {"": 0}, {}, {}, {}, [], [], {}
     type_at = None
     for name, pat in zip(sides, pats):
@@ -433,7 +449,7 @@ def _reading(pats, sides, premises, zones, side):
                 bound.append((here, binders[k][1], [i for _, i in binders[k + 1:]]))
                 first = 0
             elif p.cls is str:
-                binds.setdefault(p, type(at[parent]))
+                binds.setdefault(p, (parent, scope))
                 first = 0
             elif first == here:
                 first = 0
@@ -453,18 +469,25 @@ def _reading(pats, sides, premises, zones, side):
                 raise ValueError(f"a premise leaves {m.name} under a binder in scope at each of"
                                  " its occurrences")
     # the scrutinees whose types the premises name: the first premise that
-    # names a type gives its scrutinee and the binders it is read under
+    # names a type gives its scrutinee and the binders it is read under; if
+    # none does, the scrutinee is the one of the let or case whose binder A
+    # types, read under no binder
     names, typed = {}, []
     for ab, a, b, key in SCRUTINEES:
         if not _metas(tuple(premises)) & {ab, a, b} - where.keys():
             continue
-        scrut, ext = next((p.shape[1], p.ext) for p in premises if ab in _metas(p.shape))
         binder = next(x for p in premises for x, t in p.ext if t == a)
-        components, what = ((as_tensor, "the let scrutinee") if binds[binder] is LetPair
-                            else (as_sum, "the case scrutinee"))
+        parent, scope = binds[binder]
+        let = type(at[parent]) is LetPair
+        components, what = (as_tensor, "the let scrutinee") if let else (as_sum, "the case scrutinee")
+        scrut, ext = next(((where[p.shape[1]], p.ext) for p in premises if ab in _metas(p.shape)), (None, ()))
+        if scrut is None:
+            if scope:
+                raise ValueError(f"no premise types the scrutinee of {binder.name}, which is under a binder")
+            scrut = nodes[f"{parent}.{'pair' if let else 'scrut'}"]
         extra = eval(f"lambda n: {_source(ext, where, names) or '()'}", names)
         i = len(nodes) + 3 * len(typed)
-        typed.append((where[scrut], extra, key, components, what))
+        typed.append((scrut, extra, key, components, what))
         where.update({ab: i, a: i + 1, b: i + 2})
     # the reading's instance, built from the nodes in one step, as the type
     # checker applies the formation rules at each node it checks
@@ -472,8 +495,9 @@ def _reading(pats, sides, premises, zones, side):
     names["instance"] = instance
     make = eval(f"lambda n, args, synth: {_source(instance, where, names) or 'instance'}", names)
     if side:
-        fn, p, q = side
-        side = fn, where[p], where[q]
+        fn, ps, q = side
+        whole = WHOLE_SIDES.get(next(path for path, p in at.items() if p == q))
+        side = fn, tuple(where[p] for p in ps), where[q], whole
     build = make
     if scoped or bound or side or typed:
         def build(nodes, args, synth):
@@ -487,8 +511,11 @@ def _reading(pats, sides, premises, zones, side):
             for here, binder, inner in bound:
                 if nodes[here] != nodes[binder] or any(nodes[here] == nodes[i] for i in inner):
                     return None
-            if side and side[0](nodes[side[1]]) != nodes[side[2]]:
-                return None
+            if side:
+                fn, ps, q, whole = side
+                want = fn(*(nodes[i] for i in ps))
+                if want != nodes[q]:
+                    return whole and differs(whole, want, nodes[q])
             for scrut, extra, key, components, what in typed:
                 ab = scrut_type(nodes[scrut], args, synth, extra(nodes), key)
                 nodes += (ab, *components(ab, what))
@@ -510,10 +537,13 @@ def pattern_rule(name, conclusion, premises, message, form=EffLeq, pack="core", 
     """Register rule `name`, whose conclusion, a pattern for each field of a
     `form` goal after its context, is read against the goal as written and,
     for an inequality with `both`, with its sides swapped, after the `extra`
-    conclusions.  `side` is a condition on matched data: (f, P, Q) demands
-    that Q match f of what P matches.  A goal of another form is told so; a
+    conclusions.  `side` is a condition on matched data: (f, (P, ...), Q)
+    demands that Q be alpha-equal to f applied to what the Ps match, where a
+    binder metavariable gives its name.  A goal of another form is told so; a
     goal that fits a conclusion but for its type gets `type_message`, in
-    which {} is the type, and one no reading fits gets `message`."""
+    which {} is the type; one that one reading fits but for a side condition
+    whose Q is a whole side is told how that side differs; and one no
+    reading fits gets `message`."""
     sides = tuple(f.name for f in fields(form)[1:])
     readings = [(pats, sides) for pats in (*extra, conclusion)]
     if both:
@@ -531,7 +561,7 @@ def pattern_rule(name, conclusion, premises, message, form=EffLeq, pack="core", 
     def match(goal, args, synth):
         if type(goal) is not form:
             raise RuleMismatch(wrong_form)
-        out = []
+        out, near = [], []
         for steps, build, type_at in compiled:
             nodes = [goal]
             for parent, field, cls, first in steps:
@@ -541,13 +571,15 @@ def pattern_rule(name, conclusion, premises, message, form=EffLeq, pack="core", 
                 nodes.append(node)
             else:
                 found = build(nodes, args, synth)
-                if found:
+                if type(found) is RuleMismatch:
+                    near.append(found)
+                elif found:
                     out.append(found)
                 continue
             if type_message and len(nodes) > type_at:  # a step on the type failed
                 raise RuleMismatch(lambda: type_message.format(print_type(goal.ty)))
         if not out:
-            raise RuleMismatch(message)
+            raise near[0] if len(near) == 1 else RuleMismatch(message)
         return out
 
     SCHEMAS[name] = Schema(name, pack, match, heads)
@@ -734,76 +766,18 @@ def _measure_eq(goal, args, synth):
 # ---- beta conversions
 
 
-@rule("beta-tensor")
-def _beta_tensor(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(
-        isinstance(l, LetPair) and isinstance(l.pair, Pair),
-        "left side must be `let x * y = M * N in P`",
-    )
-    m, n = l.pair.left, l.pair.right
-    if "ty" in args:
-        a, b = as_tensor(args["ty"], "the pair")
-    else:
-        a = synth(m, ())
-        b = synth(n, ())
-        need(a is not None and b is not None, "cannot infer pair component types; supply `ty`")
-    alpha2(goal.rhs, subst_many(l.body, {l.x: m, l.y: n}), "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, a),
-                p_ty("D", n, b),
-                p_ty("T", l.body, goal.ty, ext=((l.x, a), (l.y, b))),
-            ],
-            ["G", "D", "T"],
-        )
-    ]
-
-
-@rule("beta-plus-1")
-def _beta_plus_1(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(isinstance(l, Case) and isinstance(l.scrut, Inl), "left side must be `case inl M of ...`")
-    m = l.scrut.arg
-    ab = args.get("ty")
-    need(ab is not None, "beta-plus-1 needs the `ty` argument (the scrutinee sum type)")
-    a, b = as_sum(ab, "the scrutinee")
-    alpha2(goal.rhs, subst(l.left, l.x, m), "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, a),
-                p_ty("D", l.left, goal.ty, ext=((l.x, a),)),
-                p_ty("D", l.right, goal.ty, ext=((l.y, b),)),
-            ],
-            ["G", "D"],
-        )
-    ]
-
-
-@rule("beta-plus-2")
-def _beta_plus_2(goal, args, synth):
-    need(isinstance(goal, TermEq), "conclusion is not a term equality")
-    l = goal.lhs
-    need(isinstance(l, Case) and isinstance(l.scrut, Inr), "left side must be `case inr M of ...`")
-    m = l.scrut.arg
-    ab = args.get("ty")
-    need(ab is not None, "beta-plus-2 needs the `ty` argument (the scrutinee sum type)")
-    a, b = as_sum(ab, "the scrutinee")
-    alpha2(goal.rhs, subst(l.right, l.y, m), "right side")
-    return [
-        inst(
-            [
-                p_ty("G", m, b),
-                p_ty("D", l.left, goal.ty, ext=((l.x, a),)),
-                p_ty("D", l.right, goal.ty, ext=((l.y, b),)),
-            ],
-            ["G", "D"],
-        )
-    ]
+# the right side is the left one's body with the paired or injected terms
+# substituted for its binders
+pattern_rule("beta-tensor", (LetPair(X, Y, Pair(M, N), R), R2, C),
+             [p_ty("G", M, A), p_ty("D", N, B), p_ty("T", R, C, ext=((X, A), (Y, B)))],
+             "left side must be `let x * y = M * N in P`", TermEq, zones=("G", "D", "T"),
+             side=(lambda r, x, m, y, n: subst_many(r, {x: m, y: n}), (R, X, M, Y, N), R2))
+pattern_rule("beta-plus-1", (Case(Inl(M), X, N, Y, N2), R, C),
+             [p_ty("G", M, A), p_ty("D", N, C, ext=((X, A),)), p_ty("D", N2, C, ext=((Y, B),))],
+             "left side must be `case inl M of ...`", TermEq, zones=("G", "D"), side=(subst, (N, X, M), R))
+pattern_rule("beta-plus-2", (Case(Inr(M), X, N, Y, N2), R, C),
+             [p_ty("G", M, B), p_ty("D", N, C, ext=((X, A),)), p_ty("D", N2, C, ext=((Y, B),))],
+             "left side must be `case inr M of ...`", TermEq, zones=("G", "D"), side=(subst, (N2, Y, M), R))
 
 
 # ---- eta conversions
@@ -1056,58 +1030,12 @@ def _case_mono(goal, args, synth):
     ]
 
 
-@rule("beta-plus-1-eff")
-def _beta_plus_1_eff(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, CaseEff) and isinstance(a.scrut, Inl)):
-            continue
-        m = a.scrut.arg
-        if b != subst(a.left, a.x, m):
-            continue
-        ab = args.get("ty")
-        need(ab is not None, "beta-plus-1-eff needs the `ty` argument (the scrutinee sum type)")
-        sa, sb = as_sum(ab, "the scrutinee")
-        out.append(
-            inst(
-                [
-                    p_eff("G", a.left, ext=((a.x, sa),)),
-                    p_eff("G", a.right, ext=((a.y, sb),)),
-                    p_ty("D", m, sa),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "conclusion must reduce `caseE (inl M)`")
-    return out
-
-
-@rule("beta-plus-2-eff")
-def _beta_plus_2_eff(goal, args, synth):
-    need(isinstance(goal, EffLeq), "conclusion is not an inequality")
-    out = []
-    for a, b in both_readings(goal):
-        if not (isinstance(a, CaseEff) and isinstance(a.scrut, Inr)):
-            continue
-        m = a.scrut.arg
-        if b != subst(a.right, a.y, m):
-            continue
-        ab = args.get("ty")
-        need(ab is not None, "beta-plus-2-eff needs the `ty` argument (the scrutinee sum type)")
-        sa, sb = as_sum(ab, "the scrutinee")
-        out.append(
-            inst(
-                [
-                    p_eff("G", a.left, ext=((a.x, sa),)),
-                    p_eff("G", a.right, ext=((a.y, sb),)),
-                    p_ty("D", m, sb),
-                ],
-                ["G", "D"],
-            )
-        )
-    need(out, "conclusion must reduce `caseE (inr M)`")
-    return out
+pattern_rule("beta-plus-1-eff", (CaseEff(Inl(M), X, PHI, Y, PSI), CHI),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_ty("D", M, A)],
+             "conclusion must reduce `caseE (inl M)`", both=True, zones=("G", "D"), side=(subst, (PHI, X, M), CHI))
+pattern_rule("beta-plus-2-eff", (CaseEff(Inr(M), X, PHI, Y, PSI), CHI),
+             [p_eff("G", PHI, ext=((X, A),)), p_eff("G", PSI, ext=((Y, B),)), p_ty("D", M, B)],
+             "conclusion must reduce `caseE (inr M)`", both=True, zones=("G", "D"), side=(subst, (PSI, Y, M), CHI))
 
 
 @rule("eta-plus-eff", heads=[(Effect, CaseEff), (CaseEff, Effect)])
@@ -1202,10 +1130,10 @@ pattern_rule("qbit-cz-z", (CZ(PauliZ(M), N), LetPair(X, Y, CZ(M, N), Pair(PauliZ
              zones=("G", "D"))
 pattern_rule("qbit-x-proj", (pattern(ProjPlus, PauliX(M), P), pattern(ProjPlus, M, Q)),
              [p_ty("G", M, TQbit())], "conclusion must reflect a projection angle through X", pack="qubit",
-             side=(angle_neg, P, Q), both=True)
+             side=(angle_neg, (P,), Q), both=True)
 pattern_rule("qbit-z-proj", (pattern(ProjPlus, PauliZ(M), P), pattern(ProjPlus, M, Q)),
              [p_ty("G", M, TQbit())], "conclusion must shift a projection angle through Z", pack="qubit",
-             side=(angle_minus_pi, P, Q), both=True)
+             side=(angle_minus_pi, (P,), Q), both=True)
 pattern_rule("qbit-xx", (PauliX(PauliX(M)), M, A), [p_ty("G", M, TQbit())],
              "conclusion must be `X (X M) = M`", TermEq, "qubit")
 pattern_rule("qbit-zz", (PauliZ(PauliZ(M)), M, A), [p_ty("G", M, TQbit())],

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+from qpel import rules
 from qpel.corpus import all_items, sc
 from qpel.derivation import (
     SEARCH_RULES,
@@ -31,8 +34,12 @@ from qpel.rules import (
     N,
     PHI as PHI_,
     PSI,
+    R as R_,
+    R2,
     X,
+    X2,
     Y,
+    Y2,
     p_equiv,
     p_leq,
     p_ty,
@@ -78,6 +85,31 @@ def test_rule_inventory_is_exactly_the_published_list():
     assert packs == {"core", "qubit", "beta-iso"}
     qubit_rules = [n for n in ALL_RULE_NAMES if SCHEMAS[n].pack == "qubit"]
     assert len(qubit_rules) == 12
+
+
+def _named_code_rules(text, start, end):
+    """The rule names in backquotes in text from `start` to `end`, with its
+    white space normalised, and that span."""
+    text = " ".join(text.split())
+    span = text[text.index(start):text.index(end)]
+    return {n for n in re.findall(r"`([a-z0-9-]+)`", span) if n in ALL_RULE_NAMES}, span
+
+
+def test_the_rules_given_as_code_are_those_the_docs_name():
+    """A rule is code when its schema's match was not made by
+    `pattern_rule`.  The `rules` docstring and the README name the code
+    rules and count them, so a rule that becomes data must leave both."""
+    code = {name for name, schema in SCHEMAS.items()
+            if schema.match.__qualname__ != "pattern_rule.<locals>.match"}
+    assert len(code) == 17
+    docstring, span = _named_code_rules(rules.__doc__, "The other 17 rules are code",
+                                        "The search rules among")
+    assert docstring == code, span
+    assert f"{80 - len(code)} of the 80" in " ".join(rules.__doc__.split())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named, span = _named_code_rules(readme, "other 17 rules stay code", "Rules are tried by goal head")
+    assert named == code, span
+    assert f"re-checks. {80 - len(code)} rules are data" in " ".join(readme.split())
 
 
 def test_measure_one_instance():
@@ -390,6 +422,41 @@ FIXED_SHAPE_MESSAGES = [
                                "case (case y of inl x -> x | inr b -> b) of inl c -> x | inr d -> x"),
      "conclusion must be `case M of inl x -> (case N of inl z -> P | inr t -> Q) | inr y -> (case N' of"
      " inl z -> P | inr t -> Q) = case (case M of inl x -> N | inr y -> N') of inl z -> P | inr t -> Q`"),
+    # the beta conversions: a side that is not the reduct is named when the
+    # one reading that fits the other side gives it
+    ("beta-tensor", _formation("0"), "conclusion is not a term equality"),
+    ("beta-tensor", _equation("x", "x"), "left side must be `let x * y = M * N in P`"),
+    ("beta-tensor", _equation("let a * b = x * y in b * a", "x * y", QUBITS), "right side: expected y * x, found x * y"),
+    ("beta-tensor", _equation("let a * b = x * inl y in b * a", "inl y * x", QUBITS),
+     "cannot infer the type of x * inl y; supply the 'ty' argument"),
+    ("beta-plus-1", _equation("case inr x of inl a -> a | inr b -> b", "x"), "left side must be `case inl M of ...`"),
+    ("beta-plus-1", _equation("case inl x of inl a -> a | inr b -> b", "y"), "right side: expected x, found y"),
+    ("beta-plus-1", _equation("case inl x of inl a -> a | inr b -> b", "x"),
+     "cannot infer the type of inl x; supply the 'ty' argument"),
+    ("beta-plus-2", _equation("case inl x of inl a -> a | inr b -> b", "x"), "left side must be `case inr M of ...`"),
+    ("beta-plus-2", _equation("case inr x of inl a -> a | inr b -> X b", "x"), "right side: expected X x, found x"),
+    ("beta-plus-2", _equation("case inr x of inl a -> a | inr b -> X b", "X x"),
+     "cannot infer the type of inr x; supply the 'ty' argument"),
+    ("beta-plus-1-eff", _equation("x", "x"), "conclusion is not an inequality"),
+    ("beta-plus-1-eff", _inequality("caseE inr x of inl a -> proj(a, 0) | inr b -> 0", "proj(x, 0)"),
+     "conclusion must reduce `caseE (inl M)`"),
+    ("beta-plus-1-eff", _inequality("caseE inl x of inl a -> proj(a, 0) | inr b -> 0", "proj(y, 0)"),
+     "right side: expected proj(x, 0), found proj(y, 0)"),
+    ("beta-plus-1-eff", _inequality("proj(y, 0)", "caseE inl x of inl a -> proj(a, 0) | inr b -> 0"),
+     "left side: expected proj(x, 0), found proj(y, 0)"),
+    # both readings fit but for the side condition
+    ("beta-plus-1-eff", _inequality("caseE inl x of inl a -> proj(a, 0) | inr b -> 0",
+                                    "caseE inl y of inl a -> proj(a, 0) | inr b -> 0"),
+     "conclusion must reduce `caseE (inl M)`"),
+    ("beta-plus-1-eff", _inequality("caseE inl x of inl a -> proj(a, 0) | inr b -> 0", "proj(x, 0)"),
+     "cannot infer the type of inl x; supply the 'ty' argument"),
+    ("beta-plus-2-eff", _formation("0"), "conclusion is not an inequality"),
+    ("beta-plus-2-eff", _inequality("caseE inl x of inl a -> 0 | inr b -> proj(b, 1)", "proj(x, 1)"),
+     "conclusion must reduce `caseE (inr M)`"),
+    ("beta-plus-2-eff", _inequality("caseE inr x of inl a -> 0 | inr b -> proj(b, 1)", "proj(x, 0)"),
+     "right side: expected proj(x, 1), found proj(x, 0)"),
+    ("beta-plus-2-eff", _inequality("proj(x, 1)", "caseE inr x of inl a -> 0 | inr b -> proj(b, 1)"),
+     "cannot infer the type of inr x; supply the 'ty' argument"),
 ]
 
 
@@ -512,3 +579,16 @@ def test_a_premise_binds_each_binder_in_scope_wherever_its_syntax_occurs():
                      [p_ty("G", M, AB), p_ty("D", N, C), p_ty("T", M2, C)], "no message", TermEq,
                      zones=("G", "D", "T"))
     assert "let-tensor-unbound" not in SCHEMAS
+
+
+def test_a_scrutinee_no_premise_types_is_under_no_binder():
+    """A rule whose premises type the components A and B of a scrutinee but
+    not the scrutinee reads it from the conclusion, under no binder: one
+    under a binder would need the binder's type, and registering raises."""
+    unit = TUnit()
+    outer = ((X2, unit), (Y2, unit))
+    with pytest.raises(ValueError, match="no premise types the scrutinee of x"):
+        pattern_rule("beta-tensor-under-let", (LetPair(X2, Y2, M2, LetPair(X, Y, Pair(M, N), R_)), R2, C),
+                     [p_ty("G", M2, TTensor(unit, unit)), p_ty("G", M, A, ext=outer), p_ty("G", N, B, ext=outer),
+                      p_ty("G", R_, C, ext=outer + ((X, A), (Y, B)))], "no message", TermEq)
+    assert "beta-tensor-under-let" not in SCHEMAS

@@ -38,10 +38,9 @@ from .parser import (
     SourceFile,
     TermDecl,
     TypeDecl,
-    load_sidecar,
     parse,
 )
-from .printer import rational
+from .printer import print_type, rational
 from .syntax import Ascribe, TermEq, subst
 from .typecheck import (
     ObligationError,
@@ -168,14 +167,13 @@ def _verify_lemma(checked, backends, report: DeclReport):
 
 
 def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
-                 verify=(), sidecar=None) -> FileReport:
+                 verify=()) -> FileReport:
     env = Env(packs=packs or Env().packs, depth=depth)
     backends = [make_backend(name) for name in verify]
     report = FileReport(path)
     # name -> the derivation of a closed term declaration, which `check`
     # evaluates, or why `check` cannot evaluate the declaration
     terms = {}
-    sidecar = sidecar or {}
 
     for decl in sf.decls:
         t0 = time.monotonic()
@@ -200,7 +198,7 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
             except SearchBudgetExhausted as exc:
                 rep.status, rep.message = "proof-error", str(exc)
         elif isinstance(decl, LemmaDecl):
-            rep = _process_lemma(decl, env, sidecar, backends)
+            rep = _process_lemma(decl, env, backends)
         elif isinstance(decl, CheckDecl):
             rep = _process_check(decl, terms, backends)
         else:
@@ -210,10 +208,10 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
     return report
 
 
-def _process_lemma(decl: LemmaDecl, env: Env, sidecar, backends) -> DeclReport:
+def _process_lemma(decl: LemmaDecl, env: Env, backends) -> DeclReport:
     rep = DeclReport(decl.name, "lemma", "ok", "parsed")
     goals = decl.judgements()
-    script = decl.script if decl.script is not None else sidecar.get(decl.name)
+    script = decl.script
 
     checked = []
     try:
@@ -317,10 +315,8 @@ def wp_decls(sf: SourceFile, term_name: str, effect_name: str, *, depth=6,
         raise QpelTypeError("the effect declaration must have a single context variable")
     (var_name, var_ty), = effect_decl.ctx.entries
     if var_ty != term_decl.ty:
-        raise QpelTypeError(
-            "shape mismatch: the term produces %s but the effect context expects %s"
-            % (term_decl.ty, var_ty)
-        )
+        raise QpelTypeError(f"shape mismatch: the term produces {print_type(term_decl.ty)} but the effect"
+                            f" context expects {print_type(var_ty)}")
 
     body, eff = term_decl.term, effect_decl.eff
     dt = check_term(term_decl.ctx, body, term_decl.ty, env.resolver(term_decl.requires))
@@ -360,18 +356,16 @@ def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False
     """Process files in order; returns (rendered report, exit code)."""
     reports = []
     for p in paths:
-        sidecar_path = str(p) + ".proofs.json"
+        sidecar = str(p) + ".proofs.json"
         try:
-            text = read_source(p)
-            sidecar = load_sidecar(sidecar_path) if os.path.exists(sidecar_path) else None
-            sf = parse(text)
+            sf = parse(read_source(p), sidecar if os.path.exists(sidecar) else None)
         except (OSError, QpelSyntaxError, ElabError) as exc:
             rep = FileReport(str(p))
             rep.parse_error = str(exc)
             reports.append(rep)
             continue
         reports.append(
-            process_file(sf, path=str(p), packs=packs, depth=depth, verify=verify, sidecar=sidecar)
+            process_file(sf, path=str(p), packs=packs, depth=depth, verify=verify)
         )
     exit_code = EXIT_OK
     for rep in reports:

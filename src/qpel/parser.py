@@ -14,7 +14,8 @@ Only closed term and effect declarations can be referenced, since inlining an
 open body would silently duplicate variable uses in a linear language.
 
 Proof scripts appear after ``by`` in lemma declarations, or in a JSON sidecar
-(``{"rule": ..., "args": {...}, "premises": [...]}``).  ``requires { ... }``
+(``{"rule": ..., "args": {...}, "premises": [...]}``), whose names elaboration
+resolves at the lemma, as it resolves an inline script's.  ``requires { ... }``
 clauses supply scripts for the orthogonality obligations of ``o+`` and
 ``measure``, matched to their occurrences in preorder.
 """
@@ -928,10 +929,14 @@ def resolve_goal(goal: Goal, tables: DeclTables) -> Goal:
     raise TypeError(goal)
 
 
-def elaborate(raw: SourceFile) -> SourceFile:
-    """Resolve declaration references; check name uniqueness and closedness."""
+def elaborate(raw: SourceFile, sidecar=None) -> SourceFile:
+    """Resolve declaration references; check name uniqueness and closedness.
+    A lemma without a script takes its script in the JSON document at path
+    `sidecar`, if there is one, resolved as an inline script is, against
+    the declarations before the lemma."""
     from .syntax import free_vars
 
+    scripts = load_sidecar(sidecar) if sidecar else {}
     tables = DeclTables({}, {}, {})
     seen = set()
     out = []
@@ -967,13 +972,19 @@ def elaborate(raw: SourceFile) -> SourceFile:
                     tables.effects[n] = resolved.eff
                 out.append(resolved)
             case LemmaDecl(name=n, ctx=g, goal=goal, script=sc, requires=req):
-                g2 = resolve_context(g, tables)
+                if sc is None and n in scripts:
+                    try:
+                        sc = resolve_script(scripts[n], tables)
+                    except ElabError as exc:
+                        raise ElabError(f"{sidecar}: script for lemma {n!r}: {exc}") from exc
+                else:
+                    sc = resolve_script(sc, tables)
                 out.append(
                     LemmaDecl(
                         n,
-                        g2,
+                        resolve_context(g, tables),
                         resolve_goal(goal, tables),
-                        resolve_script(sc, tables),
+                        sc,
                         tuple(resolve_script(s, tables) for s in req),
                     )
                 )
@@ -982,9 +993,10 @@ def elaborate(raw: SourceFile) -> SourceFile:
     return SourceFile(tuple(out))
 
 
-def parse(text: str) -> SourceFile:
-    """Parse and elaborate a .qpel source text."""
-    return elaborate(Parser(text).parse_file())
+def parse(text: str, sidecar=None) -> SourceFile:
+    """Parse and elaborate a .qpel source text, whose lemmas without a
+    script take theirs from the JSON document at path `sidecar`, if any."""
+    return elaborate(Parser(text).parse_file(), sidecar)
 
 
 def parse_term_text(text: str) -> Term:
@@ -1014,9 +1026,9 @@ def _json_arg_ok(sort: str, v) -> bool:
 
 
 def script_from_json(obj, depth=0) -> Script:
-    """Proof script from its JSON document form.  A document of any other
-    shape raises QpelSyntaxError; a name in an argument that resolves to
-    nothing raises ElabError."""
+    """Proof script from its JSON document form, its names unresolved, as
+    the parser reads an inline one.  A document of any other shape raises
+    QpelSyntaxError."""
     if depth >= MAX_NESTING:
         raise NestingError(f"proof script nested deeper than {MAX_NESTING}")
     if not isinstance(obj, dict) or not isinstance(obj.get("rule"), str):
@@ -1047,19 +1059,13 @@ def script_from_json(obj, depth=0) -> Script:
         raise QpelSyntaxError(f"unknown rule name {rule!r}")
     parsed_args = {}
     for k, v in args.items():
-        sort = sorts[k]
-        if sort == "term":
-            parsed_args[k] = parse_term_text(v)
-        elif sort == "effect":
-            parsed_args[k] = parse_effect_text(v)
-        elif sort == "type":
+        if sorts[k] in ("term", "effect", "type"):
             p = Parser(v)
-            parsed_args[k] = p.parse_type()
+            v = p.parse_arg_value(rule, k)
             p.expect("EOF")
-        elif sort == "intlist":
-            parsed_args[k] = tuple(v)
-        else:
-            parsed_args[k] = v
+        elif sorts[k] == "intlist":
+            v = tuple(v)
+        parsed_args[k] = v
     premises = None if prems is None else tuple(script_from_json(p, depth + 1) for p in prems)
     return ScriptNode(rule, parsed_args, premises)
 
@@ -1110,7 +1116,7 @@ def load_sidecar(path) -> dict:
     for name, obj in data.items():
         try:
             out[name] = script_from_json(obj)
-        except (QpelSyntaxError, ElabError) as exc:
+        except QpelSyntaxError as exc:
             raise QpelSyntaxError(f"{path}: script for lemma {name!r}: {exc}") from exc
     return out
 

@@ -315,6 +315,45 @@ def test_malformed_sidecar_is_a_parse_error_naming_it(tmp_path, sidecar, message
     assert message in out.getvalue()
 
 
+def _check_with_sidecar(tmp_path, text, script):
+    """`qpel check` on text whose one lemma has `script`, as a JSON object,
+    in the sidecar: (exit code, printed report)."""
+    src = write(tmp_path, "side.qpel", text)
+    (tmp_path / "side.qpel.proofs.json").write_text(json.dumps({"l": script}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", src])
+    return code, out.getvalue()
+
+
+# a sidecar script names the declarations before its lemma as an inline
+# script does: a type, or a closed effect
+SIDECAR_DECLS = "type B = I + I\neffect top () = bot(0)\n"
+SIDECAR_LEMMAS = [
+    ("lemma l (m : I) : case (inl m : B) of inl x -> x | inr y -> y = m : I", "beta-plus-1[ty = B]",
+     {"rule": "beta-plus-1", "args": {"ty": "B"}}),
+    ("lemma l () : bot(0) <= bot(0)", "leq-trans[via = top](leq-ref; leq-ref)",
+     {"rule": "leq-trans", "args": {"via": "top"}, "premises": [{"rule": "leq-ref"}, {"rule": "leq-ref"}]}),
+]
+
+
+@pytest.mark.parametrize("lemma, inline, script", SIDECAR_LEMMAS, ids=["type", "effect"])
+def test_a_sidecar_script_resolves_the_files_declarations(tmp_path, lemma, inline, script):
+    assert main(["check", write(tmp_path, "inline.qpel", f"{SIDECAR_DECLS}{lemma}\n  by {{ {inline} }}\n")]) == 0
+    code, report = _check_with_sidecar(tmp_path, f"{SIDECAR_DECLS}{lemma}\n", script)
+    assert code == 0, report
+
+
+def test_a_sidecar_script_names_no_declaration_after_its_lemma(tmp_path):
+    """As inline, a name is resolved against the declarations before the
+    lemma; an unknown one is a parse error naming the sidecar."""
+    lemma = "lemma l (m : I) : case (inl m : I + I) of inl x -> x | inr y -> y = m : I\n"
+    for text, name in ((lemma, "Foo"), (lemma + "type B = I + I\n", "B")):
+        code, report = _check_with_sidecar(tmp_path, text, {"rule": "beta-plus-1", "args": {"ty": name}})
+        assert code == 2, report
+        assert f"side.qpel.proofs.json: script for lemma 'l': unknown type name {name!r}" in report
+
+
 # A premise binder named like an entry of its zone's context once ended in
 # "duplicate variable in context" with exit 1: by the schema of the formation
 # rule, by a schema that extends a zone with a raw binder, and by search.

@@ -151,5 +151,6 @@ def test_wp_shape_mismatch_reported():
         "term t (q : qbit) : qbit = X q\n"
         "effect wrongctx (z : I) = bot(0)\n"
     )
-    with pytest.raises(QpelTypeError, match="shape mismatch"):
+    with pytest.raises(QpelTypeError) as exc:
         wp_decls(sf, "t", "wrongctx")
+    assert str(exc.value) == "shape mismatch: the term produces qbit but the effect context expects I"

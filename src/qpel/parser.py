@@ -972,6 +972,7 @@ def elaborate(raw: SourceFile, sidecar=None) -> SourceFile:
                     tables.effects[n] = resolved.eff
                 out.append(resolved)
             case LemmaDecl(name=n, ctx=g, goal=goal, script=sc, requires=req):
+                g2 = resolve_context(g, tables)
                 if sc is None and n in scripts:
                     try:
                         sc = resolve_script(scripts[n], tables)
@@ -982,7 +983,7 @@ def elaborate(raw: SourceFile, sidecar=None) -> SourceFile:
                 out.append(
                     LemmaDecl(
                         n,
-                        resolve_context(g, tables),
+                        g2,
                         resolve_goal(goal, tables),
                         sc,
                         tuple(resolve_script(s, tables) for s in req),

@@ -9,8 +9,9 @@ left-nested tensor of its entry types over the unit object, a typing
 judgement a computation from the context object to the type object, and an
 effect judgement a predicate on the context object.  Nothing is decided
 twice: the scrutinee type of let, case and caseE is the derivation's `ty`
-argument, and each zone is the context of its premise without the variables
-the premise binds.
+argument, each zone is the context of its premise without the variables
+the premise binds, and whether a backend can interpret a judgement is read
+off the same derivations and asked of the backend (`backend_applicable`).
 
 Each backend folds each judgement once.  `interpret` keeps every denotation
 it computes in the backend's `memo`, keyed by the derivation's conclusion,
@@ -57,24 +58,8 @@ from __future__ import annotations
 import numpy as np
 
 from .backends.quantum import QuantumBackend
-from .syntax import (
-    CZ,
-    EffForm,
-    EffLeq,
-    Judgement,
-    NewPlus,
-    PauliX,
-    PauliZ,
-    ProjPlus,
-    ScalarLit,
-    TermEq,
-    TQbit,
-    TSum,
-    TTensor,
-    TUnit,
-    Typing,
-    subterms,
-)
+from .rules import SCHEMAS
+from .syntax import EffForm, EffLeq, Judgement, TermEq, TQbit, TSum, TTensor, TUnit, Typing
 from .triangle import Backend, BackendError, compose_all, cotuple_n, dist_n, tensor_all
 from .typecheck import (
     Derivation,
@@ -445,65 +430,42 @@ def weakest_precondition(backend: Backend, f, q):
 # --------------------------------------------------------------- applicability
 
 
-_QBIT_NODES = frozenset({NewPlus, PauliX, PauliZ, CZ, ProjPlus})
+def backend_applicable(backend: Backend, j: Judgement, derivations=None) -> bool:
+    """Whether the backend has every object and scalar that the fold of j
+    reads: its derivations are those of j's components, derived first when
+    not given, so a bare judgement that does not typecheck raises, as in
+    `judgement_true`.
 
-
-def _features(node, acc):
-    if type(node) in _QBIT_NODES:
-        acc.add("qbit")
-    elif type(node) is ScalarLit and node.value not in (0, 1):
-        acc.add("literal")
-    for m, _ in subterms(node):
-        _features(m, acc)
-    return acc
-
-
-def _type_has_qbit(ty):
-    match ty:
-        case TQbit():
-            return True
-        case TTensor(left=a, right=b) | TSum(left=a, right=b):
-            return _type_has_qbit(a) or _type_has_qbit(b)
-    return False
-
-
-def judgement_features(j: Judgement) -> frozenset:
-    acc = set()
-    for _, ty in j.ctx:
-        if _type_has_qbit(ty):
-            acc.add("qbit")
-    if isinstance(j, Typing):
-        parts = [j.term]
-        tys = [j.ty]
-    elif isinstance(j, TermEq):
-        parts = [j.lhs, j.rhs]
-        tys = [j.ty]
-    elif isinstance(j, EffForm):
-        parts = [j.eff]
-        tys = []
-    else:
-        parts = [j.low, j.high]
-        tys = []
-    for p in parts:
-        _features(p, acc)
-    for t in tys:
-        if _type_has_qbit(t):
-            acc.add("qbit")
-    return frozenset(acc)
-
-
-def _reads_qbit(d) -> bool:
-    """Whether a typing derivation reads a scrutinee type with a qubit in
-    it, which an ascription erased from its judgement may have chosen."""
-    return _type_has_qbit(d.args.get("ty")) or any(map(_reads_qbit, d.children + d.formations))
-
-
-def backend_applicable(backend: Backend, j: Judgement, derivations=()) -> bool:
-    """Whether the backend can interpret j, whose components have the
-    typing derivations given, if any."""
-    feats = judgement_features(j)
-    if not backend.has_qbit and ("qbit" in feats or any(map(_reads_qbit, derivations))):
-        return False
-    if "literal" in feats and backend.name == "set":
+    Every type of a typing or formation in the derivations is built from the
+    types of j's context and type, the scrutinee types and the qubit of the
+    qubit rules, since an ascription elsewhere must equal its expected type.
+    So the backend is asked for the atoms of those types, the qubit object
+    at each qubit rule and the scalar of each literal, and no compound
+    object is built.  The proofs of inequality obligations are not read."""
+    if derivations is None:
+        derivations = assume_checked(j)
+    types = [ty for _, ty in j.ctx]
+    if isinstance(j, (Typing, TermEq)):
+        types.append(j.ty)
+    nodes = list(derivations)
+    try:
+        while nodes:
+            d = nodes.pop()
+            if not isinstance(d.judgement, (Typing, EffForm)):
+                continue
+            if d.rule == "lit":
+                backend.scalar_of_fraction(d.judgement.eff.value)
+            elif SCHEMAS[d.rule].pack == "qubit":
+                backend.qbit_ob()
+            if "ty" in d.args:
+                types.append(d.args["ty"])
+            nodes += d.children + d.formations
+        while types:
+            ty = types.pop()
+            if isinstance(ty, (TTensor, TSum)):
+                types += ty.left, ty.right
+            else:
+                interp_type(backend, ty)
+    except BackendError:
         return False
     return True

@@ -5,9 +5,12 @@ Tolerances are fixed here: exact equality for the set and stochastic
 backends, Frobenius 1e-9 for the quantum backend.
 """
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,16 +212,23 @@ def test_criterion_4_empirical_soundness():
     from qpel.backends import make_backend
     from qpel.interpreter import backend_applicable, judgement_true
 
+    # the README states the count of applicable lemmas in each backend
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").split())
+    m = re.search(r"every applicable judgement true: (\d+) in `set`, (\d+) in `stochastic`"
+                  r" and all (\d+) in `quantum`", readme)
+    assert m, "the README's count of applicable lemmas per backend"
     backends = [make_backend(n) for n in ("set", "stochastic", "quantum")]
-    total, exceptions = 0, []
+    counts, exceptions = Counter(), []
     for it, _ in _checked_corpus():
         for b in backends:
             if backend_applicable(b, it.judgement):
-                total += 1
+                counts[b.name] += 1
                 if not judgement_true(b, it.judgement):
                     exceptions.append((it.name, b.name))
     assert exceptions == []
-    assert total > 400
+    assert [counts[b.name] for b in backends] == [int(n) for n in m.groups()]
+    total = sum(counts.values())
     report(4, f"all {total} backend evaluations of accepted lemmas are true; zero exceptions")
 
 

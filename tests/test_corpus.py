@@ -4,7 +4,8 @@ import hashlib
 import re
 
 from qpel.corpus import CORPUS_DIR, CORPUS_FILES, all_items
-from qpel.interpreter import judgement_features
+from qpel.backends import make_backend
+from qpel.interpreter import backend_applicable
 from qpel.parser import parse
 from qpel.rules import ALL_RULE_NAMES, SCHEMAS
 
@@ -22,6 +23,7 @@ def test_loaded_items_match_golden():
 
 
 def test_files_partition_the_lemmas_by_backend():
+    sb, st = make_backend("set"), make_backend("stochastic")
     seen = set()
     for stem in CORPUS_FILES:
         for decl in parse((CORPUS_DIR / f"{stem}.qpel").read_text(encoding="utf-8")).decls:
@@ -32,12 +34,11 @@ def test_files_partition_the_lemmas_by_backend():
             seen.add(decl.name)
             assert decl.script.rule == rule, decl.name
             (j,) = decl.judgements()
-            feats = judgement_features(j)
             assert (SCHEMAS[rule].pack == "beta-iso") == (stem == "beta_iso"), decl.name
             if stem == "core":
-                assert not feats & {"qbit", "literal"}, decl.name
+                assert backend_applicable(sb, j), decl.name
             elif stem == "probabilistic":
-                assert "literal" in feats and "qbit" not in feats, decl.name
+                assert not backend_applicable(sb, j) and backend_applicable(st, j), decl.name
             elif stem == "qubit":
-                assert "qbit" in feats, decl.name
+                assert not backend_applicable(st, j), decl.name
     assert len(seen) == 3 * len(ALL_RULE_NAMES)

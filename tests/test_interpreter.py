@@ -260,14 +260,37 @@ def test_measure_denotation_expands_by_hand():
     assert ST.state_of_mor(f) == {("L", "*"): q, ("R", "*"): 1 - q}
 
 
+def _wide_sum(n):
+    """(I + I) * ... * (I + I), n factors: 2^n points in `set`."""
+    ty = II
+    for _ in range(n - 1):
+        ty = TTensor(II, ty)
+    return ty
+
+
+# each judgement with whether set, stochastic and quantum can interpret it
+APPLICABILITY = [
+    (Typing(Context((("x", TQbit()),)), Var("x"), TQbit()), (False, False, True)),
+    (EffLeq(Context(), ScalarLit(Fraction(1, 2)), one()), (False, True, True)),
+    # a qubit that only an erased ascription names
+    (TermEq(Context(), *[T("case (inl unit : I + qbit) of inl x -> x | inr y -> unit")] * 2, TUnit()),
+     (False, False, True)),
+    (EffForm(Context(), ScalarLit(Fraction(1))), (True, True, True)),
+    (Typing(Context(), T("measure { 1/2 -> inl unit | bot(1/2) -> inr unit }"), II), (False, True, True)),
+    (EffLeq(Context(), E("proj(plus, 0)"), E("bot(0)")), (False, False, True)),
+    (Typing(Context((("x", _wide_sum(20)), ("q", TQbit()))), Var("q"), TQbit()), (False, False, True)),
+]
+
+
 def test_backend_applicability():
-    jq = Typing(Context((("x", TQbit()),)), Var("x"), TQbit())
-    assert not backend_applicable(SB, jq)
-    assert not backend_applicable(ST, jq)
-    assert backend_applicable(QB, jq)
-    jl = EffLeq(Context(), ScalarLit(Fraction(1, 2)), one())
-    assert not backend_applicable(SB, jl)
-    assert backend_applicable(ST, jl)
+    """A bare judgement gets the answer its derivations get, and asking
+    builds no object of a compound type."""
+    for j, expected in APPLICABILITY:
+        backends = [make_backend(name) for name in ("set", "stochastic", "quantum")]
+        derivations = assume_checked(j)
+        assert [backend_applicable(b, j) for b in backends] == list(expected), j
+        assert [backend_applicable(b, j, derivations) for b in backends] == list(expected), j
+        assert not any(isinstance(key, (TSum, TTensor)) for b in backends for key in b.memo), j
 
 
 def test_measurement_based_hadamard():

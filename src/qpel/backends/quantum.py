@@ -10,11 +10,11 @@ so composition is a matrix product of each pair of blocks reshaped to
 (e*e, m*m) and (m*m, d*d), while tensoring and the Heisenberg adjoint are
 einsum contractions.  Tensor and coproduct act on block lists (Kronecker /
 concatenation), which makes the associator, the unit isos and the left
-distributivity literal identities on this representation; the symmetry is a
-per-block conjugation by the commutation permutation.  The context reshuffles
+distributivity literal identities on this representation.  The symmetry is
+the reshuffle that swaps two factors; it and the context reshuffles
 (`split_mor`, `drop_mor`) are built in one step, each block a permutation of
 the Kronecker factors' indices followed by a partial trace, instead of as the
-generic composites of those maps (Wood, Biamonte & Cory, arXiv:1111.6950).
+generic composites of structural maps (Wood, Biamonte & Cory, arXiv:1111.6950).
 A closed term is evaluated on states instead of maps: `reshuffle_state` and
 `apply_leading` move a density matrix over a list of factors, with the cost
 of the state and of the small channel applied, not of a map on the whole
@@ -112,17 +112,7 @@ class QuantumBackend(Backend):
         return f.cod
 
     def symmetry(self, a, b):
-        dom = self.tensor_ob(a, b)
-        cod = self.tensor_ob(b, a)
-        blocks = {}
-        for i, d in enumerate(a):
-            for j, e in enumerate(b):
-                k = np.zeros((e * d, d * e))
-                for x in range(d):
-                    for y in range(e):
-                        k[y * d + x, x * e + y] = 1.0
-                blocks[(i * len(b) + j, j * len(a) + i)] = np.einsum("km,ln->klmn", k, k)
-        return QMor(dom, cod, blocks)
+        return self._reshuffle([a, b], [1, 0], [])
 
     def assoc(self, a, b, c):
         # block dims and flat order coincide; the Kronecker product associates

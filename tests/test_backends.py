@@ -9,7 +9,7 @@ import pytest
 
 from qpel.backends import make_backend
 from qpel.backends.points import PointBackend
-from qpel.backends.quantum import QuantumBackend
+from qpel.backends.quantum import QMor, QuantumBackend
 from qpel.backends.setb import SetBackend
 from qpel.backends.stochastic import StochasticBackend
 from qpel.triangle import (
@@ -37,6 +37,19 @@ class CompositionalQuantum(QuantumBackend):
 
     drop_mor = Backend.drop_mor
     split_mor = Backend.split_mor
+
+    def symmetry(self, a, b):
+        # each block conjugates by the permutation matrix that commutes the
+        # Kronecker factors
+        blocks = {}
+        for i, d in enumerate(a):
+            for j, e in enumerate(b):
+                k = np.zeros((e * d, d * e))
+                for x in range(d):
+                    for y in range(e):
+                        k[y * d + x, x * e + y] = 1.0
+                blocks[(i * len(b) + j, j * len(a) + i)] = np.einsum("km,ln->klmn", k, k)
+        return QMor(self.tensor_ob(a, b), self.tensor_ob(b, a), blocks)
 
 
 def _set_obj(n):
@@ -309,6 +322,11 @@ def _assert_same_map(f, g):
 
 def test_quantum_reshuffles_equal_the_triangle_definition():
     ref = CompositionalQuantum()
+    for a in RESHUFFLE_FACTORS + [(2, 2), (1, 2, 1)]:
+        for b in RESHUFFLE_FACTORS + [(2, 2), (1, 2, 1)]:
+            f, g = QB.symmetry(a, b), ref.symmetry(a, b)
+            assert (f.dom, f.cod) == (g.dom, g.cod) and f.blocks.keys() == g.blocks.keys()
+            assert all(np.array_equal(f.blocks[k], g.blocks[k]) for k in g.blocks), (a, b)
     rng = random.Random(41)
     cases = [([], set())]
     for _ in range(60):

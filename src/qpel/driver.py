@@ -56,6 +56,13 @@ EXIT_TYPE = 3
 EXIT_PROOF = 4
 EXIT_SEMANTIC = 5
 
+_STATUS_EXIT = {"type-error": EXIT_TYPE, "proof-error": EXIT_PROOF, "semantic-mismatch": EXIT_SEMANTIC}
+
+
+def _first_failure(codes) -> int:
+    """The least nonzero exit code, the earliest stage that failed; else 0."""
+    return min((code for code in codes if code != EXIT_OK), default=EXIT_OK)
+
 
 @dataclass
 class DeclReport:
@@ -82,14 +89,7 @@ class FileReport:
     def exit_code(self) -> int:
         if self.parse_error is not None:
             return EXIT_PARSE
-        worst = EXIT_OK
-        order = {"type-error": EXIT_TYPE, "proof-error": EXIT_PROOF, "semantic-mismatch": EXIT_SEMANTIC}
-        for d in self.decls:
-            if d.status in order:
-                code = order[d.status]
-                if worst == EXIT_OK or code < worst:
-                    worst = code
-        return worst
+        return _first_failure(_STATUS_EXIT.get(d.status, EXIT_OK) for d in self.decls)
 
     def to_json(self, timing=False):
         out = {"path": self.path, "exit": self.exit_code}
@@ -367,11 +367,7 @@ def run_paths(paths, *, packs=None, depth=6, verify=(), fmt="text", timing=False
         reports.append(
             process_file(sf, path=str(p), packs=packs, depth=depth, verify=verify)
         )
-    exit_code = EXIT_OK
-    for rep in reports:
-        code = rep.exit_code
-        if code != EXIT_OK and (exit_code == EXIT_OK or code < exit_code):
-            exit_code = code
+    exit_code = _first_failure(rep.exit_code for rep in reports)
     if fmt == "json":
         rendered = json.dumps([r.to_json(timing=timing) for r in reports], indent=2)
     else:

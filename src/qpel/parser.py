@@ -268,9 +268,6 @@ class SourceFile:
 # -------------------------------------------------------------------- lexing
 
 
-_PUNCT = ["->", "<=", "==", "(", ")", "{", "}", "[", "]", ":", ";", ",", "|", "*", "+", ".", "/", "="]
-
-
 class Token(NamedTuple):
     kind: str  # NAME, INT, EOF, or the punct text itself
     text: str
@@ -359,8 +356,6 @@ _KEYWORDS = {
     "unit", "plus", "qbit", "I", "X", "Z", "E", "proj", "bot", "eff",
     "auto", "arith", "both", "use",
 }
-
-_NODE_KINDS = {"auto", "arith", "both", "use"}
 
 # sort of each script argument value, keyed by (rule, key) with a fallback key;
 # `derivation.deriv_to_script` keeps the derivation arguments named here
@@ -933,7 +928,8 @@ def elaborate(raw: SourceFile, sidecar=None) -> SourceFile:
     """Resolve declaration references; check name uniqueness and closedness.
     A lemma without a script takes its script in the JSON document at path
     `sidecar`, if there is one, resolved as an inline script is, against
-    the declarations before the lemma."""
+    the declarations before the lemma; a lemma with a script keeps it.  A
+    sidecar entry that names no lemma of the file raises ElabError."""
     from .syntax import free_vars
 
     scripts = load_sidecar(sidecar) if sidecar else {}
@@ -991,6 +987,10 @@ def elaborate(raw: SourceFile, sidecar=None) -> SourceFile:
                 )
             case CheckDecl():
                 out.append(d)
+    lemmas = {d.name for d in out if isinstance(d, LemmaDecl)}
+    for n in scripts:
+        if n not in lemmas:
+            raise ElabError(f"{sidecar}: script for {n!r}, which is no lemma of the file")
     return SourceFile(tuple(out))
 
 

@@ -354,6 +354,18 @@ def test_a_sidecar_script_names_no_declaration_after_its_lemma(tmp_path):
         assert f"side.qpel.proofs.json: script for lemma 'l': unknown type name {name!r}" in report
 
 
+def test_a_sidecar_entry_that_names_no_lemma_is_a_parse_error(tmp_path):
+    """A misspelt lemma name in the sidecar is reported, not dropped while
+    the lemma it meant is proved by `auto`."""
+    src = write(tmp_path, "side.qpel", "lemma l (x : qbit) : proj(x, 0) <= proj(x, 0)\n")
+    (tmp_path / "side.qpel.proofs.json").write_text(json.dumps({"typo": {"rule": "zero-leq"}}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", src])
+    assert code == 2, out.getvalue()
+    assert f"parse error: {src}.proofs.json: script for 'typo', which is no lemma of the file" in out.getvalue()
+
+
 # A premise binder named like an entry of its zone's context once ended in
 # "duplicate variable in context" with exit 1: by the schema of the formation
 # rule, by a schema that extends a zone with a raw binder, and by search.

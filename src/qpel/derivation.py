@@ -29,8 +29,9 @@ level shallower.  So everything a search finds is an ordinary script that
 re-checks, and scripts and search build rule nodes in one place.
 
 The search is tabled (SLG-style, after Chen & Warren, JACM 43(1), 1996),
-with one `SearchTable` per lemma environment: `Env.add_lemma` replaces it,
-and every search and unscripted formation premise in between shares it:
+with one `SearchTable` per lemma environment: `Env.add_lemma` replaces it
+when the new lemma proves an inequality, and every search and unscripted
+formation premise in between shares it:
 
 - a success is stored under (goal, depth) and reused only at that depth,
   since a deeper search may find an earlier rule's proof first;
@@ -45,8 +46,16 @@ and every search and unscripted formation premise in between shares it:
   error, whichever the type checker gave.
 
 `_search(goal, depth)` and the formation checks are pure functions of the
-goal, the depth, the packs, the default depth and the lemmas; only the
-lemmas change under an `Env`, and adding one drops the table.  A budget
+goal, the depth, the packs, the default depth and the inequality lemmas.
+A lemma reaches a table entry only when a search cites it (`_cite`, in
+`_search_rules`, which the searches that formation checks start run too),
+and a search cites only a lemma judgement equal to its goal up to exchange,
+which `judgement_up_to_exchange` never finds across judgement forms.  So a
+lemma that proves only equations or typings changes no entry, and only
+adding a lemma with an inequality among its judgements drops the table.
+The search finds those by one lookup in `Env.leqs`, which indexes them by
+their two sides; the least name whose context is a reordering of the
+goal's is cited, the lemma a scan in name order would find first.  A budget
 that runs out is never stored.  No cycle check is needed: every recursive
 call lowers the depth by one, so no (goal, depth) key repeats along a path.
 """
@@ -100,22 +109,36 @@ class DerivationError(Exception):
 @dataclass
 class Env:
     """A lemma environment: the rule packs, the default search depth, the
-    lemmas proved so far, and the `SearchTable` of what the search and the
-    formation checks have worked out under them.  Lemmas are added only by
-    `add_lemma`, which replaces the table."""
+    lemmas proved so far, their inequalities indexed for the search, and
+    the `SearchTable` of what the search and the formation checks have
+    worked out under them.  Lemmas are added only by `add_lemma`, which
+    replaces the table when the lemma it adds, or the one of that name it
+    replaces, proves an inequality: no search cites any other."""
 
     packs: frozenset = rules.DEFAULT_PACKS
     depth: int = 6
     lemmas: dict = field(default_factory=dict)  # name -> list[Judgement]
+    leqs: dict = field(init=False, repr=False, compare=False)  # (low, high) -> [(name, ctx)]
     search: SearchTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.packs = frozenset(self.packs) | {"core"}
+        self._index()
         self.search = SearchTable()
 
     def add_lemma(self, name: str, judgements) -> None:
+        replaced = self.lemmas.get(name, ())
         self.lemmas[name] = list(judgements)
-        self.search = SearchTable()
+        if any(isinstance(j, EffLeq) for j in chain(replaced, self.lemmas[name])):
+            self._index()
+            self.search = SearchTable()
+
+    def _index(self) -> None:
+        self.leqs = {}
+        for name, judgements in self.lemmas.items():
+            for j in judgements:
+                if isinstance(j, EffLeq):
+                    self.leqs.setdefault((j.low, j.high), []).append((name, j.ctx))
 
     def resolver(self, scripts=()):
         return QueueResolver(list(scripts), self)
@@ -239,6 +262,16 @@ def _use(goal: Judgement, name: str, env: Env) -> Derivation | None:
     return None
 
 
+def _cite(goal: EffLeq, env: Env) -> Derivation | None:
+    """`use` of the least-named lemma that proves goal up to exchange, if
+    any: what `_use` finds first when tried on every lemma in name order."""
+    names = [name for name, g in env.leqs.get((goal.low, goal.high), ())
+             if g.same_multiset(goal.ctx)]
+    if not names:
+        return None
+    return Derivation("use", goal, (), {"name": min(names)})
+
+
 def _rule_node(goal, name, args, children, env: Env, prove_leq) -> Derivation:
     """A script node: the first reading of rule `name` at goal whose premises
     check."""
@@ -347,10 +380,11 @@ SEARCH_RULES = (
 )
 
 # goals one outermost `auto_search_leq` call may expand, with those of the
-# searches nested in it.  No call in the test suite expands more than 623,
-# nor more than 451 in the benchmark workloads, nor more than 2,285 with the
-# refutable converses at auto(6); at auto(40) each of them reaches the budget
-# in 1.1 to 2.6 seconds on 2 vCPUs.
+# searches nested in it.  No call that finishes in the test suite expands
+# more than 647, nor more than 451 in the benchmark workloads (252 on
+# corpus), nor more than 1,601 with the refutable converses at auto(6);
+# checked in one file at auto(40), each of them reaches the budget in 0.5
+# to 0.8 seconds on 2 vCPUs.
 SEARCH_BUDGET = 10_000
 
 
@@ -454,10 +488,9 @@ def _trans_steps(goal: EffLeq):
 
 
 def _search_rules(goal: EffLeq, depth: int, env: Env, table: SearchTable) -> Derivation:
-    for name in sorted(env.lemmas):
-        d = _use(goal, name, env)
-        if d is not None:
-            return d
+    d = _cite(goal, env)
+    if d is not None:
+        return d
 
     synth = partial(synth_type, goal.ctx)
 

@@ -2,16 +2,17 @@
 
 `auto_search_leq` answers repeated subgoals, and `_unscripted` repeated
 formation premises, from the table of the lemma environment, kept across the
-searches of a file until a lemma is added.  These tests pin down what that
-must not change: every top-level search result over the corpus and the
-refutable corpus converses (a golden digest taken before tabling), the
-answer behind every table hit, and the two facts the table relies on, that
-failure is monotone in depth and that goals are keyed by value rather than
-by hash.  The last tests pin the index of the search rules by goal head,
+searches of a file until a lemma proving an inequality is added.  These
+tests pin down what that must not change: every top-level search result
+over the corpus and the refutable corpus converses (a golden digest taken
+before tabling), the answer behind every table hit, and the two facts the
+table relies on, that failure is monotone in depth and that goals are
+keyed by value rather than by hash.  The last tests pin the index of the search rules by goal head,
 which must skip only schema misses, what it saves, the heads and instances
 of the rules written as patterns, the node budget that ends a search too
-deep to finish and that its nested searches charge, and the table's
-invalidation and its formation failures.
+deep to finish and that its nested searches charge, the table's
+invalidation, which only an inequality lemma causes and which leaves every
+corpus derivation as it was, the lemma index, and the formation failures.
 """
 import hashlib
 import random
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import pytest
 
-from qpel import derivation, typecheck
+from qpel import derivation, driver, typecheck
 from qpel.backends import BACKEND_NAMES, make_backend
 from qpel.corpus import all_items
 from qpel.derivation import (
@@ -37,7 +38,7 @@ from qpel.derivation import (
     auto_search_leq,
 )
 from qpel.driver import EXIT_PROOF, process_file
-from qpel.interpreter import backend_applicable, judgement_true
+from qpel.interpreter import assume_checked, backend_applicable, judgement_true
 from qpel.parser import AutoNode, GLeq, LemmaDecl, SourceFile, parse, parse_effect_text
 from qpel.randgen import ANGLES, NAMES, raw_effect, raw_term, raw_type
 from qpel.rules import DEFAULT_PACKS, EFFECTS, SCHEMAS, RuleMismatch
@@ -117,7 +118,8 @@ def _refute_goals():
             if not (isinstance(decl, LemmaDecl) and isinstance(decl.goal, GLeq)):
                 continue
             converse = EffLeq(decl.ctx, decl.goal.high, decl.goal.low)
-            if any(backend_applicable(b, converse) and not judgement_true(b, converse)
+            ds = assume_checked(converse)
+            if any(backend_applicable(b, converse, ds) and not judgement_true(b, converse, ds)
                    for b in backends):
                 out.append((decl, converse))
     return out
@@ -1001,6 +1003,102 @@ def test_a_new_lemma_drops_the_table():
     report = process_file(sf, packs=DEFAULT_PACKS)
     assert [(d.name, d.status) for d in report.decls] == [
         ("early", "proof-error"), ("cover", "ok"), ("late", "ok")]
+
+
+def _table_entries(table):
+    return dict(table.proved), dict(table.failed), dict(table.formed)
+
+
+def test_only_an_inequality_lemma_drops_the_table():
+    """No search cites an equation or a typing, so adding a lemma that proves
+    only those keeps the table and what it holds; an inequality lemma, or
+    one replacing a lemma of the same name that proved one, drops it."""
+    g = Context((("x", TQbit()),))
+    p0 = ProjPlus(Var("x"), Fraction(0))
+    env = Env()
+    goal = EffLeq(g, OSum(p0, Orth(p0)), one())
+    with pytest.raises(SearchFailed):
+        auto_search_leq(goal, 2, env)
+    auto_search_leq(goal, 3, env)
+    table = env.search
+    entries = _table_entries(table)
+    assert all(entries)
+    env.add_lemma("eq", [TermEq(Context(), Star(), Star(), TUnit())])
+    env.add_lemma("typing", [Typing(g, Var("x"), TQbit()), EffForm(g, p0)])
+    assert env.search is table and _table_entries(table) == entries
+    env.add_lemma("leq", [EffLeq(g, p0, p0)])
+    assert env.search is not table and _table_entries(env.search) == ({}, {}, {})
+    table = env.search
+    env.add_lemma("leq", [EffForm(g, p0)])
+    assert env.search is not table and env.leqs == {}
+
+
+def test_search_cites_the_least_lemma_equal_up_to_exchange():
+    """Of the lemmas whose judgement is the goal up to reordering its
+    context, the search cites the least name, which a scan of the lemmas in
+    name order finds first; a lemma with the same sides in another context
+    is not cited.  An index built from `Env(lemmas=...)` answers alike."""
+    xy = Context((("x", TQbit()), ("y", TUnit())))
+    yx = Context((("y", TUnit()), ("x", TQbit())))
+    x = Context((("x", TQbit()),))
+    p0 = ProjPlus(Var("x"), Fraction(0))
+    low, high = OSum(p0, p0), Orth(p0)  # false: no rule proves it
+    lemmas = {"c": [EffLeq(xy, low, high)], "b": [EffLeq(yx, low, high)],
+              "a": [EffLeq(x, low, high)], "0": [TermEq(xy, Star(), Star(), TUnit())]}
+    built = Env()
+    for name, judgements in lemmas.items():
+        built.add_lemma(name, judgements)
+    for env in (built, Env(lemmas=dict(lemmas))):
+        for ctx in (xy, yx):
+            goal = EffLeq(ctx, low, high)
+            scanned = [n for n in sorted(env.lemmas) if derivation._use(goal, n, env)]
+            d = auto_search_leq(goal, 1, env)
+            assert (d.rule, d.args, scanned) == ("use", {"name": "b"}, ["b", "c"])
+        assert auto_search_leq(EffLeq(x, low, high), 1, env).args == {"name": "a"}
+        with pytest.raises(SearchFailed):
+            auto_search_leq(EffLeq(Context((("x", TQbit()), ("z", TUnit()))), low, high), 1, env)
+
+
+def _corpus_derivations(monkeypatch):
+    """Each corpus file's reports, and every derivation the driver's
+    `check_judgement` and `check_script` calls return, in call order."""
+    out = []
+    for name in ("check_judgement", "check_script"):
+        def recording(*args, check=getattr(driver, name)):
+            d = check(*args)
+            out.append(repr(d))
+            return d
+
+        monkeypatch.setattr(driver, name, recording)
+    for name in _corpus_files():
+        report = _check_file(name)
+        out.append(repr([(d.name, d.status, d.message) for d in report.decls]))
+    return out
+
+
+def test_corpus_derivations_equal_those_with_the_table_dropped_at_every_lemma(monkeypatch):
+    """The table kept across the 147 corpus lemmas that prove no inequality
+    changes no derivation and no report."""
+    add_lemma = Env.add_lemma
+    kept = []
+
+    def counting(env, name, judgements):
+        table = env.search
+        add_lemma(env, name, judgements)
+        kept.append(env.search is table)
+
+    def dropping(env, name, judgements):
+        add_lemma(env, name, judgements)
+        env.search = SearchTable()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Env, "add_lemma", counting)
+        tabled = _corpus_derivations(mp)
+    assert (len(kept), sum(kept)) == (245, 147)
+    with monkeypatch.context() as mp:
+        mp.setattr(Env, "add_lemma", dropping)
+        assert _corpus_derivations(mp) == tabled
+    assert len(tabled) == 492 + 5  # derivations and file reports
 
 
 def test_formation_table_answers_failures_like_a_fresh_check(monkeypatch):

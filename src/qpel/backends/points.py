@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from ..effects import EffectMonoid
-from ..triangle import Backend, BackendError, nfold
+from ..triangle import Backend, BackendError, nfold, tensor_all
 
 STAR = "*"
 
@@ -35,6 +35,22 @@ def show_point(p) -> str:
     if isinstance(p, tuple) and len(p) == 2:
         return f"({show_point(p[0])}, {show_point(p[1])})"
     return repr(p)
+
+
+def _unnest(p, n):
+    """The n factor points of the context point ((*, x1), ..., xn)."""
+    xs = [None] * n
+    for k in range(n - 1, -1, -1):
+        p, xs[k] = p
+    return xs
+
+
+def _nest(xs, ks):
+    """The context point of the factor points at the indices ks."""
+    p = STAR
+    for k in ks:
+        p = (p, xs[k])
+    return p
 
 
 @dataclass
@@ -215,6 +231,24 @@ class PointBackend(Backend):
             self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
             lambda p: (p[0][0], (p[0][1], p[1])),
         )
+
+    # context reshuffles: a context point is the left-nested ((*, x1), ..., xn)
+    def drop_mor(self, obs, keep):
+        kept = [k for k in range(len(obs)) if k in keep]
+        return self._map(tensor_all(self, obs), tensor_all(self, [obs[k] for k in kept]),
+                         lambda p: _nest(_unnest(p, len(obs)), kept))
+
+    def split_mor(self, obs, left):
+        n = range(len(obs))
+        ls, rs = [k for k in n if k in left], [k for k in n if k not in left]
+        cod = self.tensor_ob(tensor_all(self, [obs[k] for k in ls]),
+                             tensor_all(self, [obs[k] for k in rs]))
+
+        def split(p):
+            xs = _unnest(p, len(obs))
+            return _nest(xs, ls), _nest(xs, rs)
+
+        return self._map(tensor_all(self, obs), cod, split)
 
     # predicates: dense maps point -> M
     def pred_zero(self, a):

@@ -104,40 +104,16 @@ class Backend(ABC):
     # ---- context reshuffles
     # A context denotes the left-nested tensor of its factors over the unit;
     # these two maps are its structural morphisms, given by the list of factor
-    # objects and a set of factor indices.  Here they are composites of the
-    # monoidal structure, one factor at a time.
-
+    # objects and a set of factor indices.  Each backend builds them in one
+    # step; the tests compare them with the composites of the monoidal
+    # structure, one factor at a time.
+    @abstractmethod
     def drop_mor(self, obs, keep):
-        """Discard the factors whose index is not in `keep` with terminal maps."""
-        if not obs:
-            return self.identity(self.unit_ob())
-        front, a = obs[:-1], obs[-1]
-        rec = self.drop_mor(front, keep)
-        if len(front) in keep:
-            return self.tensor_mor(rec, self.identity(a))
-        fo = tensor_all(self, front)
-        discard = self.compose(
-            self.unit_right(fo), self.tensor_mor(self.identity(fo), self.terminal(a))
-        )
-        return self.compose(rec, discard)
-
+        """Discard the factors whose index is not in `keep`."""
+    @abstractmethod
     def split_mor(self, obs, left):
         """The iso to the tensor of the factors whose index is in `left` with
         the rest, both in order."""
-        if not obs:
-            return self.unit_left_inv(self.unit_ob())
-        front, a = obs[:-1], obs[-1]
-        rec = self.split_mor(front, left)
-        gl = tensor_all(self, [b for i, b in enumerate(front) if i in left])
-        gr = tensor_all(self, [b for i, b in enumerate(front) if i not in left])
-        step = self.compose(self.assoc(gl, gr, a), self.tensor_mor(rec, self.identity(a)))
-        if len(front) in left:
-            fix = self.compose(
-                self.assoc_inv(gl, a, gr),
-                self.tensor_mor(self.identity(gl), self.symmetry(gr, a)),
-            )
-            return self.compose(fix, step)
-        return step
 
     # ---- predicates
     @abstractmethod

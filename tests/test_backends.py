@@ -24,6 +24,7 @@ from qpel.triangle import (
     dist_n,
     inj_n,
     nfold,
+    tensor_all,
 )
 
 SB = SetBackend()
@@ -31,12 +32,52 @@ ST = StochasticBackend()
 QB = QuantumBackend()
 
 
-class CompositionalQuantum(QuantumBackend):
-    """The quantum backend with the context reshuffles of the triangle
-    definition: assoc, symmetry, unit and terminal maps, one factor at a time."""
+class Compositional:
+    """The context reshuffles of the triangle definition: composites of the
+    assoc, symmetry, unit and terminal maps, one factor at a time, the
+    reference the backends' one-step reshuffles are compared against."""
 
-    drop_mor = Backend.drop_mor
-    split_mor = Backend.split_mor
+    def drop_mor(self, obs, keep):
+        if not obs:
+            return self.identity(self.unit_ob())
+        front, a = obs[:-1], obs[-1]
+        rec = self.drop_mor(front, keep)
+        if len(front) in keep:
+            return self.tensor_mor(rec, self.identity(a))
+        fo = tensor_all(self, front)
+        discard = self.compose(
+            self.unit_right(fo), self.tensor_mor(self.identity(fo), self.terminal(a))
+        )
+        return self.compose(rec, discard)
+
+    def split_mor(self, obs, left):
+        if not obs:
+            return self.unit_left_inv(self.unit_ob())
+        front, a = obs[:-1], obs[-1]
+        rec = self.split_mor(front, left)
+        gl = tensor_all(self, [b for i, b in enumerate(front) if i in left])
+        gr = tensor_all(self, [b for i, b in enumerate(front) if i not in left])
+        step = self.compose(self.assoc(gl, gr, a), self.tensor_mor(rec, self.identity(a)))
+        if len(front) in left:
+            fix = self.compose(
+                self.assoc_inv(gl, a, gr),
+                self.tensor_mor(self.identity(gl), self.symmetry(gr, a)),
+            )
+            return self.compose(fix, step)
+        return step
+
+
+class CompositionalSet(Compositional, SetBackend):
+    pass
+
+
+class CompositionalStochastic(Compositional, StochasticBackend):
+    pass
+
+
+class CompositionalQuantum(Compositional, QuantumBackend):
+    """The quantum backend with the reshuffles and the symmetry of the
+    triangle definition."""
 
     def symmetry(self, a, b):
         # each block conjugates by the permutation matrix that commutes the
@@ -345,6 +386,37 @@ def test_quantum_reshuffles_equal_the_triangle_definition():
         _assert_same_map(QB.split_mor(obs, idx), ref.split_mor(obs, idx))
         _assert_same_map(QB.drop_mor(obs, idx), ref.drop_mor(obs, idx))
         assert QB.is_channel(QB.drop_mor(obs, idx))
+
+
+def _point_objects(b):
+    """unit, I+I, (I+I)+I, (I+I)*(I+I) and I+((I+I)*I) as point tuples."""
+    unit = b.unit_ob()
+    two = b.sum_ob(unit, unit)
+    return [unit, two, b.sum_ob(two, unit), b.tensor_ob(two, two),
+            b.sum_ob(unit, b.tensor_ob(two, unit))]
+
+
+@pytest.mark.parametrize("backend, ref", [(SB, CompositionalSet()),
+                                          (ST, CompositionalStochastic())],
+                         ids=["set", "stochastic"])
+def test_point_reshuffles_equal_the_triangle_definition(backend, ref):
+    objects = _point_objects(backend)
+    rng = random.Random(43)
+    cases = [([], set())]
+    for _ in range(60):
+        while True:
+            obs = [rng.choice(objects) for _ in range(rng.randint(1, 5))]
+            if np.prod([len(a) for a in obs]) <= 64:
+                break
+        n = len(obs)
+        cases.append((obs, {i for i in range(n) if rng.random() < 0.5}))
+        cases.append((obs, set(range(n))))
+        cases.append((obs, set()))
+    for obs, idx in cases:
+        for got, want in ((backend.split_mor(obs, idx), ref.split_mor(obs, idx)),
+                          (backend.drop_mor(obs, idx), ref.drop_mor(obs, idx))):
+            assert (got.dom, got.cod) == (want.dom, want.cod), (obs, idx)
+            assert got.rows == want.rows, (obs, idx)
 
 
 def test_quantum_compose_is_the_block_contraction():

@@ -213,9 +213,6 @@ class PointBackend(Backend):
     def unit_right(self, a):
         return self._map(self.tensor_ob(a, UNIT_OB), a, lambda p: p[0])
 
-    def unit_right_inv(self, a):
-        return self._map(a, self.tensor_ob(a, UNIT_OB), lambda x: (x, STAR))
-
     def terminal(self, a):
         return self._map(a, UNIT_OB, lambda x: STAR)
 
@@ -225,11 +222,11 @@ class PointBackend(Backend):
     def inj2(self, a, b):
         return self._map(b, self.sum_ob(a, b), lambda y: ("R", y))
 
-    def dist_left(self, a, b, c):
+    def dist_right(self, a, b, c):
         return self._map(
-            self.tensor_ob(self.sum_ob(a, b), c),
-            self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c)),
-            lambda p: (p[0][0], (p[0][1], p[1])),
+            self.tensor_ob(a, self.sum_ob(b, c)),
+            self.sum_ob(self.tensor_ob(a, b), self.tensor_ob(a, c)),
+            lambda p: (p[1][0], (p[0], p[1][1])),
         )
 
     # context reshuffles: a context point is the left-nested ((*, x1), ..., xn)

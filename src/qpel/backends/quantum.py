@@ -9,12 +9,13 @@ trace-preserving map stored blockwise as 4-index tensors T[(i, j)] with
 so composition is a matrix product of each pair of blocks reshaped to
 (e*e, m*m) and (m*m, d*d), while tensoring and the Heisenberg adjoint are
 einsum contractions.  Tensor and coproduct act on block lists (Kronecker /
-concatenation), which makes the associator, the unit isos and the left
-distributivity literal identities on this representation.  The symmetry is
-the reshuffle that swaps two factors; it and the context reshuffles
-(`split_mor`, `drop_mor`) are built in one step, each block a permutation of
-the Kronecker factors' indices followed by a partial trace, instead of as the
-generic composites of structural maps (Wood, Biamonte & Cory, arXiv:1111.6950).
+concatenation), which makes the associator and the unit isos literal
+identities on this representation, and right distributivity a relabelling
+of identity blocks.  The symmetry is the reshuffle that swaps two factors;
+it and the context reshuffles (`split_mor`, `drop_mor`) are built in one
+step, each block a permutation of the Kronecker factors' indices followed by
+a partial trace, instead of as the generic composites of structural maps
+(Wood, Biamonte & Cory, arXiv:1111.6950).
 A closed term is evaluated on states instead of maps: `reshuffle_state` and
 `apply_leading` move a density matrix over a list of factors, with the cost
 of the state and of the small channel applied, not of a map on the whole
@@ -137,10 +138,6 @@ class QuantumBackend(Backend):
         f = self.identity(a)
         return QMor(self.tensor_ob(a, (1,)), a, f.blocks)
 
-    def unit_right_inv(self, a):
-        f = self.identity(a)
-        return QMor(a, self.tensor_ob(a, (1,)), f.blocks)
-
     def terminal(self, a):
         blocks = {}
         for i, d in enumerate(a):
@@ -225,12 +222,17 @@ class QuantumBackend(Backend):
         blocks.update({(off + i, j): t for (i, j), t in g.blocks.items()})
         return QMor(dom, f.cod, blocks)
 
-    def dist_left(self, a, b, c):
-        # both sides enumerate blocks in the same order with equal dims
-        dom = self.tensor_ob(self.sum_ob(a, b), c)
-        cod = self.sum_ob(self.tensor_ob(a, c), self.tensor_ob(b, c))
-        f = self.identity(dom)
-        return QMor(dom, cod, f.blocks)
+    def dist_right(self, a, b, c):
+        # block (i, k) of A (x) (B+C) is block (i, k) of A (x) B, or block
+        # (i, k - |B|) of A (x) C: identity blocks, relabelled
+        bc, nb, nc = self.sum_ob(b, c), len(b), len(c)
+        blocks = {}
+        for i, d in enumerate(a):
+            for k, e in enumerate(bc):
+                j = i * nb + k if k < nb else len(a) * nb + i * nc + k - nb
+                blocks[(i * len(bc) + k, j)] = _ident_tensor(d * e)
+        return QMor(self.tensor_ob(a, bc),
+                    self.sum_ob(self.tensor_ob(a, b), self.tensor_ob(a, c)), blocks)
 
     def mor_eq(self, f, g):
         if f.dom != g.dom or f.cod != g.cod:

@@ -41,7 +41,7 @@ from .parser import (
     parse,
 )
 from .printer import print_type, rational
-from .syntax import Ascribe, TermEq, subst
+from .syntax import Ascribe, EffForm, TermEq, Typing, subst
 from .typecheck import (
     ObligationError,
     QpelTypeError,
@@ -179,24 +179,26 @@ def process_file(sf: SourceFile, *, path="<input>", packs=None, depth=6,
         t0 = time.monotonic()
         if isinstance(decl, TypeDecl):
             rep = DeclReport(decl.name, "type", "ok", "parsed")
-        elif isinstance(decl, TermDecl):
-            rep = DeclReport(decl.name, "term", "ok", "typechecked")
+        elif isinstance(decl, (TermDecl, EffectDecl)):
+            is_term = isinstance(decl, TermDecl)
+            rep = DeclReport(decl.name, "term" if is_term else "effect", "ok", "parsed")
             try:
-                d = check_term(decl.ctx, decl.term, decl.ty, env.resolver(decl.requires))
-                terms[decl.name] = "check expects a closed term" if len(decl.ctx) else d
+                resolver = env.resolver(decl.requires)
+                if is_term:
+                    d = check_term(decl.ctx, decl.term, decl.ty, resolver)
+                else:
+                    check_effect(decl.ctx, decl.eff, resolver)
+                rep.stage = "typechecked"
             except QpelTypeError as exc:
                 rep.status, rep.message = "type-error", str(exc)
             except SearchBudgetExhausted as exc:
                 rep.status, rep.message = "proof-error", str(exc)
-        elif isinstance(decl, EffectDecl):
-            rep = DeclReport(decl.name, "effect", "ok", "typechecked")
-            try:
-                check_effect(decl.ctx, decl.eff, env.resolver(decl.requires))
+            if not is_term:
                 terms[decl.name] = "check expects a term declaration"
-            except QpelTypeError as exc:
-                rep.status, rep.message = "type-error", str(exc)
-            except SearchBudgetExhausted as exc:
-                rep.status, rep.message = "proof-error", str(exc)
+            elif not rep.ok:
+                terms[decl.name] = f"check names the failed term {decl.name!r}: {rep.message}"
+            else:
+                terms[decl.name] = "check expects a closed term" if len(decl.ctx) else d
         elif isinstance(decl, LemmaDecl):
             rep = _process_lemma(decl, env, backends)
         elif isinstance(decl, CheckDecl):
@@ -238,6 +240,9 @@ def _process_lemma(decl: LemmaDecl, env: Env, backends) -> DeclReport:
                         "a term equality lemma needs a `by { ... }` script"
                     )
                 s = AutoNode()
+            if isinstance(s, AutoNode) and isinstance(j, (Typing, EffForm)):
+                # its proof is the typecheck's, built with the `requires` scripts
+                continue
             check_script(j, s, env)
     except (DerivationError, ObligationError, SearchBudgetExhausted) as exc:
         rep.status, rep.message = "proof-error", str(exc)

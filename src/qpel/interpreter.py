@@ -144,14 +144,17 @@ def interpret(backend: Backend, d: Derivation):
 
 def _fold(backend: Backend, d: Derivation):
     """One case per formation rule, mapping the denotations of the premises
-    to the rule's construction."""
+    to the rule's construction.  A premise's binders end its context, so let,
+    case, measure and caseE split the goal's context as (zone of the body or
+    arms, zone of the scrutinee) and reach the body's or the arms' context
+    by `assoc_inv` or right distributivity, composing no symmetry."""
     j, ps = d.judgement, d.children
 
     def rec(p):
         return interpret(backend, p)
 
     def split(first, binders=0):
-        # the iso from the context object to the zone of the first premise,
+        # the iso from the context object to the zone of premise `first`,
         # which binds `binders` variables, tensored with the rest
         return split_mor(backend, j.ctx, [name for name, _ in _zone(first, binders)])
 
@@ -175,9 +178,8 @@ def _fold(backend: Backend, d: Derivation):
                 backend,
                 rec(n),
                 backend.assoc_inv(dn, a, b),
-                backend.symmetry(backend.tensor_ob(a, b), dn),
-                backend.tensor_mor(rec(p), backend.identity(dn)),
-                split(p),
+                backend.tensor_mor(backend.identity(dn), rec(p)),
+                split(n, 2),
             )
         case "inl":
             return backend.compose(backend.inj1(*summands(j.ty)), rec(ps[0]))
@@ -187,14 +189,12 @@ def _fold(backend: Backend, d: Derivation):
             s, l, r = ps
             a, b = summands(d.args["ty"])
             dd = ctx_ob(backend, _zone(l, 1))
-            branch1 = backend.compose(rec(l), backend.symmetry(a, dd))
-            branch2 = backend.compose(rec(r), backend.symmetry(b, dd))
             return compose_all(
                 backend,
-                backend.cotuple(branch1, branch2),
-                backend.dist_left(a, b, dd),
-                backend.tensor_mor(rec(s), backend.identity(dd)),
-                split(s),
+                backend.cotuple(rec(l), rec(r)),
+                backend.dist_right(dd, a, b),
+                backend.tensor_mor(backend.identity(dd), rec(s)),
+                split(l, 1),
             )
         case "measure":
             # ps[0] proves that the branch effects, the formations, cover
@@ -206,8 +206,8 @@ def _fold(backend: Backend, d: Derivation):
                 backend,
                 cotuple_n(backend, [rec(arm) for arm in arms]),
                 dist_n(backend, len(arms), dd),
-                backend.tensor_mor(meas, backend.identity(dd)),
-                split(first),
+                backend.tensor_mor(backend.identity(dd), meas),
+                split(arms[0]),
             )
         case "qbit-new":
             discard = backend.terminal(ctx_ob(backend, j.ctx))

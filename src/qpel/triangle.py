@@ -11,6 +11,9 @@ monad over an effect monoid of scalars, whose instances are the set and
 stochastic backends, and `backends.quantum.QuantumBackend`.  Test-data
 draws (`random_state`, `random_pred`) are not part of the interface.
 
+Distributivity is declared once, as `dist_right`: the interpreter splits a
+scrutinee's factor off last, so it composes no symmetry.
+
 n-ary coproducts are derived here by left nesting, which makes the
 zero-extension measurement axiom literal: (n+1)-fold I is (n-fold I) + I and
 the embedding is the first injection.
@@ -76,8 +79,6 @@ class Backend(ABC):
     @abstractmethod
     def unit_right(self, a): ...
     @abstractmethod
-    def unit_right_inv(self, a): ...
-    @abstractmethod
     def terminal(self, a): ...
     @abstractmethod
     def inj1(self, a, b): ...
@@ -86,20 +87,11 @@ class Backend(ABC):
     @abstractmethod
     def cotuple(self, f, g): ...
     @abstractmethod
-    def dist_left(self, a, b, c):
-        """(A+B) (x) C -> A (x) C + B (x) C"""
+    def dist_right(self, a, b, c):
+        """A (x) (B+C) -> A (x) B + A (x) C, the inverse of the cotuple of
+        id (x) inj1 and id (x) inj2."""
     @abstractmethod
     def mor_eq(self, f, g): ...
-
-    def dist_right(self, a, b, c):
-        """A (x) (B+C) -> A (x) B + A (x) C, derived from symmetry."""
-        lhs_sym = self.symmetry(a, self.sum_ob(b, c))
-        d = self.dist_left(b, c, a)
-        fix = self.cotuple(
-            self.compose(self.inj1(self.tensor_ob(a, b), self.tensor_ob(a, c)), self.symmetry(b, a)),
-            self.compose(self.inj2(self.tensor_ob(a, b), self.tensor_ob(a, c)), self.symmetry(c, a)),
-        )
-        return self.compose(fix, self.compose(d, lhs_sym))
 
     # ---- context reshuffles
     # A context denotes the left-nested tensor of its factors over the unit;
@@ -227,17 +219,15 @@ def perm_mor(backend: Backend, a, perm):
 
 
 def dist_n(backend: Backend, n: int, delta):
-    """(n-fold I) (x) Delta -> n-fold Delta."""
+    """Delta (x) (n-fold I) -> n-fold Delta."""
     unit = backend.unit_ob()
     if n == 1:
-        return backend.unit_left(delta)
-    left_obj = nfold(backend, unit, n - 1)
-    step = backend.dist_left(left_obj, unit, delta)
-    rec = dist_n(backend, n - 1, delta)
+        return backend.unit_right(delta)
+    step = backend.dist_right(delta, nfold(backend, unit, n - 1), unit)
     target_left = nfold(backend, delta, n - 1)
     glue = backend.cotuple(
-        backend.compose(backend.inj1(target_left, delta), rec),
-        backend.compose(backend.inj2(target_left, delta), backend.unit_left(delta)),
+        backend.compose(backend.inj1(target_left, delta), dist_n(backend, n - 1, delta)),
+        backend.compose(backend.inj2(target_left, delta), backend.unit_right(delta)),
     )
     return backend.compose(glue, step)
 

@@ -332,7 +332,7 @@ def test_dist_n_and_injections_roundtrip():
         for leg in legs:
             assert backend.mor_eq(backend.compose(co, leg), backend.identity(obj))
         d = dist_n(backend, n, obj)
-        assert backend.dom(d) == backend.tensor_ob(nfold(backend, unit, n), obj)
+        assert backend.dom(d) == backend.tensor_ob(obj, nfold(backend, unit, n))
         assert backend.cod(d) == nfold(backend, obj, n)
 
 
@@ -417,6 +417,34 @@ def test_point_reshuffles_equal_the_triangle_definition(backend, ref):
                           (backend.drop_mor(obs, idx), ref.drop_mor(obs, idx))):
             assert (got.dom, got.cod) == (want.dom, want.cod), (obs, idx)
             assert got.rows == want.rows, (obs, idx)
+
+
+def _same_map(backend, f, g):
+    """f and g are equal to the bit: the same rows, or the same blocks."""
+    if (f.dom, f.cod) != (g.dom, g.cod):
+        return False
+    if backend is QB:
+        return f.blocks.keys() == g.blocks.keys() and all(
+            np.array_equal(f.blocks[k], g.blocks[k]) for k in f.blocks)
+    return f.rows == g.rows
+
+
+@pytest.mark.parametrize("backend", [SB, ST, QB], ids=["set", "stochastic", "quantum"])
+def test_dist_right_inverts_the_canonical_map(backend):
+    """Right distributivity is the inverse of [id (x) inj1, id (x) inj2] :
+    A (x) B + A (x) C -> A (x) (B+C), exactly: the category is distributive."""
+    objects = RESHUFFLE_FACTORS if backend is QB else _point_objects(backend)
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                ida = backend.identity(a)
+                canonical = backend.cotuple(backend.tensor_mor(ida, backend.inj1(b, c)),
+                                            backend.tensor_mor(ida, backend.inj2(b, c)))
+                dist = backend.dist_right(a, b, c)
+                there = backend.compose(dist, canonical)
+                back = backend.compose(canonical, dist)
+                assert _same_map(backend, there, backend.identity(backend.dom(canonical))), (a, b, c)
+                assert _same_map(backend, back, backend.identity(backend.dom(dist))), (a, b, c)
 
 
 def test_quantum_compose_is_the_block_contraction():

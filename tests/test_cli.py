@@ -180,6 +180,41 @@ def test_auto_depth_flag(tmp_path):
     assert deep.returncode == 0, deep.stdout
 
 
+MEASURE_BOT = "measure { bot(bot(proj(x, 0))) -> inl unit | bot(proj(x, 0)) -> inr unit }"
+
+
+def test_a_typing_lemma_proved_by_auto_keeps_its_requires_scripts():
+    """The obligation of the measurement is beyond depth 2, so only the
+    `requires` script proves it; the typing lemma's proof is the derivation
+    its typecheck built with that script."""
+    text = (f"term t (x : qbit) : I + I = {MEASURE_BOT}\n  requires {{ auto(3) }}\n"
+            f"lemma l (x : qbit) : {MEASURE_BOT} : I + I\n  requires {{ auto(3) }}\n"
+            f"lemma m (x : qbit) : {MEASURE_BOT} : I + I\n  requires {{ auto(3) }}\n  by {{ auto }}\n")
+    code, out = check_in_process(text, "--auto-depth", "2")
+    assert code == 0, out
+    assert "[ok  ] lemma l: lemma-checked" in out and "[ok  ] lemma m: lemma-checked" in out
+    # without the script the typecheck itself fails
+    code, out = check_in_process(f"lemma l (x : qbit) : {MEASURE_BOT} : I + I\n", "--auto-depth", "2")
+    assert code == 3 and "[FAIL] lemma l: parsed -- undischarged obligation" in out, out
+
+
+def test_a_failed_declaration_reports_the_last_stage_it_passed():
+    text = ("term t () : qbit = unit\ncheck t\n"
+            "effect e (x : I) = proj(x, 1/2)\ncheck e\n"
+            "effect f (x : I) = bot(0)\ncheck f\n")
+    code, out = check_in_process(text)
+    assert code == 3, out
+    assert out.splitlines()[1:] == [
+        "  [FAIL] term t: parsed -- unit value cannot have type qbit",
+        "  [FAIL] check t: parsed -- check names the failed term 't':"
+        " unit value cannot have type qbit",
+        "  [FAIL] effect e: parsed -- variable x has type I, expected qbit",
+        "  [FAIL] check e: parsed -- check expects a term declaration",
+        "  [ok  ] effect f: typechecked",
+        "  [FAIL] check f: parsed -- check expects a term declaration",
+    ]
+
+
 def test_sidecar_proofs(tmp_path):
     src = write(tmp_path, "side.qpel", "lemma l (x : I) : (measure { bot(0) -> x }) = x : I\n")
     sidecar = {"l": {"rule": "measure-1"}}

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,7 +301,8 @@ def test_measurement_based_hadamard():
     from qpel.typecheck import check_term
     from qpel.derivation import Env
 
-    sf = parse(open("corpus/intro.qpel").read())
+    sf = parse((Path(__file__).resolve().parent.parent / "corpus" / "intro.qpel")
+               .read_text(encoding="utf-8"))
     decl = next(d for d in sf.decls if getattr(d, "name", None) == "hadamard")
     check_term(decl.ctx, decl.term, decl.ty, Env().resolver())
     f = interp_term(QB, decl.ctx, decl.term, decl.ty)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,8 +138,12 @@ def test_wp_substitution_lemma_corpus():
 def test_cli_wp_cross_check_on_intro_corpus():
     from qpel.driver import wp_decls
 
-    sf = parse(open("corpus/intro.qpel").read())
-    for term, eff in [("xgate", "prj0"), ("zgate", "prjhalf"), ("prepared", "prj0")]:
+    sf = parse((Path(__file__).resolve().parent.parent / "corpus" / "intro.qpel")
+               .read_text(encoding="utf-8"))
+    # hadamard, the measurement-based Hadamard, folds let, E, measure and X
+    pairs = [("xgate", "prj0"), ("zgate", "prjhalf"), ("prepared", "prj0"),
+             ("hadamard", "prj0"), ("hadamard", "prjhalf")]
+    for term, eff in pairs:
         pred, dev = wp_decls(sf, term, eff, cross_check=True)
         assert dev is not None and dev <= TOL
 

@@ -16,10 +16,10 @@ it and the context reshuffles (`split_mor`, `drop_mor`) are built in one
 step, each block a permutation of the Kronecker factors' indices followed by
 a partial trace, instead of as the generic composites of structural maps
 (Wood, Biamonte & Cory, arXiv:1111.6950).
-A closed term is evaluated on states instead of maps: `reshuffle_state` and
-`apply_leading` move a density matrix over a list of factors, with the cost
-of the state and of the small channel applied, not of a map on the whole
-context (local updates as in QuEST, arXiv:1802.08032).
+A closed term is evaluated on states instead of maps: `reshuffle_state`
+moves a density matrix over a list of factors and `apply_trailing` applies a
+channel to the trailing ones, at the cost of the state and the channel, not
+of a map on the whole context (local updates as in QuEST, arXiv:1802.08032).
 Numeric equality is Frobenius distance within 1e-9.
 """
 from __future__ import annotations
@@ -192,18 +192,18 @@ class QuantumBackend(Backend):
             out[j] = rho if out[j] is None else out[j] + rho
         return tuple(out)
 
-    def apply_leading(self, f, s, rest):
-        """(f (x) id) applied to the state s on dom(f) (x) rest: one
-        contraction of each block of f with the leading factor's indices."""
-        m = len(rest)
-        out = [np.zeros((e * r, e * r), dtype=complex) for e in f.cod for r in rest]
+    def apply_trailing(self, f, s, rest):
+        """(id (x) f) applied to the state s on rest (x) dom(f): one
+        contraction of each block of f with the trailing factor's indices."""
+        n = len(f.dom)
+        out = [np.zeros((r * e, r * e), dtype=complex) for r in rest for e in f.cod]
         for (i, j), t in f.blocks.items():
             e, d = t.shape[0], t.shape[2]
             t = t.reshape(e * e, d * d)
             for k, r in enumerate(rest):
-                rho = s[i * m + k].reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)
-                rho = (t @ rho).reshape(e, e, r, r).transpose(0, 2, 1, 3)
-                out[j * m + k] += rho.reshape(e * r, e * r)
+                rho = s[k * n + i].reshape(r, d, r, d).transpose(1, 3, 0, 2).reshape(d * d, r * r)
+                rho = (t @ rho).reshape(e, e, r, r).transpose(2, 0, 3, 1)
+                out[k * len(f.cod) + j] += rho.reshape(r * e, r * e)
         return tuple(out)
 
     def inj1(self, a, b):

@@ -6,10 +6,12 @@
     qpel wp [--cross-check] FILE TERM EFFECT
 
 Exit codes: 0 success, 2 parse, 3 typing, 4 proof, 5 semantic mismatch.
+A reader that closes the output early does not change the exit code.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .backends import BACKEND_NAMES
@@ -38,6 +40,19 @@ def _parse_rules(spec: str):
     if unknown:
         raise SystemExit(f"unknown rule pack(s): {', '.join(sorted(unknown))}")
     return packs | {"core"}
+
+
+def _emit(text: str, code: int) -> int:
+    """Print the command's output and return its exit code, also when the
+    reader has closed the pipe: the rest of the output is dropped, and stdout
+    goes to devnull so that the flush at exit does not raise again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def main(argv=None) -> int:
@@ -86,8 +101,7 @@ def main(argv=None) -> int:
             fmt=args.format,
             timing=args.timing,
         )
-        print(rendered)
-        return code
+        return _emit(rendered, code)
 
     if args.command == "eval":
         try:
@@ -103,8 +117,7 @@ def main(argv=None) -> int:
         except SearchBudgetExhausted as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PROOF
-        print(render_state(args.backend, state))
-        return EXIT_OK
+        return _emit(render_state(args.backend, state), EXIT_OK)
 
     if args.command == "wp":
         try:
@@ -122,12 +135,10 @@ def main(argv=None) -> int:
         except (DerivationError, SearchBudgetExhausted) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PROOF
-        print(render_pred(pred))
-        if deviation is not None:
-            print(f"cross-check max deviation: {deviation:.3e}")
-            if deviation > 1e-9:
-                return EXIT_SEMANTIC
-        return EXIT_OK
+        if deviation is None:
+            return _emit(render_pred(pred), EXIT_OK)
+        return _emit(f"{render_pred(pred)}\ncross-check max deviation: {deviation:.3e}",
+                     EXIT_SEMANTIC if deviation > 1e-9 else EXIT_OK)
 
     raise AssertionError
 

@@ -39,7 +39,8 @@ writes only into what it allocated.
 
 `evaluate` gives the state a closed term denotes.  In the quantum backend it
 is a second fold over the derivation whose carrier is a state over the live
-context factors, not a map on the whole context.  Its states depend on the
+context factors, not a map on the whole context; it splits each context as
+the map fold does, the scrutinee's zone last.  Its states depend on the
 state it is given and are not kept; the measurement predicates it reads come
 from `interpret`, so a measurement whose branches are `proj(a, q)` and
 `bot(proj(a, q))` builds the projector once.
@@ -54,8 +55,6 @@ order of the predicate module.  Both are delegated to the backend, which owns
 its notion of equality (exact or within tolerance).
 """
 from __future__ import annotations
-
-import numpy as np
 
 from .backends.quantum import QuantumBackend
 from .rules import SCHEMAS
@@ -273,56 +272,50 @@ def evaluate(backend: Backend, d: Derivation):
 
 
 def _forward(backend: QuantumBackend, d: Derivation, s, rest):
-    """(f (x) id)(s), a state on A (x) rest, where f interprets the typing
-    derivation d of G |- M : A and s is a state on the factors of G followed
-    by the spectator factor `rest`.  One case per term formation rule: a
-    premise runs with its zone's factors leading and the others added to the
-    spectators; a dropped variable is traced out; case and measure run each
-    arm on the blocks of its summand or outcome, and add up the results."""
+    """(id (x) f)(s), a state on rest (x) A, where f interprets the typing
+    derivation d of G |- M : A and s is a state on the spectator factor
+    `rest` followed by the factors of G.  One case per term formation rule:
+    a premise runs on the trailing factors, its zone, and the other entries
+    join the spectators, so a scrutinee's value lands where the binders of
+    the body or the arms end their context, as in `_fold`; a dropped
+    variable is traced out; case and measure run each arm on the blocks of
+    its summand or outcome, and add up the results."""
     j, ps = d.judgement, d.children
     g = j.ctx.entries
-    obs = _factors(backend, g) + [rest]
-    here = len(g)  # the index of `rest` in obs
+    obs = [rest] + _factors(backend, g)
 
     def rec(p, s, rest):
         return _forward(backend, p, s, rest)
 
-    def lead(p):
-        # s with the zone of premise p first, the other entries next (the
-        # zone of the other premises) and rest last; the two zones' objects
+    def trail(p):
+        # s with rest first, the entries outside the zone of premise p next
+        # and the zone last; and the object of those other entries
         zone = {name for name, _ in _zone(p)}
-        front = [i for i, (name, _) in enumerate(g) if name in zone]
-        back = [i for i, (name, _) in enumerate(g) if name not in zone]
-        moved = backend.reshuffle_state(s, obs, front + back + [here])
-        return (moved, tensor_all(backend, [obs[i] for i in front]),
-                tensor_all(backend, [obs[i] for i in back]))
-
-    def swap(s, a, b):
-        # a state on a (x) b (x) rest to one on b (x) a (x) rest
-        return backend.reshuffle_state(s, [a, b, rest], [1, 0, 2])
+        others = [i for i, (name, _) in enumerate(g, 1) if name not in zone]
+        inside = [i for i, (name, _) in enumerate(g, 1) if name in zone]
+        moved = backend.reshuffle_state(s, obs, [0] + others + inside)
+        return moved, tensor_all(backend, [obs[i] for i in others])
 
     def pair(l, r):
-        # r first, with l's zone among the spectators, then l
-        s_r, _, gl = lead(r)
-        b = interp_type(backend, r.judgement.ty)
-        s_b = rec(r, s_r, backend.tensor_ob(gl, rest))
-        return rec(l, swap(s_b, b, gl), backend.tensor_ob(b, rest))
+        # l first, with r's zone among the spectators, then r after l's value
+        s_l, gr = trail(l)
+        a = interp_type(backend, l.judgement.ty)
+        s_a = rec(l, s_l, backend.tensor_ob(rest, gr))
+        return rec(r, backend.reshuffle_state(s_a, [rest, gr, a], [0, 2, 1]),
+                   backend.tensor_ob(rest, a))
 
-    def arms(s, sizes, zone):
-        # s on (a sum of summands with `sizes` blocks) (x) zone (x) rest cut
-        # into the summands' blocks: the sum's block index is the most
+    def arms(s, sizes):
+        # s on rest (x) zone (x) (a sum of summands with `sizes` blocks) cut
+        # into the summands' blocks: the sum's block index is the least
         # significant in flat order
-        m = len(backend.tensor_ob(zone, rest))
-        starts = [0]
-        for n in sizes:
-            starts.append(starts[-1] + n * m)
-        return [s[a:b] for a, b in zip(starts, starts[1:])]
+        n, start, out = sum(sizes), 0, []
+        for size in sizes:
+            out.append(tuple(b for u in range(start, len(s), n) for b in s[u : u + size]))
+            start += size
+        return out
 
     def total(states):
         return tuple(sum(blocks) for blocks in zip(*states))
-
-    def zeros(a):
-        return tuple(np.zeros((e, e), dtype=complex) for e in backend.tensor_ob(a, rest))
 
     def summands(ty):
         return interp_type(backend, ty.left), interp_type(backend, ty.right)
@@ -330,45 +323,46 @@ def _forward(backend: QuantumBackend, d: Derivation, s, rest):
     match d.rule:
         case "var":
             names = [name for name, _ in g]
-            return backend.reshuffle_state(s, obs, [names.index(j.term.name), here])
+            return backend.reshuffle_state(s, obs, [0, names.index(j.term.name) + 1])
         case "unit":
-            return backend.reshuffle_state(s, obs, [here])
+            return backend.reshuffle_state(s, obs, [0])
         case "tensor":
             return pair(*ps)
         case "let":
             p, n = ps
-            s, _, dn = lead(p)
-            s = rec(p, s, backend.tensor_ob(dn, rest))
+            s, dn = trail(p)
             # the body's context is the zone dn, then the pair's two binders
-            return rec(n, swap(s, interp_type(backend, d.args["ty"]), dn), rest)
+            return rec(n, rec(p, s, backend.tensor_ob(rest, dn)), rest)
         case "inl":
-            return rec(ps[0], s, rest) + zeros(summands(j.ty)[1])
+            return backend.apply_trailing(backend.inj1(*summands(j.ty)), rec(ps[0], s, rest), rest)
         case "inr":
-            return zeros(summands(j.ty)[0]) + rec(ps[0], s, rest)
+            return backend.apply_trailing(backend.inj2(*summands(j.ty)), rec(ps[0], s, rest), rest)
         case "case":
             sc, l, r = ps
-            s, _, dd = lead(sc)
+            s, dd = trail(sc)
             a, b = summands(d.args["ty"])
-            left, right = arms(rec(sc, s, backend.tensor_ob(dd, rest)), (len(a), len(b)), dd)
             # each arm's context is the zone dd, then its binder
-            return total([rec(l, swap(left, a, dd), rest), rec(r, swap(right, b, dd), rest)])
+            left, right = arms(rec(sc, s, backend.tensor_ob(rest, dd)), (len(a), len(b)))
+            return total([rec(l, left, rest), rec(r, right, rest)])
         case "measure":
             # the branch effects, the formations, are predicates on the zone
-            # of the first; the arms share the rest
-            s, gm, dd = lead(d.formations[0])
-            meas = backend.meas(gm, [interpret(backend, f) for f in d.formations])
-            s = backend.apply_leading(meas, s, backend.tensor_ob(dd, rest))
-            outcomes = arms(s, [1] * len(d.formations), dd)
+            # of the first; the arms share the other entries
+            first = d.formations[0]
+            s, dd = trail(first)
+            meas = backend.meas(ctx_ob(backend, _zone(first)),
+                                [interpret(backend, f) for f in d.formations])
+            s = backend.apply_trailing(meas, s, backend.tensor_ob(rest, dd))
+            outcomes = arms(s, [1] * len(d.formations))
             return total([rec(arm, o, rest) for arm, o in zip(ps[1:], outcomes)])
         case "qbit-new":
-            s = backend.reshuffle_state(s, obs, [here])
-            return backend.apply_leading(backend.qbit_plus_prep(), s, rest)
+            s = backend.reshuffle_state(s, obs, [0])
+            return backend.apply_trailing(backend.qbit_plus_prep(), s, rest)
         case "qbit-x":
-            return backend.apply_leading(backend.qbit_x(), rec(ps[0], s, rest), rest)
+            return backend.apply_trailing(backend.qbit_x(), rec(ps[0], s, rest), rest)
         case "qbit-z":
-            return backend.apply_leading(backend.qbit_z(), rec(ps[0], s, rest), rest)
+            return backend.apply_trailing(backend.qbit_z(), rec(ps[0], s, rest), rest)
         case "qbit-cz":
-            return backend.apply_leading(backend.qbit_cz(), pair(*ps), rest)
+            return backend.apply_trailing(backend.qbit_cz(), pair(*ps), rest)
     raise InterpError(f"{d.rule} is not a term formation rule")
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -152,6 +153,34 @@ def test_wp_cross_check_zero_deviation():
     assert "cross-check max deviation" in out.stdout
     dev = float(out.stdout.strip().split()[-1])
     assert dev <= 1e-9
+
+
+@pytest.mark.parametrize("args,code", [
+    (["check", "corpus/intro.qpel"], 0),
+    (["eval", "--backend", "quantum", "corpus/intro.qpel", "flip"], 0),
+    (["wp", "--cross-check", "corpus/intro.qpel", "zgate", "prjhalf"], 0),
+])
+def test_a_closed_output_pipe_leaves_the_exit_code(args, code):
+    # the read end is closed before the command starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(CLI + args, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert out.returncode == code and out.stderr == "", out.stderr
+
+
+def test_a_reader_that_stops_early_gets_the_reports_exit_code():
+    # six copies of the corpus report well over a pipe's 64 KiB; without the
+    # beta-iso pack, beta_iso.qpel fails its proofs (exit 4)
+    files = sorted(str(p) for p in pathlib.Path("corpus").glob("*.qpel")) * 6
+    with subprocess.Popen(CLI + ["check", "--format", "json"] + files,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'[\n  {\n    '
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert proc.returncode == 4 and "Traceback" not in stderr, stderr
 
 
 def test_reports_are_deterministic():

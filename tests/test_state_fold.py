@@ -5,6 +5,8 @@ over the live context factors as its carrier.  Its state must be the state
 of the map `interpret` gives, on seeded random closed terms that reach
 every term formation rule, on the measurement-calculus declarations of the
 benchmark, and on a long `let` chain whose context is mostly `I` factors.
+Its local update `apply_trailing` must be the map path's (id (x) f), and a
+let or case must reshuffle nothing after its scrutinee has run.
 The cluster states n=5..8 are checked through the driver against their closed
 form, which shows that the absolute tolerance of 1e-9 holds up to d=256.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpel import driver
+from qpel import driver, interpreter
 from qpel.backends import make_backend
 from qpel.backends.quantum import TOL, QuantumBackend
 from qpel.derivation import Env
@@ -130,6 +132,65 @@ def test_random_closed_terms_match_the_map_path():
         worst = max(worst, _deviation(d))
     assert worst <= EXACT
     assert TERM_RULES <= rules, TERM_RULES - rules
+
+
+# ------------------------------------------------------------ local updates
+
+
+@pytest.mark.parametrize("rest,dom,cod", [((1, 2), (2, 1), (1, 2)),
+                                          ((2, 1), (1, 2), (2, 1)),
+                                          ((3, 1, 2), (2, 1), (1, 1, 2))])
+def test_apply_trailing_is_the_map_path(rest, dom, cod):
+    rng = random.Random(repr((rest, dom, cod)))
+    for _ in range(5):
+        f = Q.random_channel(dom, cod, rng)
+        s = Q.random_state(Q.tensor_ob(rest, dom), rng)
+        forward = Q.apply_trailing(f, s, rest)
+        reference = Q.apply_state(Q.tensor_mor(Q.identity(rest), f), s)
+        assert [b.shape for b in forward] == [b.shape for b in reference]
+        assert max(float(np.abs(x - y).max()) for x, y in zip(forward, reference)) <= EXACT
+
+
+# each term, its type, and the reshuffles its evaluation makes in all
+SCRUTINISING = {
+    "let a * b = E plus plus in b * a": ("qbit * qbit", 9),
+    "case (inl plus : qbit + qbit) of inl x -> X x | inr y -> y": ("qbit", 4),
+}
+
+
+@pytest.mark.parametrize("term", SCRUTINISING)
+def test_let_and_case_reshuffle_nothing_after_their_scrutinee(term, monkeypatch):
+    """The scrutinee's value lands where the binders of the body or the arms
+    end their context, so a let or a case reshuffles the state once, before
+    its scrutinee runs, and cuts the arms out of the sum's blocks."""
+    events, forward, reshuffle = [], interpreter._forward, QuantumBackend.reshuffle_state
+
+    def traced(backend, d, s, rest):
+        events.append(("call", d.rule))
+        s = forward(backend, d, s, rest)
+        events.append(("return", d.rule))
+        return s
+
+    monkeypatch.setattr(interpreter, "_forward", traced)
+    monkeypatch.setattr(QuantumBackend, "reshuffle_state",
+                        lambda self, *a: events.append(("reshuffle", None)) or reshuffle(self, *a))
+    ty, calls = SCRUTINISING[term]
+    (decl,) = parse(f"term t () : {ty} = {term}\n").decls
+    evaluate(Q, _derive(decl.term, decl.ty))
+    # each reshuffle belongs to the innermost running node: [rule, whether
+    # a premise of it has run]
+    stack, late = [], []
+    for kind, rule in events:
+        if kind == "call":
+            if stack:
+                stack[-1][1] = True
+            stack.append([rule, False])
+        elif kind == "return":
+            stack.pop()
+        elif stack[-1][0] in ("let", "case") and stack[-1][1]:
+            late.append(stack[-1][0])
+    assert late == []
+    assert [kind for kind, _ in events].count("reshuffle") == calls
 
 
 # ----------------------------------------------------- the benchmark's terms
